@@ -11,10 +11,6 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-if not _HAS_BITWISE_COUNT:  # numpy < 2.0: byte-wise lookup table
-    _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
 
 def mask_from_indices(indices: Iterable[int]) -> int:
     m = 0
@@ -52,10 +48,7 @@ def pack_mask(mask: int, n: int) -> np.ndarray:
 
 def popcount_words(a: np.ndarray) -> np.ndarray:
     """Per-element popcount of a uint64 array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(a)
-    b = a.view(np.uint8)
-    return _POPCOUNT8[b].reshape(a.shape + (8,)).sum(axis=-1, dtype=np.uint64)
+    return np.bitwise_count(a)
 
 
 _CHUNK_ROWS = 65536
@@ -66,11 +59,6 @@ def _bulk_op_sizes(packed: np.ndarray, row: np.ndarray, op) -> np.ndarray:
     # avoiding full-size temporaries is a ~3x win
     n, w = packed.shape
     out = np.empty(n, dtype=np.int64)
-    if not _HAS_BITWISE_COUNT:
-        for s in range(0, n, _CHUNK_ROWS):
-            e = min(s + _CHUNK_ROWS, n)
-            out[s:e] = popcount_words(op(packed[s:e], row)).sum(axis=1, dtype=np.int64)
-        return out
     buf = np.empty((min(_CHUNK_ROWS, n), w), dtype=np.uint64)
     cnt = np.empty((min(_CHUNK_ROWS, n), w), dtype=np.uint8)
     for s in range(0, n, _CHUNK_ROWS):

@@ -5,7 +5,8 @@ return materialized SetSystems.  `ImplicitIntervals` is the same interval
 family without materialization: the family of all intervals on n points has
 n(n+1)/2 + 1 sets, so at n = 10^5 it can only be handled through its
 structure (prefix sums for intersection counts, a closed form for trace
-counts).  Its verifier is exact and agrees with the generic one.
+counts).  Its verifier is exact in integer arithmetic, accepts float or
+Fraction eps like the generic one, and agrees with it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstructionError
-from .sampling import ApproximationReport, Sample
+from .sampling import (
+    ApproximationReport,
+    Sample,
+    _check_verifier_inputs,
+    exact_dtype,
+    small_size_limit,
+    worst_report,
+)
 from .set_system import SetSystem
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 # --- intervals ---------------------------------------------------------------
@@ -75,67 +81,33 @@ class ImplicitIntervals:
     # counts p, the signed error is (u_b - u_a) / (n t) with
     # u_x = x t - p_x n.  Small sets (size <= eps n) maximize |u_b - u_a|
     # over a bounded window; large sets maximize |u_b - u_a| / (b - a),
-    # a maximum-slope query answered exactly.
+    # a maximum-slope query answered exactly by Dinkelbach's iteration.
 
-    def _u_values(self, sample: Sample) -> np.ndarray:
-        counts = sample.counts_array()
-        p = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        x = np.arange(self.n + 1, dtype=np.int64)
-        return x * sample.t - p * self.n
+    def _prefix_and_u(self, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
+        dtype = exact_dtype(self.n, sample.t)
+        p = np.concatenate(([0], np.cumsum(sample.counts_array()))).astype(dtype)
+        x = np.arange(self.n + 1).astype(dtype)
+        return p, x * sample.t - p * self.n
 
-    def error_report(self, sample: Sample, eps, per_set: bool = False) -> ApproximationReport:
-        if per_set:
-            raise ConstructionError("per-set errors are not materialized for implicit families")
-        if isinstance(eps, Fraction):
-            raise ConstructionError("exact-arithmetic reports require a materialized system")
-        if sample.n != self.n:
-            raise ConstructionError(f"sample over [0, {sample.n}) but system over [0, {self.n})")
-        if sample.t < 1:
-            raise ConstructionError("sample has t = 0; densities are undefined")
-
-        n, t = self.n, sample.t
-        u = self._u_values(sample)
-        counts_prefix = np.concatenate(([0], np.cumsum(sample.counts_array(), dtype=np.int64)))
-
-        def ratio_of(a: int, b: int) -> float:
-            # same float operation order as the generic per-set verifier
-            s = b - a
-            cnt = int(counts_prefix[b] - counts_prefix[a])
-            err = abs(s / n - cnt / t)
-            return err / max(s / n, eps)
-
-        # worst ratio 0 is attained by the empty set (family index 0)
-        best_ratio, best_index = 0.0, 0
-
-        small_max = self._largest_small_size(eps)
-        if small_max >= 1:
-            pair = _window_max_abs_diff(u, small_max)
-            if pair is not None:
-                a, b = pair
-                r = ratio_of(a, b)
-                if r > best_ratio:
-                    best_ratio, best_index = r, self.index_of(a, b - 1)
-        large_min = small_max + 1
-        if large_min <= n:
-            pair = _max_abs_slope_at_least(u, large_min)
-            if pair is not None:
-                a, b = pair
-                r = ratio_of(a, b)
-                if r > best_ratio:
-                    best_ratio, best_index = r, self.index_of(a, b - 1)
-        return ApproximationReport(best_ratio, best_index, t, eps)
-
-    def _largest_small_size(self, eps: float) -> int:
-        """Largest integer s in [0, n] with s/n <= eps under float comparison."""
-        s = min(self.n, max(0, math.floor(eps * self.n)))
-        while s + 1 <= self.n and (s + 1) / self.n <= eps:
-            s += 1
-        while s > 0 and s / self.n > eps:
-            s -= 1
-        return s
+    def error_report(self, sample: Sample, eps) -> ApproximationReport:
+        _check_verifier_inputs(self, sample)
+        n = self.n
+        p, u = self._prefix_and_u(sample)
+        small_max = min(n, small_size_limit(n, eps))
+        pairs = []
+        for v in (u, -u):
+            if small_max >= 1:
+                pairs.append(_window_max_diff(v, small_max))
+            if small_max < n:
+                pairs.append(_max_slope_at_least(v, small_max + 1))
+        # the empty set (family index 0) has ratio 0
+        candidates = [(0, 0, 0)] + [
+            (self.index_of(a, b - 1), b - a, int(p[b] - p[a])) for a, b in pairs
+        ]
+        return worst_report(n, sample.t, eps, candidates)
 
     def max_additive_error(self, sample: Sample) -> float:
-        u = self._u_values(sample)
+        _, u = self._prefix_and_u(sample)
         return float(int(u.max()) - int(u.min())) / (self.n * sample.t)
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
@@ -156,7 +128,7 @@ def _trailing_min(arr: np.ndarray, w: int) -> np.ndarray:
     if w >= k:
         return np.minimum.accumulate(arr)
     pad = (-k) % w
-    padded = np.concatenate((arr, np.full(pad, _INT64_MAX, dtype=arr.dtype)))
+    padded = np.concatenate((arr, np.full(pad, arr.max(), dtype=arr.dtype)))
     blocks = padded.reshape(-1, w)
     pre = np.minimum.accumulate(blocks, axis=1).ravel()[:k]
     suf = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
@@ -166,96 +138,36 @@ def _trailing_min(arr: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _window_max_diff(u: np.ndarray, w: int) -> tuple[int, int, int] | None:
-    """max of u[b] - u[a] over 1 <= b - a <= w; returns (diff, a, b)."""
-    k = len(u)
-    if k < 2:
-        return None
-    tm = _trailing_min(u[:-1], w)
-    diffs = u[1:] - tm
-    b = int(np.argmax(diffs)) + 1
+def _window_max_diff(u: np.ndarray, w: int) -> tuple[int, int]:
+    """Lowest (a, b) maximizing u[b] - u[a] over 1 <= b - a <= w; len(u) >= 2.
+
+    The smallest maximizing b with its smallest a is the lowest pair: a
+    maximizing pair with a smaller a nests around it, so that a reaches b too.
+    """
+    b = int(np.argmax(u[1:] - _trailing_min(u[:-1], w))) + 1
     lo = max(0, b - w)
-    a = lo + int(np.argmin(u[lo:b]))
-    return int(diffs[b - 1]), a, b
+    return lo + int(np.argmin(u[lo:b])), b
 
 
-def _window_max_abs_diff(u: np.ndarray, w: int) -> tuple[int, int] | None:
-    pos = _window_max_diff(u, w)
-    neg = _window_max_diff(-u, w)
-    if pos is None:
-        return None
-    if neg[0] > pos[0]:
-        return neg[1], neg[2]
-    return pos[1], pos[2]
-
-
-def _max_slope_bruteforce(u: np.ndarray, min_gap: int) -> tuple[int, int] | None:
-    # the optimum over gaps >= L is attained at some gap in [L, 2L): a longer
-    # segment splits into two of at least L whose slopes bracket it
-    k = len(u)
-    if min_gap >= k:
-        return None
-    best = None  # (du, dx, a, b) maximizing du/dx, exact integer comparisons
-    for gap in range(min_gap, min(2 * min_gap, k)):
-        diffs = u[gap:] - u[:-gap]
-        a = int(np.argmax(diffs))
-        du = int(diffs[a])
-        if best is None or du * best[1] > best[0] * gap:
-            best = (du, gap, a, a + gap)
-    return (best[2], best[3]) if best else None
-
-
-def _max_slope_bisect(u: np.ndarray, min_gap: int) -> tuple[int, int] | None:
-    """argmax of (u[b] - u[a]) / (b - a) over b - a >= min_gap, via parametric
-    search; the recovered pair's slope is exact, within float resolution of
-    the true optimum."""
-    k = len(u)
-    if min_gap >= k:
-        return None
-    x = np.arange(k, dtype=np.float64)
-    uf = u.astype(np.float64)
-
-    def best_pair_at(lam: float) -> tuple[int, int]:
-        w = uf - lam * x
-        pre = np.minimum.accumulate(w)[: k - min_gap]
-        margins = w[min_gap:] - pre
-        b = int(np.argmax(margins)) + min_gap
-        a = int(np.argmin(w[: b - min_gap + 1]))
-        return a, b
-
-    lo, hi = 0.0, (float(u.max() - u.min())) / min_gap + 1.0
-    best: tuple[int, int, int, int] | None = None  # (du, dx, a, b)
-    for _ in range(60):
-        lam = (lo + hi) / 2
-        a, b = best_pair_at(lam)
-        du, dx = int(u[b] - u[a]), b - a
-        if best is None or du * best[1] > best[0] * dx:
-            best = (du, dx, a, b)
-        if du > lam * dx:
-            lo = lam
-        else:
-            hi = lam
-    return best[2], best[3]
-
-
-def _max_slope_at_least(u: np.ndarray, min_gap: int) -> tuple[int, int] | None:
-    if len(u) <= 1500:
-        return _max_slope_bruteforce(u, min_gap)
-    return _max_slope_bisect(u, min_gap)
-
-
-def _max_abs_slope_at_least(u: np.ndarray, min_gap: int) -> tuple[int, int] | None:
-    pos = _max_slope_at_least(u, min_gap)
-    if pos is None:
-        return None
-    neg = _max_slope_at_least(-u, min_gap)
-    pa, pb = pos
-    na, nb = neg
-    dup, dxp = int(u[pb] - u[pa]), pb - pa
-    dun, dxn = int(u[na] - u[nb]), nb - na
-    if dun * dxp > dup * dxn:
-        return neg
-    return pos
+def _max_slope_at_least(u: np.ndarray, min_gap: int) -> tuple[int, int]:
+    """Lowest (a, b) maximizing (u[b] - u[a]) / (b - a) over b - a >= min_gap,
+    for min_gap < len(u).  Dinkelbach's iteration: with du / dx the slope of
+    the best pair so far, maximize the integer margin (u[b] - u[a]) dx -
+    (b - a) du and move to the pair attaining it, until the largest margin is
+    exactly 0; the pair then taken is the lowest of those attaining the slope.
+    """
+    x = np.arange(len(u)).astype(u.dtype)
+    a = int(np.argmax(u[min_gap:] - u[:-min_gap]))  # start at the best shortest pair
+    b = a + min_gap
+    while True:
+        dx, du = b - a, int(u[b] - u[a])
+        w = u * dx - x * du
+        ahead = np.maximum.accumulate(w[:0:-1])[::-1]  # ahead[i] = max(w[i+1:])
+        margins = ahead[min_gap - 1 :] - w[:-min_gap]
+        a = int(np.argmax(margins))
+        b = a + min_gap + int(np.argmax(w[a + min_gap :]))
+        if margins[a] == 0:  # the previous pair's own margin is 0
+            return a, b
 
 
 def intervals(n: int) -> SetSystem:

@@ -179,7 +179,7 @@ def certified_halving(
         best = min(best, report.worst_ratio)
     raise RetriesExhausted(
         f"no verified sample in {max_retries} attempts "
-        f"(best worst_ratio observed: {best:.6g})",
+        f"(best worst_ratio observed: {float(best):.6g})",
         best,
     )
 

@@ -5,9 +5,13 @@ when for every S in F
 
     | |S|/n - |A & S|/t |  <=  delta * max(|S|/n, eps).
 
-Verifiers here compute the left side exactly (integer intersection counts)
-and report the worst ratio over the family.  Arithmetic is float by default;
-passing `eps` as a Fraction switches the per-set loop to exact rationals.
+Each family has one exact verifier in integer arithmetic.  A set of size s
+that the sample meets c times has error |s t - c n| / (n t); sets with
+s <= eps n are compared by that numerator, the others by numerator / s, and
+the two side winners are compared exactly (`worst_report`).  The type of
+`eps` only chooses the number type of the reported ratio: a Fraction gives
+the exact Fraction, a float gives the float abs(s/n - c/t) / max(s/n, eps)
+at the worst set.  `passes(delta)` compares that reported ratio to delta.
 """
 
 from __future__ import annotations
@@ -220,11 +224,10 @@ def uniform_sample(n: int, t: int, seed, mode: str = WITHOUT) -> Sample:
 
 @dataclass(frozen=True)
 class ApproximationReport:
-    worst_ratio: float
+    worst_ratio: float | Fraction
     worst_set_index: int | None
     t: int
-    eps: float
-    per_set_errors: tuple | None = None
+    eps: float | Fraction
 
     def passes(self, delta) -> bool:
         return self.worst_ratio <= delta
@@ -255,48 +258,76 @@ def _check_verifier_inputs(system, sample) -> None:
         raise ConstructionError("sample has t = 0; densities are undefined")
 
 
-_NUMPY_PATH_MIN_FAMILY = 64
+def exact_dtype(n: int, t: int):
+    """int64 when every integer product of the verifiers (at most 2 n^2 t in
+    absolute value) fits in it, else Python ints in object arrays."""
+    return np.int64 if 2 * n * n * t < 2**63 else object
 
 
-def relative_error(system, sample: Sample, eps, per_set: bool = False) -> ApproximationReport:
+def small_size_limit(n: int, eps) -> int:
+    """The largest s with s <= eps n, exactly."""
+    return math.floor(Fraction(eps) * n)
+
+
+def worst_report(n: int, t: int, eps, candidates) -> ApproximationReport:
+    """Report on the worst of `candidates`, triples (index, s, c) of a set's
+    family index, size and sample count.  Ratios are compared exactly and
+    ties go to the lowest index.  The reported ratio is the exact Fraction
+    for Fraction eps, else the float abs(s/n - c/t) / max(s/n, eps)."""
+    exact = isinstance(eps, Fraction)
+    e = Fraction(eps)
+
+    def rational(s, c):
+        return Fraction(abs(s * t - c * n), n * t) / max(Fraction(s, n), e)
+
+    if not candidates:
+        return ApproximationReport(Fraction(0) if exact else 0.0, None, t, eps)
+    index, s, c = max(candidates, key=lambda w: (rational(w[1], w[2]), -w[0]))
+    ratio = rational(s, c) if exact else abs(s / n - c / t) / max(s / n, eps)
+    return ApproximationReport(ratio, index, t, eps)
+
+
+def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
+    """Lowest i maximizing num[i] / den[i] (den > 0), by Dinkelbach's
+    iteration on the exact margins num * den[i] - num[i] * den."""
+    i = int(np.argmax(num))
+    while True:
+        margin = num * den[i] - num[i] * den
+        j = int(np.argmax(margin))
+        if margin[j] == 0:  # margin[i] is 0: no ratio beats i's, j is the first to tie it
+            return j
+        i = j
+
+
+def worst_of_counts(n: int, t: int, eps, sizes, counts) -> ApproximationReport:
+    """Exact worst relative error of a family from its set sizes and the
+    sample's intersection counts."""
+    dtype = exact_dtype(n, t)
+    s = np.asarray(sizes).astype(dtype, copy=False)
+    c = np.asarray(counts).astype(dtype, copy=False)
+    num = np.abs(s * t - c * n)
+    limit = small_size_limit(n, eps)
+    small, large = np.flatnonzero(s <= limit), np.flatnonzero(s > limit)
+    winners = []
+    if len(small):
+        winners.append(small[np.argmax(num[small])])
+    if len(large):
+        winners.append(large[_argmax_ratio(num[large], s[large])])
+    return worst_report(n, t, eps, [(int(i), int(s[i]), int(c[i])) for i in winners])
+
+
+def relative_error(system, sample: Sample, eps) -> ApproximationReport:
     """Exact worst relative error of the sample over the family.
 
-    Ties for the worst set break toward the lowest family index.  `eps` as a
-    Fraction selects exact rational arithmetic (the report then carries
-    Fractions); float eps uses IEEE doubles, identically on the scalar and
-    vectorized paths.
+    Ties for the worst set break toward the lowest family index.  With
+    Fraction eps the report carries the exact Fraction ratio, otherwise the
+    float abs(s/n - c/t) / max(s/n, eps) of the worst set.
     """
     if not isinstance(system, SetSystem):
-        return system.error_report(sample, eps, per_set=per_set)
+        return system.error_report(sample, eps)
     _check_verifier_inputs(system, sample)
-    if len(system) == 0:
-        return ApproximationReport(0.0, None, sample.t, eps, () if per_set else None)
-
-    n, t = system.n, sample.t
-    exact = isinstance(eps, Fraction)
-    if not exact and len(system) >= _NUMPY_PATH_MIN_FAMILY and not per_set:
-        counts = intersection_counts(system, sample)
-        dens = system.sizes_array / n
-        err = np.abs(dens - counts / t)
-        ratio = err / np.maximum(dens, eps)
-        worst = int(np.argmax(ratio))
-        return ApproximationReport(float(ratio[worst]), worst, t, eps)
-
-    div = (lambda a, b: Fraction(a, b)) if exact else (lambda a, b: a / b)
-    worst_ratio = div(0, 1)
-    worst_idx = 0
-    errors = [] if per_set else None
-    for idx, (m, s) in enumerate(zip(system.masks, system.sizes)):
-        cnt = sum((m & thr).bit_count() for thr in sample.threshold_bits)
-        err = abs(div(s, n) - div(cnt, t))
-        ratio = err / max(div(s, n), eps)
-        if errors is not None:
-            errors.append(ratio)
-        if ratio > worst_ratio:
-            worst_ratio, worst_idx = ratio, idx
-    return ApproximationReport(
-        worst_ratio, worst_idx, t, eps, tuple(errors) if errors is not None else None
-    )
+    counts = intersection_counts(system, sample)
+    return worst_of_counts(system.n, sample.t, eps, system.sizes_array, counts)
 
 
 def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:

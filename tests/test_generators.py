@@ -17,7 +17,16 @@ from relapprox.generators import (
     random_points,
     random_system,
 )
-from relapprox.sampling import WITH, WITHOUT, relative_error, max_additive_error, is_eps_net, uniform_sample
+from relapprox.generators import _max_slope_at_least, _window_max_diff
+from relapprox.sampling import (
+    WITH,
+    WITHOUT,
+    Sample,
+    is_eps_net,
+    max_additive_error,
+    relative_error,
+    uniform_sample,
+)
 from relapprox.set_system import restrict, trace_count, vc_dimension, growth_bound_check
 
 
@@ -161,14 +170,23 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     sample = uniform_sample(n, t, seed, mode=mode)
     generic = relative_error(mat, sample, eps)
     fast = relative_error(imp, sample, eps)
-    # equal-ratio argmax ties may differ between paths by a couple of ulps
-    assert fast.worst_ratio == pytest.approx(generic.worst_ratio, rel=1e-9, abs=1e-12)
+    # both break exact ties toward the lowest family index, so they report
+    # the same set and the same float
+    assert fast.worst_set_index == generic.worst_set_index
+    assert fast.worst_ratio == generic.worst_ratio
     assert fast.passes(0.41) == generic.passes(0.41)
     # the reported index attains the reported ratio
     mask = mat.masks[fast.worst_set_index]
     cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
     direct = abs(mask.bit_count() / n - cnt / sample.t) / max(mask.bit_count() / n, eps)
     assert direct == fast.worst_ratio
+    # with Fraction eps both verifiers report the same exact ratio
+    exact_eps = Fraction(data.draw(st.integers(1, 99)), 100)
+    exact = relative_error(imp, sample, exact_eps)
+    exact_generic = relative_error(mat, sample, exact_eps)
+    assert isinstance(exact.worst_ratio, Fraction)
+    assert exact.worst_ratio == exact_generic.worst_ratio
+    assert exact.worst_set_index == exact_generic.worst_set_index
     assert max_additive_error(imp, sample) == pytest.approx(
         max_additive_error(mat, sample), rel=1e-9, abs=1e-12
     )
@@ -181,6 +199,92 @@ def test_implicit_large_n_worst_ratio_smoke():
     sample = uniform_sample(5000, 700, seed=1)
     report = relative_error(imp, sample, 0.1)
     assert 0.0 < report.worst_ratio < 1.0
+
+
+def interval_oracle(n, sample, eps):
+    """Exact worst ratio over every interval, one size at a time, in Python ints."""
+    t, e = sample.t, Fraction(eps)
+    counts = [0] * n
+    for elem, c in zip(sample.support, sample.multiplicity or [1] * len(sample.support)):
+        counts[elem] = c
+    prefix = [0, *itertools.accumulate(counts)]
+    u = np.array([x * t - prefix[x] * n for x in range(n + 1)], dtype=object)
+    worst = Fraction(0)
+    for s in range(1, n + 1):
+        num = max(abs(d) for d in (u[s:] - u[:-s]))
+        worst = max(worst, Fraction(num, n * t) / max(Fraction(s, n), e))
+    return worst, prefix
+
+
+def interval_at(imp, index):
+    """Boundaries (a, b) of the interval {a .. b-1} at a family index > 0."""
+    a = max(i for i in range(imp.n) if imp.index_of(i, i) <= index)
+    return a, a + index - imp.index_of(a, a) + 1
+
+
+def check_against_oracle(imp, sample, eps):
+    n, t = imp.n, sample.t
+    worst, prefix = interval_oracle(n, sample, eps)
+    report = relative_error(imp, sample, eps)
+    a, b = interval_at(imp, report.worst_set_index) if report.worst_set_index else (0, 0)
+    s, c = b - a, prefix[b] - prefix[a]
+    e = Fraction(eps)
+    assert abs(Fraction(s, n) - Fraction(c, t)) / max(Fraction(s, n), e) == worst
+    if isinstance(eps, Fraction):
+        assert report.worst_ratio == worst
+    else:
+        assert report.worst_ratio == abs(s / n - c / t) / max(s / n, eps)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+def test_implicit_verifier_matches_oracle_above_old_switch(mode):
+    n = 3000
+    imp = ImplicitIntervals(n)
+    for seed, t in ((1, 400), (2, 2900)):
+        sample = uniform_sample(n, t, seed=seed, mode=mode)
+        for eps in (0.1, Fraction(1, 10), Fraction(1, 3)):
+            check_against_oracle(imp, sample, eps)
+
+
+def test_implicit_verifier_beyond_int64_products():
+    # one element drawn 10^13 times at the end: u grows to about n t, and the
+    # Dinkelbach margins (up to 2 n^2 t) pass 2^63, which int64 would wrap
+    n = 1000
+    mult = np.random.default_rng(5).integers(1, 1000, size=n)
+    mult[-1] = 10**13
+    sample = Sample(n, tuple(range(n)), tuple(int(c) for c in mult))
+    assert 2 * n * n * sample.t >= 2**63
+    imp = ImplicitIntervals(n)
+    assert imp._prefix_and_u(sample)[1].dtype == object
+    for eps in (Fraction(1, 50), 0.02, Fraction(1, 2)):
+        check_against_oracle(imp, sample, eps)
+
+
+# small values make equal slopes and differences common
+VALUES = st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6), min_size=2, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES, st.data())
+def test_max_slope_matches_brute_force(values, data):
+    u = np.array(values, dtype=np.int64)
+    k = len(u)
+    min_gap = data.draw(st.integers(1, k - 1))
+    pairs = [(i, j) for i in range(k) for j in range(i + min_gap, k)]
+    slope = {(i, j): Fraction(int(u[j] - u[i]), j - i) for i, j in pairs}
+    best = max(slope.values())
+    assert _max_slope_at_least(u, min_gap) == min(p for p in pairs if slope[p] == best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALUES, st.data())
+def test_window_max_diff_matches_brute_force(values, data):
+    u = np.array(values, dtype=np.int64)
+    k = len(u)
+    w = data.draw(st.integers(1, k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, min(i + w, k - 1) + 1)]
+    best = max(int(u[j] - u[i]) for i, j in pairs)
+    assert _window_max_diff(u, w) == min(p for p in pairs if u[p[1]] - u[p[0]] == best)
 
 
 # --- halfplanes ---------------------------------------------------------------

@@ -129,18 +129,21 @@ def test_certified_trivial_base_case():
 
 
 def test_certified_retries_exhausted_surfaces_worst_ratio():
-    class AlwaysBad:
-        n = 50
+    # a Fraction worst ratio (from Fraction eps) must format in the message too
+    for worst in (1.0, Fraction(1)):
 
-        def trace_count_for_support(self, m):
-            return m + 1
+        class AlwaysBad:
+            n = 50
 
-        def error_report(self, sample, eps, per_set=False):
-            return ApproximationReport(1.0, 0, sample.t, eps)
+            def trace_count_for_support(self, m):
+                return m + 1
 
-    with pytest.raises(RetriesExhausted) as err:
-        certified_halving(AlwaysBad(), ApproxParams(0.3, 0.4, 0.5), seed=0, max_retries=3)
-    assert err.value.best_worst_ratio == 1.0
+            def error_report(self, sample, eps):
+                return ApproximationReport(worst, 0, sample.t, eps)
+
+        with pytest.raises(RetriesExhausted, match="observed: 1[)]") as err:
+            certified_halving(AlwaysBad(), ApproxParams(0.3, 0.4, 0.5), seed=0, max_retries=3)
+        assert err.value.best_worst_ratio == 1
 
 
 def test_certified_requires_positive_retries():

@@ -15,6 +15,7 @@ from relapprox.sampling import (
     basic_sample_size,
     chaining_sample_size,
     chernoff_bound,
+    exact_dtype,
     halving_sample_size,
     intersection_counts,
     is_eps_approximation,
@@ -25,6 +26,7 @@ from relapprox.sampling import (
     relative_error,
     read_sample_json,
     uniform_sample,
+    worst_of_counts,
     write_sample_json,
 )
 from relapprox.sampling import Constants
@@ -173,19 +175,84 @@ def test_equivalent_displayed_form(sys_sample, eps, delta):
     assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == second_form
 
 
-def test_numpy_and_scalar_paths_agree():
-    rng = make_rng(11)
+def fraction_oracle(system, sample, eps):
+    """Brute-force worst ratio in Fractions and the lowest index attaining it."""
+    n, t, e = system.n, sample.t, Fraction(eps)
+    ratios = []
+    for mask, size in zip(system.masks, system.sizes):
+        cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+        ratios.append(abs(Fraction(size, n) - Fraction(cnt, t)) / max(Fraction(size, n), e))
+    worst = max(ratios)
+    return worst, ratios.index(worst)
+
+
+@pytest.mark.parametrize("family_size", [20, 300])
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+def test_verifier_matches_fraction_oracle(family_size, mode):
+    # 40 points and t = 25 make many sets share (size, count): ties are common
+    rng = make_rng(11, family_size)
     n = 40
-    masks = [int(rng.integers(0, 1 << 62)) & ((1 << n) - 1) for _ in range(300)]
+    masks = [int(rng.integers(0, 1 << 62)) & ((1 << n) - 1) for _ in range(family_size)]
     system = SetSystem.from_masks(n, masks)
-    assert len(system) >= 64
-    for mode in (WITHOUT, WITH):
-        sample = uniform_sample(n, 25, seed=5, mode=mode)
-        fast = relative_error(system, sample, 0.21)
-        slow = relative_error(system, sample, 0.21, per_set=True)
-        assert fast.worst_ratio == slow.worst_ratio
-        assert fast.worst_set_index == slow.worst_set_index
-        assert max(slow.per_set_errors) == slow.worst_ratio
+    for seed in range(6):
+        sample = uniform_sample(n, 25, seed=seed, mode=mode)
+        for eps in (0.21, Fraction(21, 100), 0.1, Fraction(1, 8), 0.7, Fraction(3, 5)):
+            worst, index = fraction_oracle(system, sample, eps)
+            report = relative_error(system, sample, eps)
+            assert report.worst_set_index == index
+            if isinstance(eps, Fraction):
+                assert isinstance(report.worst_ratio, Fraction)
+                assert report.worst_ratio == worst
+            else:
+                mask, s = system.masks[index], system.sizes[index]
+                c = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+                assert report.worst_ratio == abs(s / n - c / sample.t) / max(s / n, eps)
+
+
+@pytest.mark.parametrize("eps", [0.125, Fraction(1, 8)])
+def test_ties_break_toward_lowest_index(eps):
+    sample = Sample(40, tuple(range(20, 40)))  # t = 20; eps n = 5
+    large = [*range(7), 20, 21, 22]  # s = 10, c = 3: |1/4 - 3/20| / (1/4) = 2/5
+    small = [7, 8]  # s = 2, c = 0: (1/20) / (1/8) = 2/5
+    for sets in ([large, small], [small, large]):
+        report = relative_error(new_set_system(40, sets), sample, eps)
+        assert report.worst_set_index == 0
+        assert report.worst_ratio == pytest.approx(0.4)
+    # two large sets of ratio 1; the one with the larger numerator comes second
+    report = relative_error(new_set_system(40, [range(10), range(20)]), sample, eps)
+    assert report.worst_set_index == 0
+    assert report.worst_ratio == 1
+
+
+def test_empty_family_reports_zero_in_the_type_of_eps():
+    system = SetSystem(3, ())
+    exact = relative_error(system, Sample.full(3), Fraction(1, 4))
+    assert isinstance(exact.worst_ratio, Fraction) and exact.worst_ratio == 0
+    assert exact.worst_set_index is None
+    inexact = relative_error(system, Sample.full(3), 0.25)
+    assert isinstance(inexact.worst_ratio, float) and inexact.worst_ratio == 0.0
+
+
+def test_verifier_products_beyond_int64():
+    # 2 n^2 t >= 2^63: the verifier must switch to Python integers
+    n, t = 1000, 10**13 + 7
+    assert exact_dtype(n, t) is object
+    rng = make_rng(3)
+    sizes = np.array([0, 1, 7, 49, 50, 51, 400, 999, 1000], dtype=np.int64)
+    counts = np.array(
+        [0 if s == 0 else int(s * t // n + rng.integers(-10**9, 10**9)) for s in sizes],
+        dtype=np.int64,
+    )
+    for eps in (Fraction(1, 20), 0.05, Fraction(1, 2)):
+        e = Fraction(eps)
+        ratios = [
+            abs(Fraction(int(s), n) - Fraction(int(c), t)) / max(Fraction(int(s), n), e)
+            for s, c in zip(sizes, counts)
+        ]
+        report = worst_of_counts(n, t, eps, sizes, counts)
+        assert report.worst_set_index == ratios.index(max(ratios))
+        if isinstance(eps, Fraction):
+            assert report.worst_ratio == max(ratios)
 
 
 def test_with_replacement_counts_use_multiplicity():
