@@ -22,7 +22,13 @@ import numpy as np
 from . import _bitops
 from .errors import AuditFailure, ConstructionError, PreconditionFailed
 from .packing import Packing, greedy_maximal_packing
-from .sampling import ApproximationReport, ApproxParams, Sample, relative_error
+from .sampling import (
+    ApproximationReport,
+    ApproxParams,
+    Sample,
+    intersection_counts,
+    relative_error,
+)
 from .set_system import SetSystem
 
 _AUDIT_TOL = 1e-9  # float guard on real-valued inequality steps; identities stay integer-exact
@@ -255,7 +261,7 @@ class AuditLedger:
 
 
 def _density_error(mask: int, sample: Sample, n: int) -> tuple[float, int]:
-    cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+    cnt = sample.count(mask)
     return abs(mask.bit_count() / n - cnt / sample.t), cnt
 
 
@@ -295,8 +301,7 @@ def telescoping_error_audit(
         sum_b_sizes += b_size
 
         # exact set/count identities behind the triangle step
-        before_cnt = sum((st.set_before & thr).bit_count() for thr in sample.threshold_bits)
-        after_cnt = sum((st.set_after & thr).bit_count() for thr in sample.threshold_bits)
+        before_cnt, after_cnt = sample.count(st.set_before), sample.count(st.set_after)
         if st.set_before.bit_count() != st.set_after.bit_count() - b_size + a_size:
             raise AuditFailure(f"size identity broken at level {st.level}")
         if before_cnt != after_cnt - b_cnt + a_cnt:
@@ -381,16 +386,9 @@ def telescoping_audit_all(
     eps, delta = chain.eps, chain.delta
     fam = len(system)
     packed = system.packed
-    thr_rows = [_bitops.pack_mask(b, n) for b in sample.threshold_bits]
-
-    def counts_of(rows: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(rows), dtype=np.int64)
-        for thr in thr_rows:
-            total += _bitops.intersection_sizes(rows, thr)
-        return total
-
+    planes = _bitops.pack_masks(sample.planes, n)
     sizes_all = system.sizes_array
-    cnt_all = counts_of(packed)
+    cnt_all = intersection_counts(system, sample)
     err_all = np.abs(sizes_all / n - cnt_all / t)
 
     def fail(msg: str, bad: np.ndarray) -> None:
@@ -415,8 +413,8 @@ def telescoping_audit_all(
             b_masks = ~child & p_row
             a_sz[rows] = _bitops.popcount_words(a_masks).sum(axis=1, dtype=np.int64)
             b_sz[rows] = _bitops.popcount_words(b_masks).sum(axis=1, dtype=np.int64)
-            a_cnt[rows] = counts_of(a_masks)
-            b_cnt[rows] = counts_of(b_masks)
+            a_cnt[rows] = _bitops.intersection_sizes(a_masks, planes)
+            b_cnt[rows] = _bitops.intersection_sizes(b_masks, planes)
         if not np.array_equal(sizes_all[cur], sizes_all[parent] - b_sz + a_sz):
             fail(
                 f"size identity broken at level {i}",

@@ -18,11 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _bitops
 from .errors import ConstructionError
 from .sampling import (
     ApproximationReport,
     Sample,
     _check_verifier_inputs,
+    big_size_limit,
     exact_dtype,
     small_size_limit,
     worst_report,
@@ -111,15 +113,11 @@ class ImplicitIntervals:
         return float(int(u.max()) - int(u.min())) / (self.n * sample.t)
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
-        """No empty interval of size >= eps n exists."""
-        counts = sample.counts_array()
-        s_min = math.ceil(eps * self.n)
-        longest = 0
-        run = 0
-        for c in counts:
-            run = run + 1 if c == 0 else 0
-            longest = max(longest, run)
-        return longest < s_min
+        """No empty interval of size >= eps n exists, compared exactly."""
+        _check_verifier_inputs(self, sample)
+        hits = np.flatnonzero(sample.counts_array())
+        longest = int(np.diff(hits, prepend=-1, append=self.n).max()) - 1
+        return longest < big_size_limit(self.n, eps)
 
 
 def _trailing_min(arr: np.ndarray, w: int) -> np.ndarray:
@@ -267,23 +265,16 @@ def axis_rectangles(pts: PointSet2D) -> SetSystem:
     x_masks = set()
     for i, x1 in enumerate(xs):
         for x2 in xs[i:]:
-            x_masks.add(_mask_of((px >= x1) & (px <= x2)))
+            x_masks.add(_bitops.mask_from_flags((px >= x1) & (px <= x2)))
     y_masks = set()
     for i, y1 in enumerate(ys):
         for y2 in ys[i:]:
-            y_masks.add(_mask_of((py >= y1) & (py <= y2)))
+            y_masks.add(_bitops.mask_from_flags((py >= y1) & (py <= y2)))
     traces = {0}
     for xm in x_masks:
         for ym in y_masks:
             traces.add(xm & ym)
     return SetSystem.from_masks(len(pts), sorted(traces))
-
-
-def _mask_of(flags: np.ndarray) -> int:
-    mask = 0
-    for k in np.flatnonzero(flags):
-        mask |= 1 << int(k)
-    return mask
 
 
 # --- random and exhaustive families ------------------------------------------
@@ -297,7 +288,7 @@ def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
     masks = []
     for _ in range(m):
         row = rng.random(n) < p
-        masks.append(_mask_of(row))
+        masks.append(_bitops.mask_from_flags(row))
     return SetSystem.from_masks(n, masks)
 
 

@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,26 +124,21 @@ class Sample:
         return _bitops.mask_from_indices(self.support)
 
     @cached_property
-    def threshold_bits(self) -> tuple[int, ...]:
-        """Masks of elements with multiplicity >= k, k = 1, 2, ...
-
-        A multiplicity-weighted intersection count is then the plain popcount
-        sum over these masks, which keeps with-replacement verification on
-        the same bit-parallel path as without-replacement.
-        """
+    def planes(self) -> tuple[int, ...]:
+        """Binary planes of the multiplicity: plane k is the mask of the
+        elements whose multiplicity has bit k set, so |A & S| is
+        sum_k 2^k |plane_k & S| over ceil(log2(max multiplicity + 1)) planes."""
         if self.multiplicity is None:
             return (self.bits,)
-        out = []
-        k = 1
-        while True:
-            m = _bitops.mask_from_indices(
-                e for e, c in zip(self.support, self.multiplicity) if c >= k
-            )
-            if not m:
-                break
-            out.append(m)
-            k += 1
-        return tuple(out)
+        counts = self.counts_array()
+        return tuple(
+            _bitops.mask_from_flags((counts >> k) & 1)
+            for k in range(int(counts.max()).bit_length())
+        )
+
+    def count(self, mask: int) -> int:
+        """|A & S| for the set S with bitmask `mask`, multiplicity-weighted."""
+        return sum((mask & plane).bit_count() << k for k, plane in enumerate(self.planes))
 
     def counts_array(self) -> np.ndarray:
         dense = np.zeros(self.n, dtype=np.int64)
@@ -241,12 +237,44 @@ class ApproximationReport:
         }
 
 
+class CountCosts(NamedTuple):
+    """Model nanoseconds of one `intersection_counts` query by each strategy."""
+
+    incidence_ns: float
+    dense_ns: float
+
+
+def count_costs(system: SetSystem, sample: Sample) -> CountCosts:
+    """Price the counts of `sample` over `system` both ways: the expected
+    incidence entries touched, t * nnz / n, against the packed words
+    scanned, m * words * planes."""
+    nnz = int(system.sizes_array.sum())
+    return CountCosts(
+        _bitops.NS_PER_ENTRY * sample.t * nnz / system.n,
+        _bitops.NS_PER_WORD * system.packed.size * len(sample.planes),
+    )
+
+
 def intersection_counts(system: SetSystem, sample: Sample) -> np.ndarray:
-    """|A & S| for every S in the family (multiplicity-weighted in WITH mode)."""
-    total = np.zeros(len(system), dtype=np.int64)
-    for thr in sample.threshold_bits:
-        total += _bitops.intersection_sizes(system.packed, _bitops.pack_mask(thr, system.n))
-    return total
+    """|A & S| for every S in the family (multiplicity-weighted in WITH mode),
+    as exact int64.
+
+    Two strategies, chosen per query by `count_costs`: a popcount scan of the
+    packed family against the sample's binary planes, or a bincount over the
+    family's incidence index, where each sampled element counts once per
+    draw.  The index is built only once the family's queries have paid for
+    it (`SetSystem.incidence_when_paid`).
+    """
+    cost = count_costs(system, sample)
+    index = None
+    if cost.incidence_ns < cost.dense_ns:
+        index = system.incidence_when_paid(cost.dense_ns)
+    if index is None:
+        return _bitops.intersection_sizes(
+            system.packed, _bitops.pack_masks(sample.planes, system.n)
+        )
+    repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
+    return _bitops.incidence_counts(index, np.array(sample.support), len(system), repeats)
 
 
 def _check_verifier_inputs(system, sample) -> None:
@@ -349,14 +377,19 @@ def is_eps_approximation(system, sample: Sample, eps) -> bool:
     return max_additive_error(system, sample) <= eps
 
 
+def big_size_limit(n: int, eps) -> int:
+    """The smallest s with s >= eps n, exactly."""
+    return math.ceil(Fraction(eps) * n)
+
+
 def is_eps_net(system, sample: Sample, eps) -> bool:
-    """Whether the sample hits every set of size >= eps * n."""
+    """Whether the sample hits every set of size >= eps * n, compared exactly."""
     if not isinstance(system, SetSystem):
         return system.is_eps_net(sample, eps)
     _check_verifier_inputs(system, sample)
     if len(system) == 0:
         return True
-    big = system.sizes_array >= eps * system.n
+    big = system.sizes_array >= big_size_limit(system.n, eps)
     if not big.any():
         return True
     counts = intersection_counts(system, sample)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -17,6 +18,10 @@ import numpy as np
 
 from . import _bitops
 from .errors import ConstructionError, GuardExceeded
+
+# Guards every family's index purchase: the rent ledger's read-modify-write
+# and the build, so concurrent queries build an index at most once.
+_INCIDENCE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,30 @@ class SetSystem:
     @cached_property
     def sizes_array(self) -> np.ndarray:
         return np.array(self.sizes, dtype=np.int64)
+
+    @cached_property
+    def incidence(self) -> _bitops.Incidence:
+        """CSR element -> ascending indices of the sets containing it."""
+        return _bitops.build_incidence(self.packed, self.n)
+
+    def incidence_when_paid(self, rent_ns: float) -> _bitops.Incidence | None:
+        """The incidence index once the dense work spent without it pays for
+        building it, else None.
+
+        Ski rental: a count query that the index would serve more cheaply
+        pays its dense-scan cost `rent_ns` into this family's ledger, and the
+        index is built when the ledger reaches the build cost, m * words *
+        `_bitops.NS_PER_BUILD_WORD` (about 85 dense scans).  A family queried
+        once or twice never builds it; one queried without end spends at most
+        about twice what knowing its number of queries in advance would.
+        """
+        with _INCIDENCE_LOCK:
+            if "incidence" not in self.__dict__:
+                spent = self.__dict__.get("_rent_ns", 0.0) + rent_ns
+                self.__dict__["_rent_ns"] = spent
+                if spent < _bitops.NS_PER_BUILD_WORD * self.packed.size:
+                    return None
+            return self.incidence
 
     @classmethod
     def from_masks(cls, n: int, masks) -> "SetSystem":

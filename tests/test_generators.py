@@ -27,7 +27,13 @@ from relapprox.sampling import (
     relative_error,
     uniform_sample,
 )
-from relapprox.set_system import restrict, trace_count, vc_dimension, growth_bound_check
+from relapprox.set_system import (
+    SetSystem,
+    growth_bound_check,
+    restrict,
+    trace_count,
+    vc_dimension,
+)
 
 
 # --- halfplane oracle: exact strict-separability via convex hull disjointness --
@@ -177,7 +183,8 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     assert fast.passes(0.41) == generic.passes(0.41)
     # the reported index attains the reported ratio
     mask = mat.masks[fast.worst_set_index]
-    cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+    mult = sample.multiplicity or (1,) * len(sample.support)
+    cnt = sum(c for e, c in zip(sample.support, mult) if mask >> e & 1)
     direct = abs(mask.bit_count() / n - cnt / sample.t) / max(mask.bit_count() / n, eps)
     assert direct == fast.worst_ratio
     # with Fraction eps both verifiers report the same exact ratio
@@ -192,6 +199,21 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     )
     net_eps = data.draw(st.floats(0.05, 0.9))
     assert is_eps_net(imp, sample, net_eps) == is_eps_net(mat, sample, net_eps)
+
+
+def test_eps_net_size_threshold_is_exact():
+    # 0.2 * 5 rounds to 1.0, but the double nearest 0.2 is above 1/5, so a
+    # single element is not a set of size >= eps n
+    assert 0.2 * 5 == 1.0 and Fraction(0.2) * 5 > 1
+    imp = ImplicitIntervals(5)
+    mat = imp.materialize()
+    one_gaps, two_gap = Sample(5, (0, 2, 4)), Sample(5, (0, 3, 4))
+    for family in (imp, mat):
+        assert is_eps_net(family, one_gaps, 0.2)
+        assert not is_eps_net(family, two_gap, 0.2)
+        assert not is_eps_net(family, one_gaps, Fraction(1, 5))
+        with pytest.raises(ConstructionError, match="sample over"):
+            is_eps_net(family, Sample(10, (7,)), 0.5)
 
 
 def test_implicit_large_n_worst_ratio_smoke():
@@ -357,6 +379,19 @@ def test_rectangles_match_oracle(m, seed, box):
 
 
 # --- random systems and power sets ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 64, 301])
+def test_random_system_matches_per_bit_construction(n):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12)))
+    masks = []
+    for _ in range(40):
+        mask = 0
+        for k, hit in enumerate(rng.random(n) < 0.3):
+            if hit:
+                mask |= 1 << k
+        masks.append(mask)
+    assert random_system(n, 40, 0.3, 12) == SetSystem.from_masks(n, masks)
 
 
 def test_random_system_degenerate_p():

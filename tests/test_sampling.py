@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relapprox import _bitops
 from relapprox.errors import ConstructionError
+from relapprox.generators import intervals, random_system
+from relapprox.harness import monte_carlo_rows
 from relapprox.sampling import (
     WITH,
     WITHOUT,
@@ -15,6 +19,7 @@ from relapprox.sampling import (
     basic_sample_size,
     chaining_sample_size,
     chernoff_bound,
+    count_costs,
     exact_dtype,
     halving_sample_size,
     intersection_counts,
@@ -35,11 +40,17 @@ from relapprox.set_system import SetSystem, new_set_system
 CONST1 = Constants(1.0, 1.0, 1.0, 1.0)
 
 
+def oracle_count(mask, sample) -> int:
+    """|A & S| from the sample's support and multiplicities, element by element."""
+    mult = sample.multiplicity or (1,) * len(sample.support)
+    return sum(c for e, c in zip(sample.support, mult) if mask >> e & 1)
+
+
 def oracle_definition_holds(system, sample, eps, delta) -> bool:
     """Direct per-set re-evaluation of the defining inequality."""
     n, t = system.n, sample.t
     for mask, size in zip(system.masks, system.sizes):
-        cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+        cnt = oracle_count(mask, sample)
         if abs(size / n - cnt / t) > delta * max(size / n, eps):
             return False
     return True
@@ -180,7 +191,7 @@ def fraction_oracle(system, sample, eps):
     n, t, e = system.n, sample.t, Fraction(eps)
     ratios = []
     for mask, size in zip(system.masks, system.sizes):
-        cnt = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+        cnt = oracle_count(mask, sample)
         ratios.append(abs(Fraction(size, n) - Fraction(cnt, t)) / max(Fraction(size, n), e))
     worst = max(ratios)
     return worst, ratios.index(worst)
@@ -205,7 +216,7 @@ def test_verifier_matches_fraction_oracle(family_size, mode):
                 assert report.worst_ratio == worst
             else:
                 mask, s = system.masks[index], system.sizes[index]
-                c = sum((mask & thr).bit_count() for thr in sample.threshold_bits)
+                c = oracle_count(mask, sample)
                 assert report.worst_ratio == abs(s / n - c / sample.t) / max(s / n, eps)
 
 
@@ -263,6 +274,73 @@ def test_with_replacement_counts_use_multiplicity():
     report = relative_error(system, sample, 0.1)
     # S={0}: |1/3 - 3/4| = 5/12; denominator max(1/3, .1) = 1/3 -> 5/4
     assert report.worst_ratio == pytest.approx(5 / 4)
+
+
+def test_large_multiplicities_count_in_one_dense_pass(monkeypatch):
+    # a scan per multiplicity level made 10^5 passes (91 s CPU); binary planes need 17
+    shapes = []
+    kernel = _bitops.intersection_sizes
+
+    def recording(packed, planes):
+        shapes.append(planes.shape)
+        return kernel(packed, planes)
+
+    monkeypatch.setattr(_bitops, "intersection_sizes", recording)
+    system = intervals(200)
+    sample = Sample(200, (0, 5), (10**5, 1))
+    counts = intersection_counts(system, sample)
+    assert shapes == [(17, 4)]
+    assert counts.tolist() == [oracle_count(mask, sample) for mask in system.masks]
+
+
+def counting_builds(monkeypatch) -> list:
+    """Record every incidence index build from now on."""
+    builds = []
+    build = _bitops.build_incidence
+
+    def counting(packed, n):
+        builds.append(packed.shape)
+        return build(packed, n)
+
+    monkeypatch.setattr(_bitops, "build_incidence", counting)
+    return builds
+
+
+def test_index_is_built_once_queries_have_paid_for_it(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    system = random_system(512, 2000, 0.02, seed=4)
+    sample = uniform_sample(512, 20, seed=1)
+    costs = count_costs(system, sample)
+    assert costs.incidence_ns < costs.dense_ns  # the index would serve it better
+    relative_error(system, sample, 0.1)
+    assert builds == [] and "incidence" not in system.__dict__
+    queries = 1
+    while not builds:
+        relative_error(system, sample, 0.1)
+        queries += 1
+    build_ns = _bitops.NS_PER_BUILD_WORD * system.packed.size
+    assert (queries - 1) * costs.dense_ns < build_ns <= queries * costs.dense_ns * (1 + 1e-9)
+    for _ in range(3):
+        relative_error(system, sample, 0.1)
+    assert builds == [system.packed.shape]
+
+
+def test_worker_threads_build_the_index_once_and_match_one_worker(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    params = ApproxParams(0.1, 0.5, 0.2)
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (4, 2, 1):
+            system = random_system(512, 2000, 0.02, seed=4)
+            rows[workers] = monte_carlo_rows(system, params, 20, 160, 3, workers=workers)
+            assert "incidence" in system.__dict__
+            assert len(builds) == 1
+            builds.clear()
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[4] == rows[2] == rows[1]
 
 
 def test_zero_t_is_rejected():
