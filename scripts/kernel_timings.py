@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Re-measure the per-unit costs of the `_bitops` kernels and print them as JSON.
+
+Run from the repository root:
+
+    python scripts/kernel_timings.py [--repeats 5] [--seed 0]
+
+For packed rows of 7, 64 and 128 words (a matrix of about 4 MB, each bit set
+with probability 1/16) it reports, as the median process-CPU time over the
+repeats:
+
+- `ns_per_word`: `intersection_sizes` against one plane, per packed word
+  (`_bitops.NS_PER_WORD`);
+- `ns_per_entry`: `incidence_counts` for t = 200 distinct elements, per
+  incidence entry gathered (`_bitops.NS_PER_ENTRY`);
+- `ns_per_build_word`: `build_incidence`, per packed word
+  (`_bitops.NS_PER_BUILD_WORD`);
+- `nearest_ns_per_word`: `nearest_rows` with K query rows, per packed word
+  and query row, for K in 1, 17 and 186 (a K-row call costs about
+  K * m * words times this; one `xor_sizes` scan costs m * words times
+  `ns_per_word`).
+
+The report repeats the constants stated in `_bitops` beside the measured
+figures.  `sampling.count_costs` chooses the counting strategy from those
+constants, so a change to them changes which kernel runs.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from relapprox import _bitops  # noqa: E402
+
+WIDTHS = (7, 64, 128)
+NEAREST_K = (1, 17, 186)
+MATRIX_BYTES = 4 << 20
+SAMPLE_T = 200
+
+
+def cpu_seconds(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.process_time()
+        fn()
+        times.append(time.process_time() - t0)
+    return statistics.median(times)
+
+
+def random_packed(m: int, w: int, rng) -> np.ndarray:
+    words = [rng.integers(0, 2**64, size=(m, w), dtype=np.uint64) for _ in range(4)]
+    return words[0] & words[1] & words[2] & words[3]
+
+
+def measure(w: int, repeats: int, rng) -> dict:
+    m = MATRIX_BYTES // (8 * w)
+    n = 64 * w
+    packed = random_packed(m, w, rng)
+    plane = random_packed(1, w, rng)[0]
+    words = m * w
+    out = {"rows": m, "words": w}
+    out["ns_per_word"] = (
+        cpu_seconds(lambda: _bitops.intersection_sizes(packed, plane), repeats) / words * 1e9
+    )
+    out["ns_per_build_word"] = (
+        cpu_seconds(lambda: _bitops.build_incidence(packed, n), repeats) / words * 1e9
+    )
+    index = _bitops.build_incidence(packed, n)
+    elements = np.sort(rng.choice(n, size=SAMPLE_T, replace=False))
+    entries = int((index.indptr[elements + 1] - index.indptr[elements]).sum())
+    out["ns_per_entry"] = (
+        cpu_seconds(lambda: _bitops.incidence_counts(index, elements, m), repeats)
+        / entries
+        * 1e9
+    )
+    out["nearest_ns_per_word"] = {}
+    for k in NEAREST_K:
+        rows = packed[rng.choice(m, size=k, replace=False)]
+        secs = cpu_seconds(lambda: _bitops.nearest_rows(packed, rows), repeats)
+        out["nearest_ns_per_word"][str(k)] = secs / (words * k) * 1e9
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    rng = np.random.default_rng(args.seed)
+    report = {
+        "machine": platform.processor() or platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "stated": {
+            "NS_PER_WORD": _bitops.NS_PER_WORD,
+            "NS_PER_ENTRY": _bitops.NS_PER_ENTRY,
+            "NS_PER_BUILD_WORD": _bitops.NS_PER_BUILD_WORD,
+        },
+        "measured": [measure(w, args.repeats, rng) for w in WIDTHS],
+    }
+    print(json.dumps(report, indent=2))
+
+
+if __name__ == "__main__":
+    main()

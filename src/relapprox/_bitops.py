@@ -20,6 +20,19 @@ index is built lazily, at most once per family, when the family's dense
 scans that it would have undercut have cost as much as building it
 (`SetSystem.incidence_when_paid`); a family queried once or twice keeps the
 dense scan.
+
+Two more kernels read the packed matrix in row blocks that stay in L2:
+
+- `nearest_rows`, the nearest of K query rows under symmetric-difference
+  distance for every row (packing certificates).  Each row block meets all
+  K rows word by word, summing popcounts into a (block, K) int32 buffer;
+  its transients are block * K * 13 B (xor, popcount and sum) plus the
+  block, about `_BLOCK_BYTES` in all.  It beats K `xor_sizes` scans, whose
+  per-row sum dominates on narrow rows, from a few rows up, and loses to
+  one scan at K = 1.
+- `gather_columns`, the trace of every row on a set of columns (`restrict`):
+  each row block is unpacked to one byte per bit (64 B per word, about
+  `_BLOCK_BYTES`), its columns gathered and packed again.
 """
 
 from __future__ import annotations
@@ -30,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 # Per-unit costs, measured on a 2-vCPU Intel Xeon with a 2 MiB L2 and
-# numpy 2.4 (medians over random families of 3,000-20,000 sets, t = 50-400):
+# numpy 2.4 (medians over random families of 3,000-20,000 sets, t = 50-400;
+# `python scripts/kernel_timings.py` measures them again):
 # a packed word ANDed and popcounted by `intersection_sizes`, 3.3-4.1 ns on
 # rows of 16-128 words (9 ns on 7-word rows, where the per-row sum
 # dominates); an incidence entry gathered and counted by `incidence_counts`,
@@ -40,8 +54,8 @@ NS_PER_WORD = 3.5
 NS_PER_ENTRY = 6.0
 NS_PER_BUILD_WORD = 300.0
 
-# Row blocks of the dense scan, with their AND and popcount buffers, stay in
-# the 2 MiB per-core L2 while every plane is applied to them.
+# Row blocks of the dense scans, with their buffers, stay in the 2 MiB
+# per-core L2 while every plane or query row is applied to them.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -114,6 +128,60 @@ def intersection_sizes(packed: np.ndarray, planes: np.ndarray) -> np.ndarray:
 def xor_sizes(packed: np.ndarray, row: np.ndarray) -> np.ndarray:
     """|S_i ^ row| (symmetric-difference sizes) for every row, as int64."""
     return _bulk_op_sizes(packed, row, np.bitwise_xor)
+
+
+def nearest_rows(packed: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every row S_i of `packed`, min_k |S_i ^ rows[k]| and the lowest k
+    attaining it, as int64 (int64 max and -1 when `rows` is empty).
+
+    One pass over `packed`: each row block meets all K rows word by word,
+    adding popcounts into a (block, K) int32 buffer, so there is no per-row
+    sum and no (m, K) matrix.
+    """
+    m, w = packed.shape
+    k = len(rows)
+    dist = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+    arg = np.full(m, -1, dtype=np.int64)
+    if k == 0 or m == 0:
+        return dist, arg
+    cols = np.ascontiguousarray(rows.T)
+    # the xor, popcount and sum buffers (13 B per pair) and the block itself
+    step = min(m, max(1, _BLOCK_BYTES // (13 * k + 8 * w)))
+    xor = np.empty((step, k), dtype=np.uint64)
+    cnt = np.empty((step, k), dtype=np.uint8)
+    acc = np.empty((step, k), dtype=np.int32)
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        x, c, a = xor[: e - s], cnt[: e - s], acc[: e - s]
+        block = np.ascontiguousarray(packed[s:e].T)
+        a.fill(0)
+        for j in range(w):
+            np.bitwise_xor(block[j][:, None], cols[j], out=x)
+            a += np.bitwise_count(x, out=c)
+        best = a.argmin(axis=1)
+        arg[s:e] = best
+        dist[s:e] = np.take_along_axis(a, best[:, None], axis=1)[:, 0]
+    return dist, arg
+
+
+def gather_columns(packed: np.ndarray, columns: np.ndarray) -> list[int]:
+    """The masks of every row of `packed` restricted to `columns`, element
+    columns[j] becoming bit j, as Python ints.
+
+    Unpacks one row block at a time (64 B per packed word), so the whole
+    matrix is never unpacked; the gathered bits take at most as much again.
+    """
+    m, w = packed.shape
+    nbytes = (len(columns) + 7) // 8
+    step = max(1, _BLOCK_BYTES // (64 * w))
+    out: list[int] = []
+    for s in range(0, m, step):
+        bits = np.unpackbits(packed[s : s + step].view(np.uint8), axis=1, bitorder="little")
+        buf = np.packbits(bits[:, columns], axis=1, bitorder="little").tobytes()
+        out.extend(
+            int.from_bytes(buf[r : r + nbytes], "little") for r in range(0, len(buf), nbytes)
+        )
+    return out
 
 
 class Incidence(NamedTuple):

@@ -109,6 +109,7 @@ class ImplicitIntervals:
         return worst_report(n, sample.t, eps, candidates)
 
     def max_additive_error(self, sample: Sample) -> float:
+        _check_verifier_inputs(self, sample)
         _, u = self._prefix_and_u(sample)
         return float(int(u.max()) - int(u.min())) / (self.n * sample.t)
 

@@ -10,6 +10,7 @@ the maximality certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -46,6 +47,14 @@ class Packing:
         }
 
 
+def _nearest_member(system: SetSystem, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every set's distance to its nearest member and that member's index,
+    ties to the lowest index (int64 max and -1 without members)."""
+    order = np.sort(members)
+    dist, k = _bitops.nearest_rows(system.packed, system.packed[order])
+    return dist, order[k] if len(order) else k
+
+
 def greedy_maximal_packing(
     system: SetSystem, alpha, seed_members: Sequence[int] = ()
 ) -> Packing:
@@ -67,27 +76,29 @@ def greedy_maximal_packing(
         idx = tuple(range(fam))
         return Packing(alpha, idx, idx)
 
-    best_dist = np.full(fam, _BIG, dtype=np.int64)
-    best_member = np.full(fam, -1, dtype=np.int64)
-    members: list[int] = []
+    need = math.ceil(alpha)  # an integer distance d is >= alpha iff d >= need
+    seeds = np.array(seed_members, dtype=np.int64)
+    for i, k in enumerate(seed_members[1:], 1):
+        d = _bitops.xor_sizes(system.packed[seeds[:i]], system.packed[k]).min()
+        if d < need:
+            raise ConstructionError(
+                f"seed member {k} is within {d} < alpha of an earlier seed"
+            )
+    best_dist, best_member = _nearest_member(system, seeds)
+    members = [int(k) for k in seed_members]
 
-    def admit(k: int) -> None:
+    k = 0
+    while True:
+        ahead = np.flatnonzero(best_dist[k:] >= need)
+        if not len(ahead):
+            break
+        k += int(ahead[0])
         d = _bitops.xor_sizes(system.packed, system.packed[k])
         closer = (d < best_dist) | ((d == best_dist) & (k < best_member))
         best_dist[closer] = d[closer]
         best_member[closer] = k
         members.append(k)
-
-    for k in seed_members:
-        if best_dist[k] < alpha:
-            raise ConstructionError(
-                f"seed member {k} is within {best_dist[k]} < alpha of an earlier seed"
-            )
-        admit(k)
-    for k in range(fam):
-        if best_dist[k] >= alpha:
-            admit(k)
-    return Packing(alpha, tuple(members), tuple(int(m) for m in best_member))
+    return Packing(alpha, tuple(members), tuple(best_member.tolist()))
 
 
 def verify_packing(system: SetSystem, packing: Packing) -> None:
@@ -105,23 +116,21 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
     if len(packing.cover_map) != len(system):
         raise AuditFailure("cover map is not total")
     # recompute nearest member (ties to lowest member index) from scratch
-    best_dist = np.full(len(system), _BIG, dtype=np.int64)
-    best_member = np.full(len(system), -1, dtype=np.int64)
-    for k in sorted(mem):
-        d = _bitops.xor_sizes(system.packed, system.packed[k])
-        closer = d < best_dist
-        best_dist[closer] = d[closer]
-        best_member[closer] = k
-    mem_set = set(mem)
-    for i, cover in enumerate(packing.cover_map):
-        if cover not in mem_set:
-            raise AuditFailure(f"set {i} covered by non-member {cover}")
-        if best_dist[i] >= alpha:
+    best_dist, best_member = _nearest_member(system, mem_arr)
+    cover = np.array(packing.cover_map, dtype=np.int64)
+    non_member = ~np.isin(cover, mem_arr)
+    far = best_dist >= math.ceil(alpha)
+    # a member is its own nearest member (the sets are distinct), so a member
+    # covered by another fails the nearest-member check
+    bad = np.flatnonzero(non_member | far | (cover != best_member))
+    if len(bad):
+        i = int(bad[0])
+        c = packing.cover_map[i]
+        if non_member[i]:
+            raise AuditFailure(f"set {i} covered by non-member {c}")
+        if far[i]:
             raise AuditFailure(f"set {i} is {best_dist[i]} >= alpha from every member")
-        if cover != best_member[i]:
-            raise AuditFailure(f"set {i}: cover {cover} is not the nearest member")
-        if i in mem_set and cover != i:
-            raise AuditFailure(f"member {i} does not cover itself")
+        raise AuditFailure(f"set {i}: cover {c} is not the nearest member")
 
 
 def delta_system(system: SetSystem, packing: Packing) -> SetSystem:

@@ -137,13 +137,7 @@ class SetSystem:
     @classmethod
     def from_masks(cls, n: int, masks) -> "SetSystem":
         """Build from raw bitmasks, collapsing duplicates (first occurrence wins)."""
-        seen: set[int] = set()
-        out = []
-        for m in masks:
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-        return cls(n, tuple(out))
+        return cls(n, tuple(dict.fromkeys(masks)))
 
 
 def new_set_system(n: int, sets) -> SetSystem:
@@ -175,18 +169,8 @@ def restrict(system: SetSystem, y: int | Subset) -> RestrictResult:
     if not members:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(members)}
-    m = len(members)
-
-    traced = []
-    for s in system.masks:
-        t = s & y_bits
-        out = 0
-        while t:
-            low = t & -t
-            out |= 1 << index_map[low.bit_length() - 1]
-            t ^= low
-        traced.append(out)
-    return RestrictResult(SetSystem.from_masks(m, traced), index_map)
+    traced = _bitops.gather_columns(system.packed, np.array(members, dtype=np.intp))
+    return RestrictResult(SetSystem.from_masks(len(members), traced), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:

@@ -113,3 +113,40 @@ def test_incidence_uses_uint16_ids_up_to_65536_sets():
     # element e lies in the 2^15 sets whose index has bit e set
     members = index.ids[index.indptr[3] : index.indptr[4]]
     assert members.tolist() == [k for k in range(1 << 16) if k >> 3 & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 7, 64, 65, 200]),
+    m=st.integers(0, 120),
+    k=st.integers(0, 12),
+    spots=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+)
+def test_nearest_rows_matches_brute_force(n, m, k, spots, seed):
+    # sets over a few positions, so distances tie often
+    rng = make_rng(seed)
+    pos = rng.choice(n, size=min(n, spots), replace=False)
+
+    def draw(count):
+        return [sum(1 << int(e) for e in pos if rng.random() < 0.5) for _ in range(count)]
+    rows, queries = draw(m), draw(k)
+    dist, arg = _bitops.nearest_rows(_bitops.pack_masks(rows, n), _bitops.pack_masks(queries, n))
+    for i, r in enumerate(rows):
+        if not queries:
+            assert (dist[i], arg[i]) == (np.iinfo(np.int64).max, -1)
+            continue
+        d = [(r ^ q).bit_count() for q in queries]
+        assert (dist[i], arg[i]) == (min(d), d.index(min(d)))
+
+
+def test_nearest_rows_across_row_blocks_matches_xor_scans():
+    # 200 query rows make row blocks of about 200 rows, so 3,000 rows span many
+    rng = make_rng(3)
+    rows = [int(rng.integers(0, 2**40)) << int(rng.integers(0, 160)) for _ in range(3000)]
+    packed = _bitops.pack_masks(rows, 200)
+    queries = packed[rng.choice(3000, size=200, replace=False)]
+    dist, arg = _bitops.nearest_rows(packed, queries)
+    scans = np.stack([_bitops.xor_sizes(packed, q) for q in queries], axis=1)
+    assert (dist == scans.min(axis=1)).all()
+    assert (arg == scans.argmin(axis=1)).all()

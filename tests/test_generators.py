@@ -216,6 +216,13 @@ def test_eps_net_size_threshold_is_exact():
             is_eps_net(family, Sample(10, (7,)), 0.5)
 
 
+def test_additive_error_rejects_sample_over_another_ground_set():
+    imp = ImplicitIntervals(5)
+    for family in (imp, imp.materialize()):
+        with pytest.raises(ConstructionError, match="sample over"):
+            max_additive_error(family, Sample(10, (7,)))
+
+
 def test_implicit_large_n_worst_ratio_smoke():
     imp = ImplicitIntervals(5000)
     sample = uniform_sample(5000, 700, seed=1)

@@ -47,6 +47,32 @@ def small_systems(draw, max_n=9, max_sets=10):
     return SetSystem.from_masks(n, masks)
 
 
+def reference_greedy(masks, alpha, seeds=()) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Seeds, then every set >= alpha from all admitted members, in index
+    order; each set's cover is its nearest member, ties to the lowest index."""
+
+    def dist(a, b):
+        return (masks[a] ^ masks[b]).bit_count()
+
+    members = list(seeds)
+    for k in range(len(masks)):
+        if all(dist(k, j) >= alpha for j in members):
+            members.append(k)
+    cover = tuple(min(members, key=lambda j: (dist(i, j), j)) for i in range(len(masks)))
+    return tuple(members), cover
+
+
+@st.composite
+def tied_systems(draw):
+    """Families over a handful of positions spread across the words of [0, n),
+    so symmetric-difference sizes take few values and tie often."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    picks = draw(st.lists(st.integers(0, (1 << len(spots)) - 1), min_size=1, max_size=40))
+    masks = [sum(1 << e for j, e in enumerate(spots) if p >> j & 1) for p in picks]
+    return SetSystem.from_masks(n, masks)
+
+
 # --- greedy construction -------------------------------------------------------
 
 
@@ -116,6 +142,75 @@ def test_greedy_passes_independent_verifier(system, alpha):
 def test_greedy_is_one_of_the_exhaustive_maximal_packings(system, alpha):
     packing = greedy_maximal_packing(system, alpha)
     assert frozenset(packing.member_indices) in oracle_all_maximal_packings(system, alpha)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_systems(), st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]), st.data())
+def test_greedy_matches_pure_python_reference(system, alpha, data):
+    packing = greedy_maximal_packing(system, alpha)
+    assert (packing.member_indices, packing.cover_map) == reference_greedy(system.masks, alpha)
+    if alpha > 1:
+        # a coarser reference packing, admitted first in an arbitrary order
+        coarse, _ = reference_greedy(system.masks, data.draw(st.sampled_from([alpha, 2 * alpha])))
+        seeds = data.draw(st.permutations(coarse))
+        seeded = greedy_maximal_packing(system, alpha, seed_members=seeds)
+        want = reference_greedy(system.masks, alpha, seeds)
+        assert (seeded.member_indices, seeded.cover_map) == want
+        verify_packing(system, seeded)
+
+
+# --- corrupted certificates ---------------------------------------------------------
+
+
+def singletons_packing():
+    system = new_set_system(4, [[0], [1], [2], [3], [0, 1]])
+    packing = greedy_maximal_packing(system, 2.0)
+    assert packing.member_indices == (0, 1, 2, 3)
+    assert packing.cover_map == (0, 1, 2, 3, 0)
+    verify_packing(system, packing)
+    return system, packing
+
+
+def test_verify_rejects_cover_by_non_member():
+    system, packing = singletons_packing()
+    # set 4 is not a member; the lowest offending set is named
+    bad = Packing(2.0, packing.member_indices, (0, 1, 4, 3, 4))
+    with pytest.raises(AuditFailure, match="set 2 covered by non-member 4"):
+        verify_packing(system, bad)
+
+
+def test_verify_rejects_cover_that_is_not_nearest():
+    system, packing = singletons_packing()
+    # {0, 1} is 1 from both 0 and 1 but 3 from member 2
+    bad = Packing(2.0, packing.member_indices, (0, 1, 2, 3, 2))
+    with pytest.raises(AuditFailure, match="set 4: cover 2 is not the nearest member"):
+        verify_packing(system, bad)
+    # a tie must go to the lowest member index
+    bad = Packing(2.0, packing.member_indices, (0, 1, 2, 3, 1))
+    with pytest.raises(AuditFailure, match="set 4: cover 1 is not the nearest member"):
+        verify_packing(system, bad)
+
+
+def test_verify_rejects_member_not_covering_itself():
+    system, packing = singletons_packing()
+    # a member is at distance 0 from itself only, so it is its own nearest member
+    bad = Packing(2.0, packing.member_indices, (0, 0, 2, 3, 0))
+    with pytest.raises(AuditFailure, match="set 1: cover 0 is not the nearest member"):
+        verify_packing(system, bad)
+
+
+def test_verify_rejects_set_far_from_every_member():
+    system, packing = singletons_packing()
+    bad = Packing(2.0, (0, 1, 2), (0, 1, 2, 0, 0))
+    with pytest.raises(AuditFailure, match="set 3 is 2 >= alpha from every member"):
+        verify_packing(system, bad)
+
+
+def test_verify_rejects_members_closer_than_alpha():
+    system, packing = singletons_packing()
+    bad = Packing(2.0, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4))
+    with pytest.raises(AuditFailure, match="members 0 and 4 are 1 apart"):
+        verify_packing(system, bad)
 
 
 # --- delta system ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,63 @@ def test_restrict_composition(system, data):
     preimage = sum(1 << orig for orig, new in index_map.items() if (z >> new) & 1)
     direct, _ = restrict(system, preimage)
     assert len(fyz) == len(direct)
+
+
+def oracle_restrict(system: SetSystem, y_bits: int):
+    """Per-bit trace: element members[j] of Y becomes bit j; first occurrence wins."""
+    members = [e for e in range(system.n) if y_bits >> e & 1]
+    traced = [sum(1 << j for j, e in enumerate(members) if s >> e & 1) for s in system.masks]
+    return len(members), tuple(dict.fromkeys(traced)), dict(zip(members, range(len(members))))
+
+
+@st.composite
+def restrictions(draw):
+    n = draw(st.sampled_from([1, 2, 63, 65, 100, 130, 191]))
+    p = draw(st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = rng.random((draw(st.integers(0, 40)), n)) < p
+    masks = [sum(1 << int(e) for e in np.flatnonzero(row)) for row in rows]
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(["ground", "single", "last-word", "any"]))
+    if kind == "ground":
+        y = full
+    elif kind == "single":
+        y = 1 << draw(st.sampled_from([0, n - 1, draw(st.integers(0, n - 1))]))
+    else:
+        y = draw(st.integers(1, full))
+        if kind == "last-word":
+            y |= 1 << (n - 1)
+    return SetSystem.from_masks(n, masks), y
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrictions())
+def test_restrict_matches_per_bit_reference(case):
+    system, y = case
+    traced, index_map = restrict(system, y)
+    n, masks, want_map = oracle_restrict(system, y)
+    assert (traced.n, traced.masks) == (n, masks)
+    assert index_map == want_map and list(index_map) == sorted(index_map)
+
+
+def test_restrict_across_row_blocks():
+    # 5,000 rows of 4 words span several unpacked row blocks
+    rng = np.random.default_rng(7)
+    masks = [int(rng.integers(0, 2**62)) << 138 | int(rng.integers(0, 2**62)) for _ in range(5000)]
+    system = SetSystem.from_masks(200, masks)
+    y = int(rng.integers(0, 2**62)) << 138 | int(rng.integers(0, 2**62)) | 1 << 199
+    traced, index_map = restrict(system, y)
+    assert (traced.n, traced.masks, index_map) == oracle_restrict(system, y)
+
+
+def test_restrict_rejects_empty_and_outside_sets():
+    system = new_set_system(3, [[0, 1], [1, 2]])
+    with pytest.raises(ConstructionError, match="empty set"):
+        restrict(system, 0)
+    with pytest.raises(ConstructionError, match="outside the ground set"):
+        restrict(system, 0b1000)
+    with pytest.raises(ConstructionError, match="outside the ground set"):
+        restrict(system, -1)
 
 
 # --- symmetric difference ----------------------------------------------------
