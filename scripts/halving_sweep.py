@@ -4,7 +4,9 @@
 Prints, per ground-set size, the construction's output size and success rate
 in both sampling modes; the i.i.d. column shows the ground-set-independent
 behaviour of the size recursion (the without-replacement column caps at n
-whenever the requested size exceeds what a subset can hold).
+whenever the requested size exceeds what a subset can hold).  The last
+column is the CPU seconds of the cell (process time, so time the hypervisor
+takes from a shared virtual machine does not count).
 
     python scripts/halving_sweep.py [--eps 0.1] [--delta 0.25] [--gamma 0.1]
 """
@@ -34,11 +36,11 @@ def main() -> int:
 
     params = ApproxParams(args.eps, args.delta, args.gamma)
     print(f"eps={args.eps} delta={args.delta} gamma={args.gamma}, {args.trials} trials per cell")
-    print(f"{'n':>8}  {'mode':>8}  {'mean t':>10}  {'success':>8}  {'secs':>6}")
+    print(f"{'n':>8}  {'mode':>8}  {'mean t':>10}  {'success':>8}  {'cpu s':>6}")
     for n in args.sizes:
         family = ImplicitIntervals(n)
         for mode in (WITHOUT, WITH):
-            started = time.time()
+            started = time.process_time()
             sizes, ok = [], 0
             for i in range(args.trials):
                 try:
@@ -52,7 +54,7 @@ def main() -> int:
             mean = sum(sizes) / len(sizes) if sizes else float("nan")
             print(
                 f"{n:>8}  {mode:>8}  {mean:>10.0f}  {ok}/{args.trials:<5}  "
-                f"{time.time() - started:>6.1f}"
+                f"{time.process_time() - started:>6.1f}"
             )
     return 0
 

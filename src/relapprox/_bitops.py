@@ -71,13 +71,10 @@ def mask_from_flags(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def indices_from_mask(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+def indices_from_mask(mask: int) -> np.ndarray:
+    """Ascending positions of the set bits of a nonnegative mask, as int64."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
 def words_needed(n: int) -> int:

@@ -116,7 +116,7 @@ class ImplicitIntervals:
     def is_eps_net(self, sample: Sample, eps) -> bool:
         """No empty interval of size >= eps n exists, compared exactly."""
         _check_verifier_inputs(self, sample)
-        hits = np.flatnonzero(sample.counts_array())
+        hits = sample.support_array
         longest = int(np.diff(hits, prepend=-1, append=self.n).max()) - 1
         return longest < big_size_limit(self.n, eps)
 

@@ -13,6 +13,10 @@ draw is capped at the available set (taking everything is a zero-error
 approximation); with replacement an oversized draw is well-defined, so the
 requested size is drawn in full and the output size follows the size formula
 rather than n.
+
+Subsampling is array-only: a level indexes the current sample's int64
+support (and multiplicity) arrays with the drawn permutation prefix or the
+nonzero multinomial counts, so no level runs a per-element Python loop.
 """
 
 from __future__ import annotations
@@ -98,26 +102,26 @@ def expected_depth(delta: float, n: int) -> int:
 def _support_trace_count(system, sample: Sample) -> int:
     if isinstance(system, SetSystem):
         return trace_count(system, sample.bits)
-    return system.trace_count_for_support(len(sample.support))
+    return system.trace_count_for_support(len(sample.support_array))
 
 
 def _subsample_without(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
-    pool = sample.support
+    pool = sample.support_array
     chosen = rng.permutation(len(pool))[:t]
-    return Sample(sample.n, tuple(sorted(pool[int(i)] for i in chosen)))
+    return Sample(sample.n, np.sort(pool[chosen]))
 
 
 def _subsample_with(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
     # t i.i.d. draws from the multiset == a multinomial over its slots
+    mult = sample.multiplicity_array
     weights = (
-        np.ones(len(sample.support), dtype=np.float64)
-        if sample.multiplicity is None
-        else np.array(sample.multiplicity, dtype=np.float64)
+        np.ones(len(sample.support_array), dtype=np.float64)
+        if mult is None
+        else mult.astype(np.float64)
     )
     counts = rng.multinomial(t, weights / weights.sum())
     keep = counts > 0
-    support = tuple(e for e, k in zip(sample.support, keep) if k)
-    return Sample(sample.n, support, tuple(int(c) for c in counts[keep]))
+    return Sample(sample.n, sample.support_array[keep], counts[keep])
 
 
 def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
@@ -155,7 +159,9 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
         current = nxt
 
     if seed_val is not None and current.seed is None:
-        current = Sample(current.n, current.support, current.multiplicity, seed=seed_val)
+        current = Sample(
+            current.n, current.support_array, current.multiplicity_array, seed=seed_val
+        )
     return current, HalvingTrace(tuple(levels), current)
 
 
@@ -192,14 +198,16 @@ def composition_check(system: SetSystem, a1: Sample, a2: Sample, eps, delta1, de
     The property suite asserts this always returns True.  Fraction arguments
     make every comparison exact.
     """
-    if a1.multiplicity is not None or a2.multiplicity is not None:
+    if a1.mode != WITHOUT or a2.mode != WITHOUT:
         raise ConstructionError("composition is defined for without-replacement samples")
     if a2.bits & ~a1.bits:
         raise PreconditionFailed("a2 is not contained in a1")
     if not relative_error(system, a1, eps).passes(delta1):
         raise PreconditionFailed(f"a1 is not a relative ({eps}, {delta1})-approximation")
-    traced, index_map = restrict(system, a1.bits)
-    a2_traced = Sample(len(a1.support), tuple(index_map[e] for e in a2.support))
+    traced, _ = restrict(system, a1.bits)
+    a2_traced = Sample(
+        len(a1.support_array), np.searchsorted(a1.support_array, a2.support_array)
+    )
     if not relative_error(traced, a2_traced, eps).passes(delta2):
         raise PreconditionFailed(
             f"a2 is not a relative ({eps}, {delta2})-approximation of the trace"
@@ -223,12 +231,12 @@ def combined_construction(
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
     traced, _ = restrict(system, a1.bits)
-    m1 = len(a1.support)
+    m1 = len(a1.support_array)
     t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
     for attempt in range(max_retries):
         cand = uniform_sample(m1, t2, seed_sequence(seed, 1, attempt))
         if relative_error(traced, cand, params.eps).passes(stage.delta):
-            final = Sample(system.n, tuple(a1.support[i] for i in cand.support))
+            final = Sample(system.n, a1.support_array[cand.support_array])
             if not relative_error(system, final, params.eps).passes(params.delta):
                 raise AuditFailure(
                     "composition violated: both stages verified but the "

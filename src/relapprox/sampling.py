@@ -84,51 +84,105 @@ def find_constants(path=None) -> Constants:
     return DEFAULT_CONSTANTS
 
 
-@dataclass(frozen=True)
+def _int64_vector(values, overflow: str) -> np.ndarray:
+    """A read-only int64 copy of a 1-D integer sequence or array; raises
+    ConstructionError(`overflow`) when a value is not an int64."""
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ConstructionError(overflow) from None
+    if arr.ndim != 1:
+        raise ConstructionError("sample vectors must be one-dimensional")
+    if isinstance(values, np.ndarray) and values.dtype != np.int64:
+        if not np.array_equal(arr, values):  # wrapped uint64 or truncated floats
+            raise ConstructionError(overflow)
+    arr.flags.writeable = False
+    return arr
+
+
 class Sample:
     """A uniform sample of [0, n): a t-subset, or t draws with multiplicity.
 
-    `support` is the strictly ascending tuple of distinct sampled elements;
-    `multiplicity` is parallel to it in with-replacement mode and None
-    otherwise.  `seed` records provenance (None for external samples).
+    `support_array` holds the distinct sampled elements, strictly ascending;
+    `multiplicity_array` is parallel to it in with-replacement mode and None
+    otherwise.  Both are read-only int64 copies of the constructor's
+    arguments (any integer sequence or array), and the total t must be below
+    2^63.  `support` and `multiplicity` are the same values as tuples of
+    Python ints, built on first access.  `seed` records provenance (None for
+    external samples).  Samples are immutable and compare and hash by value.
     """
 
-    n: int
-    support: tuple[int, ...]
-    multiplicity: tuple[int, ...] | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.support, self.support[1:])):
+    def __init__(self, n: int, support, multiplicity=None, seed: int | None = None):
+        sup = _int64_vector(support, "sample members outside the ground set")
+        if (sup[1:] <= sup[:-1]).any():
             raise ConstructionError("sample support must be strictly ascending")
-        if self.support and not (0 <= self.support[0] and self.support[-1] < self.n):
+        if len(sup) and not (0 <= sup[0] and sup[-1] < n):
             raise ConstructionError("sample members outside the ground set")
-        if self.multiplicity is not None:
-            if len(self.multiplicity) != len(self.support):
+        mult, t = None, len(sup)
+        if multiplicity is not None:
+            mult = _int64_vector(multiplicity, "multiplicities must fit in int64")
+            if len(mult) != len(sup):
                 raise ConstructionError("multiplicity vector does not match support")
-            if any(c < 1 for c in self.multiplicity):
+            if len(mult) and mult.min() < 1:
                 raise ConstructionError("multiplicities must be >= 1")
+            # exact: the 32-bit halves of fewer than 2^31 values cannot overflow
+            t = (int((mult >> 32).sum()) << 32) + int((mult & 0xFFFFFFFF).sum())
+            if t >= 2**63:
+                raise ConstructionError(f"total multiplicity t = {t} does not fit in int64")
+        vars(self).update(n=n, support_array=sup, multiplicity_array=mult, seed=seed, t=t)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Sample is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Sample is immutable; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        mult = self.multiplicity_array
+        return (
+            self.n,
+            self.support_array.tobytes(),
+            None if mult is None else mult.tobytes(),
+            self.seed,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Sample(n={self.n!r}, support={self.support!r}, "
+            f"multiplicity={self.multiplicity!r}, seed={self.seed!r})"
+        )
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(self.support_array.tolist())
+
+    @cached_property
+    def multiplicity(self) -> tuple[int, ...] | None:
+        mult = self.multiplicity_array
+        return None if mult is None else tuple(mult.tolist())
 
     @property
     def mode(self) -> str:
-        return WITHOUT if self.multiplicity is None else WITH
-
-    @cached_property
-    def t(self) -> int:
-        if self.multiplicity is None:
-            return len(self.support)
-        return int(sum(self.multiplicity))
+        return WITHOUT if self.multiplicity_array is None else WITH
 
     @cached_property
     def bits(self) -> int:
-        return _bitops.mask_from_indices(self.support)
+        return _bitops.mask_from_flags(self.counts_array())
 
     @cached_property
     def planes(self) -> tuple[int, ...]:
         """Binary planes of the multiplicity: plane k is the mask of the
         elements whose multiplicity has bit k set, so |A & S| is
         sum_k 2^k |plane_k & S| over ceil(log2(max multiplicity + 1)) planes."""
-        if self.multiplicity is None:
+        if self.multiplicity_array is None:
             return (self.bits,)
         counts = self.counts_array()
         return tuple(
@@ -142,21 +196,17 @@ class Sample:
 
     def counts_array(self) -> np.ndarray:
         dense = np.zeros(self.n, dtype=np.int64)
-        if self.support:
-            idx = np.array(self.support, dtype=np.int64)
-            if self.multiplicity is None:
-                dense[idx] = 1
-            else:
-                dense[idx] = np.array(self.multiplicity, dtype=np.int64)
+        mult = self.multiplicity_array
+        dense[self.support_array] = 1 if mult is None else mult
         return dense
 
     @classmethod
     def from_mask(cls, n: int, bits: int) -> "Sample":
-        return cls(n, tuple(_bitops.indices_from_mask(bits)))
+        return cls(n, _bitops.indices_from_mask(bits))
 
     @classmethod
     def full(cls, n: int) -> "Sample":
-        return cls(n, tuple(range(n)))
+        return cls(n, np.arange(n))
 
 
 def seed_sequence(*entropy) -> np.random.SeedSequence:
@@ -201,17 +251,11 @@ def uniform_sample(n: int, t: int, seed, mode: str = WITHOUT) -> Sample:
     if mode == WITHOUT:
         if t > n:
             raise ConstructionError(f"cannot draw {t} distinct elements from {n}")
-        members = sorted(_partial_fisher_yates(n, t, rng))
-        return Sample(n, tuple(members), seed=seed_val)
+        return Sample(n, sorted(_partial_fisher_yates(n, t, rng)), seed=seed_val)
     if mode == WITH:
         draws = rng.integers(0, n, size=t)
         support, counts = np.unique(draws, return_counts=True)
-        return Sample(
-            n,
-            tuple(int(e) for e in support),
-            tuple(int(c) for c in counts),
-            seed=seed_val,
-        )
+        return Sample(n, support, counts, seed=seed_val)
     raise ConstructionError(f"unknown sampling mode {mode!r}")
 
 
@@ -273,8 +317,9 @@ def intersection_counts(system: SetSystem, sample: Sample) -> np.ndarray:
         return _bitops.intersection_sizes(
             system.packed, _bitops.pack_masks(sample.planes, system.n)
         )
-    repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
-    return _bitops.incidence_counts(index, np.array(sample.support), len(system), repeats)
+    return _bitops.incidence_counts(
+        index, sample.support_array, len(system), sample.multiplicity_array
+    )
 
 
 def _check_verifier_inputs(system, sample) -> None:
@@ -471,5 +516,4 @@ def write_sample_json(sample: Sample, path) -> None:
 def read_sample_json(path) -> Sample:
     with open(path) as fh:
         doc = json.load(fh)
-    mult = tuple(doc["counts"]) if "counts" in doc else None
-    return Sample(doc["n"], tuple(doc["members"]), mult, seed=doc.get("seed"))
+    return Sample(doc["n"], doc["members"], doc.get("counts"), seed=doc.get("seed"))

@@ -44,7 +44,7 @@ class Subset:
         return self.bits.bit_count()
 
     def indices(self) -> list[int]:
-        return _bitops.indices_from_mask(self.bits)
+        return _bitops.indices_from_mask(self.bits).tolist()
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "Subset":
@@ -166,10 +166,10 @@ def restrict(system: SetSystem, y: int | Subset) -> RestrictResult:
     if y_bits < 0 or y_bits >> system.n:
         raise ConstructionError("restriction set has members outside the ground set")
     members = _bitops.indices_from_mask(y_bits)
-    if not members:
+    if not len(members):
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
-    index_map = {orig: new for new, orig in enumerate(members)}
-    traced = _bitops.gather_columns(system.packed, np.array(members, dtype=np.intp))
+    index_map = {orig: new for new, orig in enumerate(members.tolist())}
+    traced = _bitops.gather_columns(system.packed, members)
     return RestrictResult(SetSystem.from_masks(len(members), traced), index_map)
 
 
@@ -291,7 +291,7 @@ def growth_bound_check(
 
 
 def write_json(system: SetSystem, path) -> None:
-    sets = [_bitops.indices_from_mask(m) for m in system.masks]
+    sets = [_bitops.indices_from_mask(m).tolist() for m in system.masks]
     with open(path, "w") as fh:
         json.dump({"n": system.n, "sets": sets}, fh)
         fh.write("\n")

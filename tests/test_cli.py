@@ -3,7 +3,8 @@ import json
 import pytest
 
 from relapprox.cli import main
-from relapprox.sampling import read_sample_json
+from relapprox.halving import certified_halving
+from relapprox.sampling import WITH, ApproxParams, Sample, read_sample_json, write_sample_json
 from relapprox.set_system import read_json
 
 
@@ -90,6 +91,32 @@ def test_halve_writes_sample_and_trace(tmp_path, interval_file, capsys):
     assert doc["t"] == read_sample_json(out_path).t
     trace = json.loads(trace_path.read_text())
     assert trace["levels"][0]["set_size_after"] == 40
+
+
+def test_halved_sample_round_trips_through_json_and_cli(tmp_path, interval_file, capsys):
+    # with-replacement output, built from arrays: json.dump rejects numpy ints
+    system = read_json(interval_file).system
+    sample = certified_halving(system, ApproxParams(0.4, 0.5, 0.5), 3, mode=WITH)
+    assert sample.t > system.n  # the levels drew with replacement
+
+    def same(other):
+        return (other.support, other.multiplicity, other.t, other.seed) == (
+            sample.support, sample.multiplicity, sample.t, sample.seed
+        )
+
+    path = tmp_path / "direct.json"
+    write_sample_json(sample, path)
+    assert same(read_sample_json(path))
+
+    argv = ["halve", "--system", interval_file, "--eps", 0.4, "--delta", 0.5,
+            "--gamma", 0.5, "--seed", 3, "--mode", "with"]
+    out_path = tmp_path / "halved.json"
+    assert run(*argv, "--out", out_path) == 0
+    assert same(read_sample_json(out_path))
+    capsys.readouterr()
+    assert run(*argv) == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert same(Sample(system.n, doc["members"], doc["counts"]))
 
 
 def test_packing_and_chain_outputs(tmp_path, interval_file):

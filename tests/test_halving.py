@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relapprox import halving
 from relapprox.errors import ConstructionError, PreconditionFailed, RetriesExhausted
 from relapprox.generators import ImplicitIntervals, intervals, random_system
 from relapprox.halving import (
@@ -25,12 +26,14 @@ from relapprox.sampling import (
     ApproximationReport,
     Constants,
     Sample,
+    chaining_sample_size,
     is_relative_approx,
     make_rng,
     relative_error,
+    seed_sequence,
     uniform_sample,
 )
-from relapprox.set_system import SetSystem, new_set_system
+from relapprox.set_system import SetSystem, new_set_system, restrict
 
 
 # --- recursion structure ------------------------------------------------------
@@ -239,3 +242,83 @@ def test_trace_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["final_size"] == trace.final_sample.t
     assert [lv["set_size_after"] for lv in doc["levels"]][0] == 2000
+
+
+# --- RNG stream of the array subsampling -------------------------------------------
+#
+# The tuple-based subsampling and stage-2 mapping that the array code replaced,
+# kept as a pure-Python oracle: the constructions must draw and return exactly
+# what it does.
+
+
+def _tuple_subsample_without(sample, t, rng):
+    pool = sample.support
+    chosen = rng.permutation(len(pool))[:t]
+    return Sample(sample.n, tuple(sorted(pool[int(i)] for i in chosen)))
+
+
+def _tuple_subsample_with(sample, t, rng):
+    weights = (
+        np.ones(len(sample.support), dtype=np.float64)
+        if sample.multiplicity is None
+        else np.array(sample.multiplicity, dtype=np.float64)
+    )
+    counts = rng.multinomial(t, weights / weights.sum())
+    keep = counts > 0
+    support = tuple(e for e, k in zip(sample.support, keep) if k)
+    return Sample(sample.n, support, tuple(int(c) for c in counts[keep]))
+
+
+def _tuple_combined_construction(system, params, d, constants, seed, max_retries=5):
+    stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
+    a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
+    traced, _ = restrict(system, a1.bits)
+    m1 = len(a1.support)
+    t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
+    for attempt in range(max_retries):
+        cand = uniform_sample(m1, t2, seed_sequence(seed, 1, attempt))
+        if relative_error(traced, cand, params.eps).passes(stage.delta):
+            return Sample(system.n, tuple(a1.support[i] for i in cand.support))
+    raise AssertionError("no stage-2 sample")
+
+
+@pytest.fixture()
+def tuple_oracle(monkeypatch):
+    """Call a function with halving's subsampling swapped for the tuple oracle."""
+
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(halving, "_subsample_without", _tuple_subsample_without)
+            m.setattr(halving, "_subsample_with", _tuple_subsample_with)
+            return fn(*args, **kwargs)
+
+    return call
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+@pytest.mark.parametrize("family", ["implicit", "random"])
+def test_array_subsampling_matches_the_tuple_oracle(tuple_oracle, mode, family):
+    system = (
+        ImplicitIntervals(3000) if family == "implicit" else random_system(400, 200, 0.3, seed=2)
+    )
+    p = ApproxParams(0.9, 0.9, 0.5)
+    for seed in (11, 12, (5, 1)):
+        got = iterated_halving(system, p, seed, mode=mode)
+        assert got == tuple_oracle(iterated_halving, system, p, seed, mode=mode)
+        _, trace = got
+        assert any(lv.set_size_after < lv.set_size_before for lv in trace.levels)
+        assert certified_halving(system, p, seed, mode=mode) == tuple_oracle(
+            certified_halving, system, p, seed, mode=mode
+        )
+
+
+def test_combined_construction_matches_the_tuple_oracle(tuple_oracle):
+    system = random_system(3000, 100, 0.3, seed=2)
+    p, constants = ApproxParams(0.9, 0.9, 0.5), Constants(1, 1, 1, 1)
+    stage = ApproxParams(p.eps, p.delta / 3.0, p.gamma / 2.0)
+    for seed in (3, 4):
+        # stage 1 subsamples, so the stage-2 mapping is not the identity
+        assert certified_halving(system, stage, seed_sequence(seed, 0)).t < system.n
+        got = combined_construction(system, p, 2, constants, seed)
+        assert got.t < 100
+        assert got == tuple_oracle(_tuple_combined_construction, system, p, 2, constants, seed)

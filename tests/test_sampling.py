@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from relapprox import _bitops
 from relapprox.errors import ConstructionError
-from relapprox.generators import intervals, random_system
+from relapprox.generators import ImplicitIntervals, intervals, random_system
 from relapprox.harness import monte_carlo_rows
 from relapprox.sampling import (
     WITH,
@@ -111,6 +111,92 @@ def test_with_replacement_invariants():
     s = uniform_sample(30, 100, seed=3, mode=WITH)
     assert s.t == sum(s.multiplicity) == 100
     assert s.bits.bit_count() == len(s.support)
+
+
+# --- Sample storage ----------------------------------------------------------------
+
+
+def test_sample_equality_and_hash_do_not_depend_on_the_input_type():
+    forms = [
+        ((0, 2, 5), (1, 3, 2)),
+        ([0, 2, 5], [1, 3, 2]),
+        (np.array([0, 2, 5]), np.array([1, 3, 2], dtype=np.int32)),
+    ]
+    samples = [Sample(7, sup, mult, seed=4) for sup, mult in forms]
+    for s in samples:
+        assert s == samples[0] and hash(s) == hash(samples[0])
+        assert s.support == (0, 2, 5) and s.multiplicity == (1, 3, 2) and s.t == 6
+        assert all(type(v) is int for v in s.support + s.multiplicity)
+    assert len(set(samples)) == 1
+    assert Sample(7, (0, 2, 5)) != Sample(7, (0, 2, 5), (1, 1, 1))
+    assert Sample(7, (0, 2, 5), seed=4) != Sample(7, (0, 2, 5))
+    assert Sample(7, (0, 2)) != Sample(8, (0, 2))
+
+
+def test_sample_arrays_are_read_only_copies():
+    support, mult = np.array([1, 4, 6]), np.array([2, 1, 5])
+    s = Sample(9, support, mult)
+    for arr in (s.support_array, s.multiplicity_array):
+        assert arr.dtype == np.int64
+        with pytest.raises(ValueError):
+            arr[0] = 3
+    support[0], mult[0] = 0, 7  # the caller's arrays stay writable and unshared
+    assert s.support == (1, 4, 6) and s.multiplicity == (2, 1, 5) and s.t == 8
+    assert s.bits == 0b1010010 and s.planes == (0b1010000, 0b10, 0b1000000)
+    with pytest.raises(AttributeError):
+        s.seed = 3
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_sample_mask_round_trips(n):
+    full = Sample.full(n)
+    assert full.support == tuple(range(n)) and full.t == n and full.bits == (1 << n) - 1
+    assert Sample.from_mask(n, full.bits) == full
+    empty = Sample(n, ())
+    assert empty.t == 0 and empty.bits == 0 and Sample.from_mask(n, 0) == empty
+    members = np.flatnonzero(make_rng(n).random(n) < 0.5)
+    s = Sample(n, members)
+    assert s.bits == sum(1 << int(e) for e in members)
+    assert Sample.from_mask(n, s.bits) == s
+    assert Sample.from_mask(n, 1 << (n - 1)).support == (n - 1,)
+    with pytest.raises(ConstructionError, match="outside the ground set"):
+        Sample.from_mask(n, 1 << n)
+
+
+@pytest.mark.parametrize(
+    "support, mult, message",
+    [
+        ((3, 1), None, "strictly ascending"),
+        ((1, 1), None, "strictly ascending"),
+        ((-1, 2), None, "outside the ground set"),
+        ((0, 5), None, "outside the ground set"),
+        ((0, 2), (1,), "multiplicity vector does not match support"),
+        ((0, 2), (1, 0), "multiplicities must be >= 1"),
+    ],
+)
+def test_sample_validation_messages(support, mult, message):
+    for form in (tuple, list, np.array):
+        with pytest.raises(ConstructionError, match=message):
+            Sample(5, form(support), None if mult is None else form(mult))
+
+
+def test_totals_beyond_int64_are_rejected_up_front():
+    # Such samples used to be accepted: at t = 2^63 the interval verifiers
+    # reported a wrong worst set from wrapped int64 counts, and a
+    # multiplicity of 2^63 raised OverflowError only when counted.
+    with pytest.raises(ConstructionError, match="t = 9223372036854775808 does not fit"):
+        Sample(3, (0, 1), (2**62, 2**62))
+    with pytest.raises(ConstructionError, match="t = 18446744073709551616 does not fit"):
+        Sample(8, range(8), [2**61] * 8)  # an int64 sum wraps to exactly 0
+    for big in ((2**63, 1), (-(2**63) - 1, 1), np.array([2**63, 1], dtype=np.uint64)):
+        with pytest.raises(ConstructionError, match="multiplicities must fit in int64"):
+            Sample(3, (0, 1), big)
+    # just below the limit t is exact and both verifiers find the worst set, {2}
+    s = Sample(3, (0, 1), (2**62, 2**62 - 1))
+    assert s.t == 2**63 - 1 and type(s.t) is int
+    for family in (ImplicitIntervals(3), intervals(3)):
+        report = relative_error(family, s, Fraction(1, 4))
+        assert (report.worst_ratio, report.worst_set_index) == (1, 6)
 
 
 @pytest.mark.slow
