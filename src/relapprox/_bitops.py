@@ -10,9 +10,10 @@ family of m sets) go through one of two layouts of the family:
   weight has bit k set): `intersection_sizes`, m * words * planes words.
 - the incidence index, CSR element -> ascending ids of the sets containing
   it: 2 B per incidence while m <= 65,536, else 4 B, plus 4 B per element.
-  Counts are one exact integer bincount over the ids of the sampled elements,
-  each repeated by its weight: `incidence_counts`, about t * nnz / n entries
-  for t draws from n elements when the family has nnz incidences.
+  Counts are exact integer bincounts over the ids of the sampled elements,
+  one per binary plane of their weights: `incidence_counts`, at most about
+  t * nnz / n entries for t draws from n elements when the family has nnz
+  incidences (an element drawn r times is read popcount(r) times).
 
 `sampling.count_costs` prices a query both ways with the measured per-unit
 constants below, and `sampling.intersection_counts` takes the cheaper.  The
@@ -219,13 +220,15 @@ def incidence_counts(
 ) -> np.ndarray:
     """|S_i & elements| for every set S_i of an m-set family, each element
     counted `repeats` times (parallel to `elements`) when given, as int64:
-    one bincount over the elements' id lists, concatenated."""
+    per binary plane k of the counts, one bincount over the concatenated id
+    lists of the elements whose count has bit k set, weighted by 2^k."""
     indptr, ids = index
     lo, hi = indptr[elements].tolist(), indptr[elements + 1].tolist()
-    if repeats is None:
-        parts = [ids[a:b] for a, b in zip(lo, hi)]
-    else:
-        parts = [ids[a:b] for a, b, r in zip(lo, hi, repeats.tolist()) for _ in range(r)]
-    if not parts:
-        return np.zeros(m, dtype=np.int64)
-    return np.bincount(np.concatenate(parts), minlength=m)
+    parts = [ids[a:b] for a, b in zip(lo, hi)]
+    weights = [1] * len(parts) if repeats is None else repeats.tolist()
+    out = np.zeros(m, dtype=np.int64)
+    for k in range(max(weights, default=0).bit_length()):
+        plane = [part for part, w in zip(parts, weights) if w >> k & 1]
+        if plane:
+            out += np.bincount(np.concatenate(plane), minlength=m) << k
+    return out

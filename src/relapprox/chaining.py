@@ -5,8 +5,8 @@ packings P_0 <= P_1 <= ... <= P_k (scale eps n / 2^i at level i, with
 P_{k+1} = F implicit), each set linked to a nearby parent one level coarser.
 The per-level difference families are small sets, so a sample that
 approximates every level simultaneously approximates the whole family; the
-telescoping audit below replays that argument numerically for a single set,
-and the property suite asserts it end to end.
+telescoping audit below replays that argument for every set of the family
+at once, deciding each inequality exactly in integers.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -26,12 +27,12 @@ from .sampling import (
     ApproximationReport,
     ApproxParams,
     Sample,
+    error_numerators,
+    exact_dtype,
     intersection_counts,
     relative_error,
 )
 from .set_system import SetSystem
-
-_AUDIT_TOL = 1e-9  # float guard on real-valued inequality steps; identities stay integer-exact
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,9 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConstructionError(f"need eps, delta in (0, 1), got {(eps, delta)}")
     n = system.n
-    k = max(1, math.ceil(math.log2(1.0 / delta)))
+    # the smallest k with 2^k delta >= 1 (finest scale eps n / 2^k <= eps n
+    # delta), exactly: 2^k >= ceil(1 / delta); k >= 1 as delta < 1
+    k = (math.ceil(1 / Fraction(delta)) - 1).bit_length()
 
     packings: list[Packing] = []
     for i in range(k + 1):
@@ -203,176 +206,49 @@ class Claim7Report:
 def claim7_check(chain: ChainDecomposition, sample: Sample, gamma: float | None = None) -> Claim7Report:
     """Exact check that the sample approximates every chain level at once:
     the finest difference family at eps, each mid level i at its scale
-    eps_i, and the base packing at eps."""
-    items = [
-        Claim7Item(
-            "finest-level",
-            chain.k,
-            chain.eps,
-            relative_error(chain.levels[chain.k].ab_family, sample, chain.eps),
-        )
+    eps_i, and the base packing at eps.  Each scale is taken as the exact
+    value of its float, so the reports carry exact Fraction ratios."""
+    conditions = [("finest-level", chain.k, chain.eps, chain.levels[chain.k].ab_family)]
+    conditions += [
+        ("mid-level", i, chain.level_eps[i], chain.levels[i].ab_family) for i in range(chain.k)
     ]
-    for i in range(chain.k):
-        items.append(
-            Claim7Item(
-                "mid-level",
-                i,
-                chain.level_eps[i],
-                relative_error(chain.levels[i].ab_family, sample, chain.level_eps[i]),
-            )
-        )
-    items.append(
-        Claim7Item(
-            "base-packing",
-            None,
-            chain.eps,
-            relative_error(chain.base_system, sample, chain.eps),
-        )
+    conditions.append(("base-packing", None, chain.eps, chain.base_system))
+    items = tuple(
+        Claim7Item(name, level, e, relative_error(family, sample, Fraction(e)))
+        for name, level, e, family in conditions
     )
-    return Claim7Report(chain.eps, chain.delta, gamma, tuple(items))
+    return Claim7Report(chain.eps, chain.delta, gamma, items)
 
 
 # --- telescoping audit --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AuditStep:
-    level: int
-    eps_level: float  # eps at the finest level, eps_i in between
-    err_before: float  # | |S_{i+1}|/n - |A & S_{i+1}|/t |
-    err_after: float
-    a_err: float
-    b_err: float
-    a_size: int
-    b_size: int
-
-
-@dataclass(frozen=True)
-class AuditLedger:
-    family_index: int
-    total_err: float
-    base_err: float
-    base_size: int
-    set_size: int
-    steps: tuple[AuditStep, ...]
-    eps_sum: float  # sum of eps_i over mid levels
-    chain_bound: float  # base_err + 2 delta (eps_sum + eps)
-    final_bound: float  # 2 delta max(|S|/n, 16 eps)
-
-
-def _density_error(mask: int, sample: Sample, n: int) -> tuple[float, int]:
-    cnt = sample.count(mask)
-    return abs(mask.bit_count() / n - cnt / sample.t), cnt
-
-
-def telescoping_error_audit(
-    chain: ChainDecomposition,
-    sample: Sample,
-    index: int,
-    claim7: Claim7Report | None = None,
-) -> AuditLedger:
-    """Replay the per-level error accounting for one set and verify every
-    inequality numerically; raises AuditFailure naming the violated step.
-
-    Requires a sample for which claim7_check passes (pass the report in to
-    avoid recomputing it per set).
-    """
-    if claim7 is None:
-        claim7 = claim7_check(chain, sample)
-    if not claim7.ok:
-        raise PreconditionFailed(
-            "telescoping audit requires a sample passing claim7_check; "
-            f"failing conditions: {[it.condition for it in claim7.failures]}"
-        )
-    n, t = chain.system.n, sample.t
-    eps, delta = chain.eps, chain.delta
-    record = decompose(chain, index)
-    total_err, _ = _density_error(record.steps[0].set_before, sample, n)
-
-    steps = []
-    err_before = total_err
-    sum_b_sizes = 0
-    for st in record.steps:  # level k down to 0
-        lvl_eps = eps if st.level == chain.k else chain.level_eps[st.level]
-        err_after, _ = _density_error(st.set_after, sample, n)
-        a_err, a_cnt = _density_error(st.a_part, sample, n)
-        b_err, b_cnt = _density_error(st.b_part, sample, n)
-        a_size, b_size = st.a_part.bit_count(), st.b_part.bit_count()
-        sum_b_sizes += b_size
-
-        # exact set/count identities behind the triangle step
-        before_cnt, after_cnt = sample.count(st.set_before), sample.count(st.set_after)
-        if st.set_before.bit_count() != st.set_after.bit_count() - b_size + a_size:
-            raise AuditFailure(f"size identity broken at level {st.level}")
-        if before_cnt != after_cnt - b_cnt + a_cnt:
-            raise AuditFailure(f"count identity broken at level {st.level}")
-
-        if err_before > err_after + a_err + b_err + _AUDIT_TOL:
-            raise AuditFailure(
-                f"triangle step violated at level {st.level} for set {index}"
-            )
-        for name, perr, psize in (("a", a_err, a_size), ("b", b_err, b_size)):
-            if perr > delta * max(lvl_eps, psize / n) + _AUDIT_TOL:
-                raise AuditFailure(
-                    f"{name}-part error at level {st.level} exceeds its claim bound"
-                )
-            if psize >= chain.levels[st.level].alpha:
-                raise AuditFailure(f"{name}-part size >= alpha at level {st.level}")
-        steps.append(
-            AuditStep(st.level, lvl_eps, err_before, err_after, a_err, b_err, a_size, b_size)
-        )
-        err_before = err_after
-
-    base_err = err_before
-    base_size = record.base_mask.bit_count()
-    set_size = chain.system.masks[index].bit_count()
-
-    if base_err > delta * max(eps, base_size / n) + _AUDIT_TOL:
-        raise AuditFailure("base-packing error exceeds its claim bound")
-    eps_sum = sum(chain.level_eps)
-    if eps_sum > 6.0 * eps + _AUDIT_TOL:
-        raise AuditFailure(f"sum of level scales {eps_sum} exceeds 6 eps")
-    chain_bound = base_err + 2.0 * delta * (eps_sum + eps)
-    if total_err > chain_bound + _AUDIT_TOL:
-        raise AuditFailure("telescoped error exceeds the chain bound")
-    if base_size > set_size + sum_b_sizes:
-        raise AuditFailure("base set larger than the set plus removed parts")
-    if sum_b_sizes > 2.0 * eps * n + _AUDIT_TOL:
-        raise AuditFailure("removed parts exceed 2 eps n")
-    final_bound = 2.0 * delta * max(set_size / n, 16.0 * eps)
-    if total_err > final_bound + _AUDIT_TOL:
-        raise AuditFailure(f"final bound violated for set {index}")
-    # the paper-form finest-scale guarantee: alpha_k <= eps n delta
-    if chain.levels[chain.k].alpha > eps * n * delta * (1 + 1e-12):
-        raise AuditFailure("finest scale exceeds eps n delta")
-
-    return AuditLedger(
-        index,
-        total_err,
-        base_err,
-        base_size,
-        set_size,
-        tuple(steps),
-        eps_sum,
-        chain_bound,
-        final_bound,
-    )
-
-
-@dataclass(frozen=True)
 class AuditSummary:
     sets_audited: int
-    max_final_slack: float  # max over S of total_err - final_bound (<= 0 when ok)
+    # max over S of (|s t - c n| - floor(final_bound n t)) / (n t): less
+    # than 1 / (n t) above total_err - final_bound, and positive exactly
+    # when a set's final bound fails
+    max_final_slack: float
 
 
 def telescoping_audit_all(
     chain: ChainDecomposition, sample: Sample, claim7: Claim7Report | None = None
 ) -> AuditSummary:
-    """telescoping_error_audit for every set at once, vectorized.
+    """Replay the per-level error accounting of the chaining argument for
+    every set at once and check each of its inequalities exactly; raises
+    AuditFailure naming the first violated condition and the lowest set
+    index violating it.
 
-    Checks the same identities and inequalities as the per-set audit and
-    raises AuditFailure naming the first violated condition; agreement with
-    the scalar audit is property-tested.
+    Every error |s/n - c/t| is compared through its numerator |s t - c n|
+    (the error scaled by n t).  The identities and the triangle step are
+    integer comparisons; a bound b * max(x, s/n) becomes numerator <=
+    max(floor(b x n t), floor(b s t)), a fixed floor per level and a table
+    over the sizes [0, n], with eps, delta and each eps_i taken as the exact
+    values of their floats (the values claim7_check certified against).
+
+    Requires a sample for which claim7_check passes (pass the report in to
+    avoid recomputing it).
     """
     if claim7 is None:
         claim7 = claim7_check(chain, sample)
@@ -383,38 +259,37 @@ def telescoping_audit_all(
         )
     system = chain.system
     n, t = system.n, sample.t
-    eps, delta = chain.eps, chain.delta
+    eps, delta = Fraction(chain.eps), Fraction(chain.delta)
+    level_eps = [Fraction(e) for e in chain.level_eps] + [eps]  # level k at eps
     fam = len(system)
+    dtype = exact_dtype(max(n, 16), t)  # the final bound reaches 32 n t
     packed = system.packed
     planes = _bitops.pack_masks(sample.planes, n)
     sizes_all = system.sizes_array
     cnt_all = intersection_counts(system, sample)
-    err_all = np.abs(sizes_all / n - cnt_all / t)
+    err_all = error_numerators(n, t, sizes_all, cnt_all, dtype)
+
+    def floor_nt(x: Fraction) -> int:
+        return math.floor(x * n * t)
+
+    def size_floors(b: Fraction) -> np.ndarray:
+        """floor(b s t) for every size s in [0, n]."""
+        num, den = (b * t).numerator, (b * t).denominator
+        return np.array([num * s // den for s in range(n + 1)], dtype=dtype)
 
     def fail(msg: str, bad: np.ndarray) -> None:
         raise AuditFailure(f"{msg} (first set index {int(np.flatnonzero(bad)[0])})")
 
+    part_floor = size_floors(delta)
     cur = np.arange(fam)
     sum_b = np.zeros(fam, dtype=np.int64)
     for i in range(chain.k, -1, -1):
         level = chain.levels[i]
-        lvl_eps = eps if i == chain.k else chain.level_eps[i]
         cover = np.array(level.packing.cover_map, dtype=np.int64)
         parent = cover[cur]
-        a_sz = np.empty(fam, dtype=np.int64)
-        b_sz = np.empty(fam, dtype=np.int64)
-        a_cnt = np.empty(fam, dtype=np.int64)
-        b_cnt = np.empty(fam, dtype=np.int64)
-        for pv in np.unique(parent):
-            rows = np.flatnonzero(parent == pv)
-            child = packed[cur[rows]]
-            p_row = packed[int(pv)]
-            a_masks = child & ~p_row
-            b_masks = ~child & p_row
-            a_sz[rows] = _bitops.popcount_words(a_masks).sum(axis=1, dtype=np.int64)
-            b_sz[rows] = _bitops.popcount_words(b_masks).sum(axis=1, dtype=np.int64)
-            a_cnt[rows] = _bitops.intersection_sizes(a_masks, planes)
-            b_cnt[rows] = _bitops.intersection_sizes(b_masks, planes)
+        # below level k the sets share their few ancestors: one row each
+        ancestors, inverse = np.unique(cur, return_inverse=True)
+        a_sz, b_sz, a_cnt, b_cnt = _parts(packed, planes, ancestors, cover[ancestors])[:, inverse]
         if not np.array_equal(sizes_all[cur], sizes_all[parent] - b_sz + a_sz):
             fail(
                 f"size identity broken at level {i}",
@@ -425,13 +300,14 @@ def telescoping_audit_all(
                 f"count identity broken at level {i}",
                 cnt_all[cur] != cnt_all[parent] - b_cnt + a_cnt,
             )
-        a_err = np.abs(a_sz / n - a_cnt / t)
-        b_err = np.abs(b_sz / n - b_cnt / t)
-        bad = err_all[cur] > err_all[parent] + a_err + b_err + _AUDIT_TOL
+        a_err = error_numerators(n, t, a_sz, a_cnt, dtype)
+        b_err = error_numerators(n, t, b_sz, b_cnt, dtype)
+        bad = err_all[cur] > err_all[parent] + a_err + b_err
         if bad.any():
             fail(f"triangle step violated at level {i}", bad)
+        scale_floor = floor_nt(delta * level_eps[i])
         for name, perr, psize in (("a", a_err, a_sz), ("b", b_err, b_sz)):
-            bad = perr > delta * np.maximum(lvl_eps, psize / n) + _AUDIT_TOL
+            bad = perr > np.maximum(part_floor[psize], scale_floor)
             if bad.any():
                 fail(f"{name}-part error exceeds its claim bound at level {i}", bad)
             if (psize >= level.alpha).any():
@@ -440,26 +316,41 @@ def telescoping_audit_all(
         cur = parent
 
     base_err = err_all[cur]
-    bad = base_err > delta * np.maximum(eps, sizes_all[cur] / n) + _AUDIT_TOL
+    bad = base_err > np.maximum(part_floor[sizes_all[cur]], floor_nt(delta * eps))
     if bad.any():
         fail("base-packing error exceeds its claim bound", bad)
-    eps_sum = sum(chain.level_eps)
-    if eps_sum > 6.0 * eps + _AUDIT_TOL:
-        raise AuditFailure(f"sum of level scales {eps_sum} exceeds 6 eps")
-    bad = err_all > base_err + 2.0 * delta * (eps_sum + eps) + _AUDIT_TOL
+    eps_sum = sum(level_eps[:-1])
+    if eps_sum > 6 * eps:
+        raise AuditFailure(f"sum of level scales {float(eps_sum)} exceeds 6 eps")
+    bad = err_all - base_err > floor_nt(2 * delta * (eps_sum + eps))
     if bad.any():
         fail("telescoped error exceeds the chain bound", bad)
     if (sizes_all[cur] > sizes_all + sum_b).any():
         fail("base set larger than the set plus removed parts", sizes_all[cur] > sizes_all + sum_b)
-    if (sum_b > 2.0 * eps * n + _AUDIT_TOL).any():
-        fail("removed parts exceed 2 eps n", sum_b > 2.0 * eps * n + _AUDIT_TOL)
-    final_bound = 2.0 * delta * np.maximum(sizes_all / n, 16.0 * eps)
-    slack = err_all - final_bound
-    if (slack > _AUDIT_TOL).any():
-        fail("final bound violated", slack > _AUDIT_TOL)
-    if chain.levels[chain.k].alpha > eps * n * delta * (1 + 1e-12):
+    bad = sum_b > math.floor(2 * eps * n)
+    if bad.any():
+        fail("removed parts exceed 2 eps n", bad)
+    final_floor = np.maximum(size_floors(2 * delta)[sizes_all], floor_nt(32 * delta * eps))
+    slack = err_all - final_floor
+    if (slack > 0).any():
+        fail("final bound violated", slack > 0)
+    # the paper-form finest-scale guarantee alpha_k = eps n / 2^k <= eps n delta
+    if 2**chain.k * delta < 1:
         raise AuditFailure("finest scale exceeds eps n delta")
-    return AuditSummary(fam, float(slack.max()) if fam else 0.0)
+    return AuditSummary(fam, int(slack.max()) / (n * t) if fam else 0.0)
+
+
+def _parts(packed: np.ndarray, planes: np.ndarray, sets: np.ndarray, parents: np.ndarray):
+    """Rows |S \\ P|, |P \\ S| and their sample counts for each pair (S, P) of
+    family indices, in row blocks of about `_bitops._BLOCK_BYTES`."""
+    out = np.empty((4, len(sets)), dtype=np.int64)
+    step = max(1, _bitops._BLOCK_BYTES // (8 * packed.shape[1]))
+    for s in range(0, len(sets), step):
+        child, par = packed[sets[s : s + step]], packed[parents[s : s + step]]
+        for j, part in enumerate((child & ~par, ~child & par)):
+            out[j, s : s + step] = _bitops.popcount_words(part).sum(axis=1, dtype=np.int64)
+            out[2 + j, s : s + step] = _bitops.intersection_sizes(part, planes)
+    return out
 
 
 def rescale_and_verify(system: SetSystem, sample: Sample, eps: float, delta: float) -> bool:
@@ -470,7 +361,7 @@ def rescale_and_verify(system: SetSystem, sample: Sample, eps: float, delta: flo
     a mismatch would contradict the audited derivation and raises."""
     chain = build_chain(system, eps / 16.0, delta / 2.0)
     rescaled_ok = claim7_check(chain, sample).ok
-    direct = relative_error(system, sample, eps).passes(delta)
+    direct = relative_error(system, sample, Fraction(eps)).passes(delta)
     if rescaled_ok and not direct:
         raise AuditFailure(
             "claim7 held at (eps/16, delta/2) but the sample fails the "

@@ -108,10 +108,12 @@ class ImplicitIntervals:
         ]
         return worst_report(n, sample.t, eps, candidates)
 
-    def max_additive_error(self, sample: Sample) -> float:
+    def max_additive_numerator(self, sample: Sample) -> int:
+        """max |s t - c n| over the intervals: max u - min u, as every
+        boundary pair a < b is an interval."""
         _check_verifier_inputs(self, sample)
         _, u = self._prefix_and_u(sample)
-        return float(int(u.max()) - int(u.min())) / (self.n * sample.t)
+        return int(u.max()) - int(u.min())
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
         """No empty interval of size >= eps n exists, compared exactly."""

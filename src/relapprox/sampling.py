@@ -190,10 +190,6 @@ class Sample:
             for k in range(int(counts.max()).bit_length())
         )
 
-    def count(self, mask: int) -> int:
-        """|A & S| for the set S with bitmask `mask`, multiplicity-weighted."""
-        return sum((mask & plane).bit_count() << k for k, plane in enumerate(self.planes))
-
     def counts_array(self) -> np.ndarray:
         dense = np.zeros(self.n, dtype=np.int64)
         mult = self.multiplicity_array
@@ -372,13 +368,22 @@ def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:
         i = j
 
 
+def error_numerators(n: int, t: int, sizes, counts, dtype=None) -> np.ndarray:
+    """|s t - c n| for each set of size s met c times: its additive error
+    |s/n - c/t| scaled by n t, exact at `dtype` (default `exact_dtype`)."""
+    dtype = exact_dtype(n, t) if dtype is None else dtype
+    s = np.asarray(sizes).astype(dtype, copy=False)
+    c = np.asarray(counts).astype(dtype, copy=False)
+    return np.abs(s * t - c * n)
+
+
 def worst_of_counts(n: int, t: int, eps, sizes, counts) -> ApproximationReport:
     """Exact worst relative error of a family from its set sizes and the
     sample's intersection counts."""
     dtype = exact_dtype(n, t)
     s = np.asarray(sizes).astype(dtype, copy=False)
     c = np.asarray(counts).astype(dtype, copy=False)
-    num = np.abs(s * t - c * n)
+    num = error_numerators(n, t, s, c)
     limit = small_size_limit(n, eps)
     small, large = np.flatnonzero(s <= limit), np.flatnonzero(s > limit)
     winners = []
@@ -407,19 +412,28 @@ def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:
     return relative_error(system, sample, params.eps).passes(params.delta)
 
 
-def max_additive_error(system, sample: Sample):
-    """max over S of | |S|/n - |A & S|/t |."""
+def max_additive_numerator(system, sample: Sample) -> int:
+    """max over S of |s t - c n|, the largest additive error scaled by n t,
+    exactly (0 for an empty family)."""
     if not isinstance(system, SetSystem):
-        return system.max_additive_error(sample)
+        return system.max_additive_numerator(sample)
     _check_verifier_inputs(system, sample)
     if len(system) == 0:
-        return 0.0
+        return 0
     counts = intersection_counts(system, sample)
-    return float(np.max(np.abs(system.sizes_array / system.n - counts / sample.t)))
+    return int(error_numerators(system.n, sample.t, system.sizes_array, counts).max())
+
+
+def max_additive_error(system, sample: Sample) -> float:
+    """max over S of | |S|/n - |A & S|/t |, as the float nearest the exact value."""
+    return max_additive_numerator(system, sample) / (system.n * sample.t)
 
 
 def is_eps_approximation(system, sample: Sample, eps) -> bool:
-    return max_additive_error(system, sample) <= eps
+    """Whether every set's additive error is at most eps, compared exactly:
+    max |s t - c n| <= floor(eps n t) with eps taken as Fraction(eps)."""
+    limit = math.floor(Fraction(eps) * system.n * sample.t)
+    return max_additive_numerator(system, sample) <= limit
 
 
 def big_size_limit(n: int, eps) -> int:

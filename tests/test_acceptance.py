@@ -45,6 +45,8 @@ from relapprox.sampling import (
 )
 from relapprox.set_system import SetSystem, restrict, vc_dimension
 
+from test_chaining import assert_oracle_agrees
+
 
 def _report(name: str, detail: str) -> None:
     print(f"[{name}] PASS: {detail}")
@@ -210,6 +212,8 @@ def test_c5_claim7_and_audit(chain_1000, calibrated_constants):
         if not report.ok:
             failures += 1
             continue
+        if audited == 0:  # the Fraction oracle agrees on a stride of sets
+            assert_oracle_agrees(chain, sample, report, range(0, len(system), 997))
         summary = telescoping_audit_all(chain, sample, report)  # raises on violation
         assert summary.sets_audited == len(system)
         audited += 1

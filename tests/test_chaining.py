@@ -1,21 +1,26 @@
+import dataclasses
+import itertools
 import json
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox.chaining import (
+    AuditSummary,
     build_chain,
     chain_summary,
     claim7_check,
     decompose,
     parent_distances,
     rescale_and_verify,
-    telescoping_error_audit,
+    telescoping_audit_all,
     write_chain_summary,
 )
-from relapprox.errors import ConstructionError, PreconditionFailed
+from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
 from relapprox.generators import halfplanes, intervals, power_set, random_points, random_system
 from relapprox.sampling import ApproxParams, Sample, relative_error, uniform_sample
 from relapprox.set_system import SetSystem
@@ -35,6 +40,18 @@ def test_k_is_log2_of_inverse_delta():
     assert build_chain(system, 0.5, 0.5).k == 1
     assert build_chain(system, 0.5, 0.25).k == 2
     assert build_chain(system, 0.5, 0.3).k == 2
+
+
+def test_k_is_exact_next_to_powers_of_two():
+    # k is the smallest with 2^k delta >= 1; ceil(log2(1 / delta)) gave 4
+    # for the float just below 1/16, leaving the finest scale above eps n delta
+    system = power_set(3)
+    for j in range(1, 9):
+        for delta in (math.nextafter(2.0**-j, 0), 2.0**-j, math.nextafter(2.0**-j, 1)):
+            k = build_chain(system, 0.5, delta).k
+            assert 2**k * Fraction(delta) >= 1
+            assert k == 1 or 2 ** (k - 1) * Fraction(delta) < 1
+            assert k == (j + 1 if delta < 2.0**-j else j)
 
 
 def test_base_packing_of_power_set_by_hand():
@@ -107,7 +124,10 @@ def test_difference_family_sizes(interval_chain):
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
     system, chain = interval_chain
-    assert chain.levels[chain.k].alpha <= chain.eps * system.n * chain.delta * (1 + 1e-12)
+    assert 2**chain.k * Fraction(chain.delta) >= 1
+    assert Fraction(chain.levels[chain.k].alpha) <= (
+        Fraction(chain.eps) * system.n * Fraction(chain.delta)
+    )
 
 
 # --- decomposition ---------------------------------------------------------------
@@ -173,12 +193,131 @@ def test_tiny_sample_fails_somewhere():
 # --- telescoping audit -------------------------------------------------------------
 
 
+class Ledger(NamedTuple):
+    failures: list  # (position, message, names a set) in the audit's order of checks
+    total_err: Fraction
+    final_bound: Fraction
+    part_sizes: list
+    base_size: int
+    set_size: int
+
+
+def oracle_audit(chain, sample, index) -> Ledger:
+    """The chaining argument for one set, in Fractions: walk decompose() from
+    the set down to its base member and evaluate every inequality that
+    telescoping_audit_all checks, in the same order, so position p of a
+    failure is the same check for every set."""
+    n, t = chain.system.n, sample.t
+    eps, delta = Fraction(chain.eps), Fraction(chain.delta)
+    failures = []
+    positions = itertools.count()
+
+    def check(ok, message, names_set=True):
+        position = next(positions)
+        if not ok:
+            failures.append((position, message, names_set))
+
+    def count(mask):
+        return sum((mask & plane).bit_count() << k for k, plane in enumerate(sample.planes))
+
+    def size(mask):
+        return mask.bit_count()
+
+    def err(mask):
+        return abs(Fraction(size(mask), n) - Fraction(count(mask), t))
+
+    record = decompose(chain, index)
+    part_sizes, sum_b = [], 0
+    for step in record.steps:  # level k down to 0
+        i, a, b = step.level, step.a_part, step.b_part
+        scale = eps if i == chain.k else Fraction(chain.level_eps[i])
+        before, after = step.set_before, step.set_after
+        check(size(before) == size(after) - size(b) + size(a), f"size identity broken at level {i}")
+        check(count(before) == count(after) - count(b) + count(a), f"count identity broken at level {i}")
+        check(err(before) <= err(after) + err(a) + err(b), f"triangle step violated at level {i}")
+        for name, part in (("a", a), ("b", b)):
+            check(
+                err(part) <= delta * max(scale, Fraction(size(part), n)),
+                f"{name}-part error exceeds its claim bound at level {i}",
+            )
+            check(size(part) < chain.levels[i].alpha, f"{name}-part size >= alpha at level {i}")
+            part_sizes.append(size(part))
+        sum_b += size(b)
+    whole, base = record.steps[0].set_before, record.base_mask
+    total_err, base_err = err(whole), err(base)
+    check(
+        base_err <= delta * max(eps, Fraction(size(base), n)),
+        "base-packing error exceeds its claim bound",
+    )
+    eps_sum = sum(Fraction(e) for e in chain.level_eps)
+    check(eps_sum <= 6 * eps, f"sum of level scales {float(eps_sum)} exceeds 6 eps", False)
+    check(
+        total_err <= base_err + 2 * delta * (eps_sum + eps),
+        "telescoped error exceeds the chain bound",
+    )
+    check(size(base) <= size(whole) + sum_b, "base set larger than the set plus removed parts")
+    check(sum_b <= 2 * eps * n, "removed parts exceed 2 eps n")
+    final_bound = 2 * delta * max(Fraction(size(whole), n), 16 * eps)
+    check(total_err <= final_bound, "final bound violated")
+    check(eps * n / 2**chain.k <= eps * n * delta, "finest scale exceeds eps n delta", False)
+    return Ledger(failures, total_err, final_bound, part_sizes, size(base), size(whole))
+
+
+def audit_outcome(chain, sample, claim7):
+    """telescoping_audit_all's summary, or the AuditFailure message it raises."""
+    try:
+        return telescoping_audit_all(chain, sample, claim7)
+    except AuditFailure as exc:
+        return str(exc)
+
+
+def assert_oracle_agrees(chain, sample, claim7, indices):
+    """The oracle and telescoping_audit_all agree on every set in `indices`:
+    the audit passes exactly when none of them fails, and the set a failure
+    names fails the oracle with the same message.  When `indices` is the
+    whole family, the audit must raise the oracle's first failing check,
+    named for the lowest set failing it.  Returns the audit's outcome."""
+    outcome = audit_outcome(chain, sample, claim7)
+    ledgers = {j: oracle_audit(chain, sample, j) for j in indices}
+    failures = sorted(
+        (pos, j, msg, names_set) for j, lg in ledgers.items() for pos, msg, names_set in lg.failures
+    )
+    if isinstance(outcome, AuditSummary):
+        assert failures == []
+        assert outcome.sets_audited == len(chain.system)
+        assert outcome.max_final_slack <= 0
+        for lg in ledgers.values():
+            # the summary's slack is floored to the integer grid of n t
+            assert float(lg.total_err - lg.final_bound) <= outcome.max_final_slack
+        return outcome
+    msg, _, named = outcome.partition(" (first set index ")
+    if named:
+        j = int(named.rstrip(")"))
+        assert msg in [m for _, m, _ in oracle_audit(chain, sample, j).failures]
+    if len(ledgers) == len(chain.system):
+        assert failures, outcome
+        _, j, msg, names_set = failures[0]
+        assert outcome == (f"{msg} (first set index {j})" if names_set else msg)
+    return outcome
+
+
+def forged_delta(chain, delta):
+    return dataclasses.replace(chain, delta=delta)
+
+
+def float_below(x: Fraction) -> float:
+    """The largest float below x."""
+    f = float(x)
+    return f if Fraction(f) < x else math.nextafter(f, 0)
+
+
 def test_audit_requires_claim7(interval_chain):
     system, chain = interval_chain
     bad = uniform_sample(120, 2, seed=5)
-    assert not claim7_check(chain, bad).ok
-    with pytest.raises(PreconditionFailed):
-        telescoping_error_audit(chain, bad, 0)
+    report = claim7_check(chain, bad)
+    assert not report.ok
+    with pytest.raises(PreconditionFailed, match="failing conditions"):
+        telescoping_audit_all(chain, bad, report)
 
 
 def test_audit_of_base_member_is_tight(interval_chain):
@@ -186,33 +325,101 @@ def test_audit_of_base_member_is_tight(interval_chain):
     sample = Sample.full(120)
     report = claim7_check(chain, sample)
     member = chain.levels[0].packing.member_indices[1]
-    ledger = telescoping_error_audit(chain, sample, member, report)
-    assert ledger.total_err == 0.0
-    assert all(s.a_size == 0 and s.b_size == 0 for s in ledger.steps)
+    ledger = oracle_audit(chain, sample, member)
+    assert ledger.failures == []
+    assert ledger.total_err == 0
+    assert all(size == 0 for size in ledger.part_sizes)
     assert ledger.base_size == ledger.set_size
+    assert_oracle_agrees(chain, sample, report, [member])
 
 
 def test_vectorized_audit_matches_scalar(interval_chain):
-    from relapprox.chaining import telescoping_audit_all
-
     system, chain = interval_chain
+    passes = 0
     for i in range(8):
         sample = uniform_sample(120, 100, seed=(41, i))
         report = claim7_check(chain, sample)
         if not report.ok:
             continue
-        summary = telescoping_audit_all(chain, sample, report)
-        assert summary.sets_audited == len(system)
-        worst = -math.inf
-        for idx in range(0, len(system), 13):
-            ledger = telescoping_error_audit(chain, sample, idx, report)
-            worst = max(worst, ledger.total_err - ledger.final_bound)
-        assert worst <= summary.max_final_slack + 1e-12
+        passes += 1
+        summary = assert_oracle_agrees(chain, sample, report, range(0, len(system), 13))
+        assert isinstance(summary, AuditSummary)
+    assert passes > 0
+
+
+def test_audit_rejects_a_part_bound_missed_by_less_than_float_rounding(interval_chain):
+    # the worst Claim 7 ratio of this sample is about 2/7; delta forged to the
+    # float just below it leaves a level-0 part over its bound by ~1e-17
+    system, chain = interval_chain
+    sample = uniform_sample(120, 70, seed=(41, 2))
+    report = claim7_check(chain, sample)
+    assert report.ok
+    worst = max(item.report.worst_ratio for item in report.items)
+    assert abs(worst - Fraction(2, 7)) < Fraction(1, 10**15)
+    forged = forged_delta(chain, float_below(worst))
+    outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
+    assert outcome.startswith("b-part error exceeds its claim bound at level 0")
+
+
+def test_audit_rejects_a_base_bound_just_missed(interval_chain):
+    # the base packing's worst ratio is this sample's largest Claim 7 ratio
+    system, chain = interval_chain
+    sample = uniform_sample(120, 70, seed=(41, 3))
+    report = claim7_check(chain, sample)
+    ratios = {item.condition: item.report.worst_ratio for item in report.items}
+    assert report.ok and ratios["base-packing"] == max(ratios.values())
+    forged = forged_delta(chain, float_below(ratios["base-packing"]))
+    outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
+    assert outcome.startswith("base-packing error exceeds its claim bound")
+
+
+def test_audit_rejects_a_part_of_size_alpha(interval_chain):
+    system, chain = interval_chain
+    sample = uniform_sample(120, 100, seed=(41, 0))
+    report = claim7_check(chain, sample)
+    assert report.ok
+    level = chain.levels[1]
+    widest = max(level.ab_family.sizes)
+    levels = list(chain.levels)
+    levels[1] = dataclasses.replace(level, alpha=float(widest))
+    forged = dataclasses.replace(chain, levels=tuple(levels))
+    outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
+    assert "-part size >= alpha at level 1" in outcome
+
+
+@pytest.fixture(scope="module")
+def dyadic_chain():
+    # eps n t = 2048 makes every small-set ratio dyadic, and delta = 1/4
+    # puts the finest scale at alpha_k = eps n delta = 8 exactly
+    system = intervals(128)
+    return system, build_chain(system, 0.25, 0.25)
+
+
+def test_audit_accepts_bounds_met_with_equality(dyadic_chain):
+    system, chain = dyadic_chain
+    assert chain.k == 2 and chain.levels[chain.k].alpha == chain.eps * system.n * chain.delta
+    sample = uniform_sample(128, 64, seed=(43, 1))
+    report = claim7_check(chain, sample)
+    assert max(item.report.worst_ratio for item in report.items) == Fraction(1, 4)
+    summary = assert_oracle_agrees(chain, sample, report, range(len(system)))
+    assert isinstance(summary, AuditSummary)
+    below = forged_delta(chain, float_below(Fraction(1, 4)))
+    outcome = assert_oracle_agrees(below, sample, report, range(len(system)))
+    assert outcome.startswith("b-part error exceeds its claim bound at level 1")
+
+
+def test_audit_rejects_a_finest_scale_above_eps_n_delta(dyadic_chain):
+    # every Claim 7 ratio is at most 3/16, so only 2^k delta = 3/4 < 1 fails
+    system, chain = dyadic_chain
+    sample = uniform_sample(128, 64, seed=(43, 0))
+    report = claim7_check(chain, sample)
+    assert max(item.report.worst_ratio for item in report.items) == Fraction(3, 16)
+    forged = forged_delta(chain, 3 / 16)
+    outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
+    assert outcome == "finest scale exceeds eps n delta"
 
 
 def test_vectorized_audit_requires_claim7(interval_chain):
-    from relapprox.chaining import telescoping_audit_all
-
     _, chain = interval_chain
     bad = uniform_sample(120, 2, seed=6)
     with pytest.raises(PreconditionFailed):
@@ -229,9 +436,9 @@ def test_claim7_implies_audit_for_every_set(interval_chain):
         if not report.ok:
             continue
         passes += 1
-        for idx in range(len(system)):
-            ledger = telescoping_error_audit(chain, sample, idx, report)
-            assert ledger.total_err <= ledger.final_bound + 1e-9
+        summary = telescoping_audit_all(chain, sample, report)
+        assert summary.sets_audited == len(system)
+        assert summary.max_final_slack <= 0
     assert passes > 0
 
 

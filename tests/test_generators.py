@@ -22,6 +22,7 @@ from relapprox.sampling import (
     WITH,
     WITHOUT,
     Sample,
+    is_eps_approximation,
     is_eps_net,
     max_additive_error,
     relative_error,
@@ -194,9 +195,7 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     assert isinstance(exact.worst_ratio, Fraction)
     assert exact.worst_ratio == exact_generic.worst_ratio
     assert exact.worst_set_index == exact_generic.worst_set_index
-    assert max_additive_error(imp, sample) == pytest.approx(
-        max_additive_error(mat, sample), rel=1e-9, abs=1e-12
-    )
+    assert max_additive_error(imp, sample) == max_additive_error(mat, sample)
     net_eps = data.draw(st.floats(0.05, 0.9))
     assert is_eps_net(imp, sample, net_eps) == is_eps_net(mat, sample, net_eps)
 
@@ -214,6 +213,24 @@ def test_eps_net_size_threshold_is_exact():
         assert not is_eps_net(family, one_gaps, Fraction(1, 5))
         with pytest.raises(ConstructionError, match="sample over"):
             is_eps_net(family, Sample(10, (7,)), 0.5)
+
+
+def test_eps_approximation_threshold_is_exact():
+    # Fraction(0.3) < 3/10, so a worst additive error of exactly 3/10 fails
+    # eps = 0.3; the float comparisons answered it both ways across families
+    imp = ImplicitIntervals(10)
+    mat = imp.materialize()
+    assert not is_eps_approximation(mat, Sample(10, range(7)), 0.3)
+    for support in itertools.combinations(range(10), 7):
+        sample = Sample(10, support)
+        worst = max(
+            abs(Fraction(m.bit_count(), 10) - Fraction(sum(m >> e & 1 for e in support), 7))
+            for m in mat.masks
+        )
+        for family in (imp, mat):
+            assert max_additive_error(family, sample) == float(worst)
+            for eps in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7):
+                assert is_eps_approximation(family, sample, eps) == (worst <= Fraction(eps))
 
 
 def test_additive_error_rejects_sample_over_another_ground_set():
