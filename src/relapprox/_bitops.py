@@ -1,13 +1,16 @@
-"""Bitmask helpers: subsets of [0, n) stored as Python ints, bulk ops in numpy.
+"""Packed families of subsets of [0, n): the word layout and bulk kernels.
 
-A subset mask has bit i set iff element i is a member.  Python ints give
-arbitrary n and cheap hashing/dedup; hot loops (many counts against a fixed
-family of m sets) go through one of two layouts of the family:
+A family of m subsets is a packed matrix, (m, words) uint64 little-endian
+words with bit i of a row set iff element i is a member.  It is the only
+store of a `SetSystem`, and only this module knows its layout: rows are built
+from flag arrays (`pack_flags`) or a caller's Python-int masks (`pack_masks`)
+and turned into ints only on request (`unpack_masks`).  Hot loops (many
+counts against a fixed family of m sets) go through one of two layouts:
 
-- the packed matrix, (m, words) uint64 little-endian words.  A weighted
-  intersection count sum over e in S of w(e) is a popcount scan of the whole
-  matrix against the binary planes of w (plane k holds the elements whose
-  weight has bit k set): `intersection_sizes`, m * words * planes words.
+- the packed matrix.  A weighted intersection count sum over e in S of w(e)
+  is a popcount scan of the whole matrix against the packed binary planes
+  of w (plane k holds the elements whose weight has bit k set):
+  `intersection_sizes`, m * words * planes words.
 - the incidence index, CSR element -> ascending ids of the sets containing
   it: 2 B per incidence while m <= 65,536, else 4 B, plus 4 B per element.
   Counts are exact integer bincounts over the ids of the sampled elements,
@@ -38,7 +41,7 @@ Two more kernels read the packed matrix in row blocks that stay in L2:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -67,11 +70,6 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return m
 
 
-def mask_from_flags(flags: np.ndarray) -> int:
-    """Mask of the nonzero positions of a 1-D array."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
 def indices_from_mask(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a nonnegative mask, as int64."""
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
@@ -82,14 +80,44 @@ def words_needed(n: int) -> int:
     return max(1, (n + 63) // 64)
 
 
-def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
-    """Pack masks into a (len(masks), words) uint64 matrix, little-endian words."""
+def pack_masks(masks: Iterable[int], n: int) -> np.ndarray:
+    """Read-only packed rows of nonnegative int masks below 2^(64 words)."""
     w = words_needed(n)
-    nbytes = w * 8
-    buf = bytearray(len(masks) * nbytes)
-    for r, m in enumerate(masks):
-        buf[r * nbytes : r * nbytes + nbytes] = m.to_bytes(nbytes, "little")
-    return np.frombuffer(bytes(buf), dtype="<u8").reshape(len(masks), w)
+    buf = b"".join([m.to_bytes(8 * w, "little") for m in masks])
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, w)
+
+
+def pack_flags(flags: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D (rows, n) flag array (nonzero = member) as packed rows."""
+    rows, n = flags.shape
+    out = np.zeros((rows, 8 * words_needed(n)), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(flags, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+def unpack_masks(packed: np.ndarray) -> tuple[int, ...]:
+    """The rows of a packed matrix as Python-int masks."""
+    nbytes = 8 * packed.shape[1]
+    buf = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8).reshape(-1).data
+    return tuple(int.from_bytes(buf[r : r + nbytes], "little") for r in range(0, len(buf), nbytes))
+
+
+def int_order(packed: np.ndarray) -> np.ndarray:
+    """The stable order of the rows by their value as ints."""
+    return np.lexsort(packed.T)
+
+
+def distinct_rows(packed: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row."""
+    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, 8 * packed.shape[1])))[:, 0]
+    order = np.argsort(rows, kind="stable")  # equal rows side by side, in index order
+    ordered = rows[order]
+    return np.sort(np.concatenate((order[:1], order[1:][ordered[1:] != ordered[:-1]])))
+
+
+def rows_outside(packed: np.ndarray, n: int) -> np.ndarray:
+    """Ascending indices of the rows with a member at position n or above."""
+    return np.flatnonzero(packed[:, -1] & ~pack_flags(np.ones((1, n), dtype=bool))[0, -1])
 
 
 def popcount_words(a: np.ndarray) -> np.ndarray:
@@ -162,23 +190,19 @@ def nearest_rows(packed: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return dist, arg
 
 
-def gather_columns(packed: np.ndarray, columns: np.ndarray) -> list[int]:
-    """The masks of every row of `packed` restricted to `columns`, element
-    columns[j] becoming bit j, as Python ints.
+def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Every row of `packed` restricted to `columns`, element columns[j]
+    becoming bit j, as a packed matrix over [0, len(columns)).
 
     Unpacks one row block at a time (64 B per packed word), so the whole
     matrix is never unpacked; the gathered bits take at most as much again.
     """
     m, w = packed.shape
-    nbytes = (len(columns) + 7) // 8
+    out = np.empty((m, words_needed(len(columns))), dtype="<u8")
     step = max(1, _BLOCK_BYTES // (64 * w))
-    out: list[int] = []
     for s in range(0, m, step):
         bits = np.unpackbits(packed[s : s + step].view(np.uint8), axis=1, bitorder="little")
-        buf = np.packbits(bits[:, columns], axis=1, bitorder="little").tobytes()
-        out.extend(
-            int.from_bytes(buf[r : r + nbytes], "little") for r in range(0, len(buf), nbytes)
-        )
+        out[s : s + step] = pack_flags(bits[:, columns])
     return out
 
 

@@ -40,9 +40,9 @@ class ChainLevel:
     index: int
     alpha: float
     packing: Packing
-    a_family: SetSystem  # distinct parts S \ parent over S in P_{i+1} \ P_i
-    b_family: SetSystem  # distinct parts parent \ S
-    ab_family: SetSystem  # their deduplicated union
+    ab_family: SetSystem  # the distinct parts S \ parent, then parent \ S, over S in P_{i+1} \ P_i
+    a_count: int  # distinct parts S \ parent
+    b_count: int  # distinct parts parent \ S
 
 
 @dataclass(frozen=True)
@@ -62,24 +62,32 @@ class ChainDecomposition:
 
     @cached_property
     def base_system(self) -> SetSystem:
-        masks = [self.system.masks[i] for i in self.levels[0].packing.member_indices]
-        return SetSystem.from_masks(self.system.n, masks)
-
-    @cached_property
-    def _member_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(lv.packing.member_indices) for lv in self.levels)
+        members = list(self.levels[0].packing.member_indices)
+        return SetSystem.from_packed(self.system.n, self.system.packed[members])
 
 
 def chain_scale(eps: float, n: int, i: int) -> float:
     return eps * n / 2.0**i
 
 
+def _finer_sets(packings: list[Packing], i: int, fam: int) -> np.ndarray:
+    """Ascending indices of P_{i+1} \\ P_i (P_{k+1} = F); AuditFailure unless P_i <= P_{i+1}."""
+    fine = np.zeros(fam, dtype=bool)
+    fine[list(packings[i + 1].member_indices) if i + 1 < len(packings) else slice(None)] = True
+    coarse = list(packings[i].member_indices)
+    if not fine[coarse].all():
+        raise AuditFailure("packings are not nested")
+    fine[coarse] = False
+    return np.flatnonzero(fine)
+
+
 def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecomposition:
     """Construct nested maximal packings and the per-level difference families.
 
     Nesting is enforced by seeding each finer greedy scan with the coarser
-    packing's members, which keeps "P_{i+1} minus P_i" well defined; all
-    invariants (nesting, parent distances, part sizes) are re-verified.
+    packing's members, which keeps "P_{i+1} minus P_i" well defined; nesting
+    and the parent distances (so the part sizes) are re-verified.  A level's
+    parts are formed at once from the packed rows of its sets and parents.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConstructionError(f"need eps, delta in (0, 1), got {(eps, delta)}")
@@ -94,40 +102,18 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
         packings.append(greedy_maximal_packing(system, chain_scale(eps, n, i), seeds))
 
     levels = []
-    fam = len(system)
     for i in range(k + 1):
-        mem_fine = (
-            set(packings[i + 1].member_indices) if i < k else set(range(fam))
-        )
-        mem_coarse = set(packings[i].member_indices)
-        cover = packings[i].cover_map
-        a_masks, b_masks, ab_masks = [], [], []
+        sets = _finer_sets(packings, i, len(system))
         alpha = chain_scale(eps, n, i)
-        for s_idx in sorted(mem_fine - mem_coarse):
-            s_mask = system.masks[s_idx]
-            p_mask = system.masks[cover[s_idx]]
-            if (s_mask ^ p_mask).bit_count() >= alpha:
-                raise AuditFailure(
-                    f"parent distance at level {i} is >= alpha for set {s_idx}"
-                )
-            a_masks.append(s_mask & ~p_mask)
-            b_masks.append(p_mask & ~s_mask)
-        ab_masks = a_masks + b_masks
-        a_fam = SetSystem.from_masks(n, a_masks)
-        b_fam = SetSystem.from_masks(n, b_masks)
-        ab_fam = SetSystem.from_masks(n, ab_masks)
-        for part_size in (*a_fam.sizes, *b_fam.sizes):
-            if part_size >= alpha:
-                raise AuditFailure(f"difference part of size {part_size} >= alpha at level {i}")
-        if len(a_fam) > len(mem_fine) or len(b_fam) > len(mem_fine):
-            raise AuditFailure(f"difference family larger than P_{i + 1}")
-        levels.append(ChainLevel(i, alpha, packings[i], a_fam, b_fam, ab_fam))
-
-    chain = ChainDecomposition(system, eps, delta, k, tuple(levels))
-    for fine, coarse in zip(chain._member_sets[1:], chain._member_sets[:-1]):
-        if not coarse <= fine:
-            raise AuditFailure("packings are not nested")
-    return chain
+        ab_rows = _part_rows(system.packed, sets, packings[i].cover_array[sets])
+        distances = _bitops.popcount_words(ab_rows).sum(axis=1).reshape(2, -1).sum(axis=0)
+        far = np.flatnonzero(distances >= alpha)
+        if len(far):
+            raise AuditFailure(f"parent distance at level {i} is >= alpha for set {sets[far[0]]}")
+        a_count, b_count = (len(_bitops.distinct_rows(part)) for part in np.split(ab_rows, 2))
+        ab_family = SetSystem.from_packed(n, ab_rows)
+        levels.append(ChainLevel(i, alpha, packings[i], ab_family, a_count, b_count))
+    return ChainDecomposition(system, eps, delta, k, tuple(levels))
 
 
 # --- decomposition and reconstruction ---------------------------------------
@@ -160,17 +146,15 @@ def decompose(chain: ChainDecomposition, index: int) -> ChainRecord:
     """Walk parent links from S in F down to its representative in P_0."""
     if not 0 <= index < len(chain.system):
         raise ConstructionError(f"family index {index} out of range")
-    steps = []
-    cur = index
+    path = [index]
     for i in range(chain.k, -1, -1):
-        parent = chain.levels[i].packing.cover_map[cur]
-        s_mask = chain.system.masks[cur]
-        p_mask = chain.system.masks[parent]
-        steps.append(
-            ChainStep(i, s_mask, p_mask, s_mask & ~p_mask, p_mask & ~s_mask)
-        )
-        cur = parent
-    return ChainRecord(index, tuple(steps), chain.system.masks[cur])
+        path.append(int(chain.levels[i].packing.cover_array[path[-1]]))
+    masks = _bitops.unpack_masks(chain.system.packed[path])
+    steps = tuple(
+        ChainStep(i, s_mask, p_mask, s_mask & ~p_mask, p_mask & ~s_mask)
+        for i, s_mask, p_mask in zip(range(chain.k, -1, -1), masks, masks[1:])
+    )
+    return ChainRecord(index, steps, masks[-1])
 
 
 # --- simultaneous approximation check ---------------------------------------
@@ -263,8 +247,6 @@ def telescoping_audit_all(
     level_eps = [Fraction(e) for e in chain.level_eps] + [eps]  # level k at eps
     fam = len(system)
     dtype = exact_dtype(max(n, 16), t)  # the final bound reaches 32 n t
-    packed = system.packed
-    planes = _bitops.pack_masks(sample.planes, n)
     sizes_all = system.sizes_array
     cnt_all = intersection_counts(system, sample)
     err_all = error_numerators(n, t, sizes_all, cnt_all, dtype)
@@ -285,11 +267,12 @@ def telescoping_audit_all(
     sum_b = np.zeros(fam, dtype=np.int64)
     for i in range(chain.k, -1, -1):
         level = chain.levels[i]
-        cover = np.array(level.packing.cover_map, dtype=np.int64)
+        cover = level.packing.cover_array
         parent = cover[cur]
         # below level k the sets share their few ancestors: one row each
         ancestors, inverse = np.unique(cur, return_inverse=True)
-        a_sz, b_sz, a_cnt, b_cnt = _parts(packed, planes, ancestors, cover[ancestors])[:, inverse]
+        parts = _parts(system.packed, sample.planes, ancestors, cover[ancestors])
+        a_sz, b_sz, a_cnt, b_cnt = parts[:, inverse]
         if not np.array_equal(sizes_all[cur], sizes_all[parent] - b_sz + a_sz):
             fail(
                 f"size identity broken at level {i}",
@@ -340,16 +323,23 @@ def telescoping_audit_all(
     return AuditSummary(fam, int(slack.max()) / (n * t) if fam else 0.0)
 
 
+def _part_rows(packed: np.ndarray, sets: np.ndarray, parents: np.ndarray) -> np.ndarray:
+    """The rows S \\ P for each pair (S, P) of family indices, then P \\ S."""
+    rows = packed[np.concatenate((sets, parents))]
+    halves = rows.reshape(2, len(sets), packed.shape[1])
+    halves ^= halves[0] & halves[1]
+    return rows
+
+
 def _parts(packed: np.ndarray, planes: np.ndarray, sets: np.ndarray, parents: np.ndarray):
     """Rows |S \\ P|, |P \\ S| and their sample counts for each pair (S, P) of
     family indices, in row blocks of about `_bitops._BLOCK_BYTES`."""
     out = np.empty((4, len(sets)), dtype=np.int64)
-    step = max(1, _bitops._BLOCK_BYTES // (8 * packed.shape[1]))
+    step = max(1, _bitops._BLOCK_BYTES // (16 * packed.shape[1]))
     for s in range(0, len(sets), step):
-        child, par = packed[sets[s : s + step]], packed[parents[s : s + step]]
-        for j, part in enumerate((child & ~par, ~child & par)):
-            out[j, s : s + step] = _bitops.popcount_words(part).sum(axis=1, dtype=np.int64)
-            out[2 + j, s : s + step] = _bitops.intersection_sizes(part, planes)
+        rows = _part_rows(packed, sets[s : s + step], parents[s : s + step])
+        out[:2, s : s + step] = _bitops.popcount_words(rows).sum(axis=1).reshape(2, -1)
+        out[2:, s : s + step] = _bitops.intersection_sizes(rows, planes).reshape(2, -1)
     return out
 
 
@@ -374,19 +364,17 @@ def rescale_and_verify(system: SetSystem, sample: Sample, eps: float, delta: flo
 
 
 def chain_summary(chain: ChainDecomposition) -> dict:
-    levels = []
-    for lv in chain.levels:
-        sizes = lv.ab_family.sizes
-        levels.append(
-            {
-                "level": lv.index,
-                "alpha": lv.alpha,
-                "packing_size": lv.packing.size,
-                "a_family_size": len(lv.a_family),
-                "b_family_size": len(lv.b_family),
-                "max_part_size": max(sizes) if sizes else 0,
-            }
-        )
+    levels = [
+        {
+            "level": lv.index,
+            "alpha": lv.alpha,
+            "packing_size": lv.packing.size,
+            "a_family_size": lv.a_count,
+            "b_family_size": lv.b_count,
+            "max_part_size": int(lv.ab_family.sizes_array.max(initial=0)),
+        }
+        for lv in chain.levels
+    ]
     return {
         "n": chain.system.n,
         "family_size": len(chain.system),
@@ -402,20 +390,9 @@ def write_chain_summary(chain: ChainDecomposition, path) -> None:
     summary = chain_summary(chain)
     if str(path).endswith(".csv"):
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "level",
-                    "alpha",
-                    "packing_size",
-                    "a_family_size",
-                    "b_family_size",
-                    "max_part_size",
-                ],
-            )
+            writer = csv.DictWriter(fh, fieldnames=list(summary["levels"][0]))
             writer.writeheader()
-            for row in summary["levels"]:
-                writer.writerow(row)
+            writer.writerows(summary["levels"])
     else:
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -424,20 +401,7 @@ def write_chain_summary(chain: ChainDecomposition, path) -> None:
 
 def parent_distances(chain: ChainDecomposition, level: int) -> np.ndarray:
     """|Delta(S, parent)| for each S in P_{level+1} \\ P_level, in index order."""
-    lv = chain.levels[level]
-    fine = (
-        chain._member_sets[level + 1]
-        if level < chain.k
-        else frozenset(range(len(chain.system)))
-    )
-    rows = sorted(fine - chain._member_sets[level])
-    if not rows:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.array(rows, dtype=np.int64)
-    cover = np.array([lv.packing.cover_map[r] for r in rows], dtype=np.int64)
-    out = np.empty(len(rows), dtype=np.int64)
-    packed = chain.system.packed
-    for member in np.unique(cover):
-        sel = cover == member
-        out[sel] = _bitops.xor_sizes(packed[idx[sel]], packed[int(member)])
-    return out
+    packings = [lv.packing for lv in chain.levels]
+    rows = _finer_sets(packings, level, len(chain.system))
+    parts = _part_rows(chain.system.packed, rows, packings[level].cover_array[rows])
+    return _bitops.popcount_words(parts).sum(axis=1, dtype=np.int64).reshape(2, -1).sum(axis=0)

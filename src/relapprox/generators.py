@@ -68,14 +68,11 @@ class ImplicitIntervals:
         return 1 + i * self.n - i * (i - 1) // 2 + (j - i)
 
     def materialize(self) -> SetSystem:
-        masks = [0]
-        for i in range(self.n):
-            run = 0
-            for j in range(i, self.n):
-                run |= 1 << j
-                masks.append(run)
-        # mask for {i..j} built incrementally; orders match index_of
-        return SetSystem(self.n, tuple(masks))
+        # {i..j} is [0, j + 1) minus [0, i), in index_of order after the empty set
+        below = _bitops.pack_flags(np.tri(self.n + 1, self.n, -1, dtype=bool))
+        starts, ends = np.triu_indices(self.n)
+        rows = below[np.append(0, ends + 1)] & ~below[np.append(0, starts)]
+        return SetSystem.from_packed(self.n, rows)
 
     # -- exact verification without materializing ---------------------------
     #
@@ -261,23 +258,14 @@ def halfplanes(pts: PointSet2D) -> SetSystem:
 
 def axis_rectangles(pts: PointSet2D) -> SetSystem:
     """Distinct traces of closed axis-aligned rectangles; VC dimension <= 4."""
-    xs = sorted({x for x, _ in pts.points})
-    ys = sorted({y for _, y in pts.points})
-    px = np.array([x for x, _ in pts.points])
-    py = np.array([y for _, y in pts.points])
-    x_masks = set()
-    for i, x1 in enumerate(xs):
-        for x2 in xs[i:]:
-            x_masks.add(_bitops.mask_from_flags((px >= x1) & (px <= x2)))
-    y_masks = set()
-    for i, y1 in enumerate(ys):
-        for y2 in ys[i:]:
-            y_masks.add(_bitops.mask_from_flags((py >= y1) & (py <= y2)))
-    traces = {0}
-    for xm in x_masks:
-        for ym in y_masks:
-            traces.add(xm & ym)
-    return SetSystem.from_masks(len(pts), sorted(traces))
+    ranges = []
+    for coord in np.array(pts.points).T:  # the traces of closed x-, then y-ranges
+        vals = np.unique(coord)
+        lo, hi = np.triu_indices(len(vals))
+        ranges.append(_bitops.pack_flags((coord >= vals[lo, None]) & (coord <= vals[hi, None])))
+    x, y = ranges
+    rows = np.concatenate((np.zeros_like(x[:1]), (x[:, None] & y).reshape(-1, x.shape[1])))
+    return SetSystem.from_packed(len(pts), rows[_bitops.int_order(rows)])
 
 
 # --- random and exhaustive families ------------------------------------------
@@ -288,15 +276,18 @@ def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
     if not 0 <= p <= 1:
         raise ConstructionError(f"need 0 <= p <= 1, got {p}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    masks = []
-    for _ in range(m):
-        row = rng.random(n) < p
-        masks.append(_bitops.mask_from_flags(row))
-    return SetSystem.from_masks(n, masks)
+    rows = np.empty((m, _bitops.words_needed(n)), dtype=np.uint64)
+    # one rng.random(n) per row, in row order, drawn about 4 MB at a time
+    step = max(1, (1 << 19) // n)
+    for s in range(0, m, step):
+        rows[s : s + step] = _bitops.pack_flags(rng.random((min(step, m - s), n)) < p)
+    return SetSystem.from_packed(n, rows)
 
 
 def power_set(n: int) -> SetSystem:
     """All 2^n subsets of [0, n); VC dimension n.  Guarded at n <= 20."""
     if n > 20:
         raise ConstructionError(f"power set of [{n}] is too large (guard: n <= 20)")
-    return SetSystem(n, tuple(range(1 << n)))
+    values = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    flags = np.unpackbits(values, axis=1, count=n, bitorder="little")
+    return SetSystem.from_packed(n, _bitops.pack_flags(flags))

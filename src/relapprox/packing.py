@@ -29,11 +29,16 @@ _BIG = np.iinfo(np.int64).max
 class Packing:
     alpha: float
     member_indices: tuple[int, ...]
-    cover_map: tuple[int, ...]  # family index -> covering member's family index
+    # family index -> covering member's index; any int sequence, also kept as `cover_array`
+    cover_map: tuple[int, ...]
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ConstructionError(f"alpha must be positive, got {self.alpha}")
+        cover = np.array(self.cover_map, dtype=np.int64)
+        cover.flags.writeable = False
+        object.__setattr__(self, "cover_array", cover)
+        object.__setattr__(self, "cover_map", tuple(cover.tolist()))
 
     @property
     def size(self) -> int:
@@ -73,8 +78,7 @@ def greedy_maximal_packing(
 
     if alpha <= 1:
         # distinct sets are >= 1 apart, so everything is admitted
-        idx = tuple(range(fam))
-        return Packing(alpha, idx, idx)
+        return Packing(alpha, tuple(range(fam)), np.arange(fam))
 
     need = math.ceil(alpha)  # an integer distance d is >= alpha iff d >= need
     seeds = np.array(seed_members, dtype=np.int64)
@@ -98,7 +102,7 @@ def greedy_maximal_packing(
         best_dist[closer] = d[closer]
         best_member[closer] = k
         members.append(k)
-    return Packing(alpha, tuple(members), tuple(best_member.tolist()))
+    return Packing(alpha, tuple(members), best_member)
 
 
 def verify_packing(system: SetSystem, packing: Packing) -> None:
@@ -117,7 +121,7 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
         raise AuditFailure("cover map is not total")
     # recompute nearest member (ties to lowest member index) from scratch
     best_dist, best_member = _nearest_member(system, mem_arr)
-    cover = np.array(packing.cover_map, dtype=np.int64)
+    cover = packing.cover_array
     non_member = ~np.isin(cover, mem_arr)
     far = best_dist >= math.ceil(alpha)
     # a member is its own nearest member (the sets are distinct), so a member
@@ -135,13 +139,9 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
 
 def delta_system(system: SetSystem, packing: Packing) -> SetSystem:
     """The family of symmetric differences over distinct packing member pairs."""
-    mem = packing.member_indices
-    masks = []
-    for a in range(len(mem)):
-        ma = system.masks[mem[a]]
-        for b in range(a + 1, len(mem)):
-            masks.append(ma ^ system.masks[mem[b]])
-    return SetSystem.from_masks(system.n, masks)
+    members = np.array(packing.member_indices, dtype=np.int64)
+    a, b = np.triu_indices(len(members), 1)
+    return SetSystem.from_packed(system.n, system.packed[members[a]] ^ system.packed[members[b]])
 
 
 def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) -> bool:
@@ -151,6 +151,8 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
     of the members' symmetric-difference system; when that holds the traces
     are provably distinct, and property tests assert exactly that.
     """
+    if sample.n != system.n:
+        raise ConstructionError(f"sample over [0, {sample.n}) but system over [0, {system.n})")
     deltas = delta_system(system, packing)
     if len(deltas) > 0:
         eps = packing.alpha / system.n
@@ -161,8 +163,9 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
                 "sample is not a relative (alpha/n, 1/2)-approximation of the "
                 f"delta system (worst ratio {float(report.worst_ratio):.6g})"
             )
-    traces = {system.masks[k] & sample.bits for k in packing.member_indices}
-    return len(traces) == len(packing.member_indices)
+    members = system.packed[list(packing.member_indices)]
+    traces = _bitops.distinct_rows(_bitops.gather_columns(members, sample.support_array))
+    return len(traces) == len(members)
 
 
 def packing_size_bound(n: int, alpha: float, d: int, c3: float) -> float:

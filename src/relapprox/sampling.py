@@ -175,20 +175,18 @@ class Sample:
 
     @cached_property
     def bits(self) -> int:
-        return _bitops.mask_from_flags(self.counts_array())
+        return _bitops.unpack_masks(_bitops.pack_flags(self.counts_array()[None]))[0]
 
     @cached_property
-    def planes(self) -> tuple[int, ...]:
-        """Binary planes of the multiplicity: plane k is the mask of the
-        elements whose multiplicity has bit k set, so |A & S| is
+    def planes(self) -> np.ndarray:
+        """Binary planes of the multiplicity as read-only packed rows: plane k
+        holds the elements whose multiplicity has bit k set, so |A & S| is
         sum_k 2^k |plane_k & S| over ceil(log2(max multiplicity + 1)) planes."""
-        if self.multiplicity_array is None:
-            return (self.bits,)
         counts = self.counts_array()
-        return tuple(
-            _bitops.mask_from_flags((counts >> k) & 1)
-            for k in range(int(counts.max()).bit_length())
-        )
+        levels = 1 if self.multiplicity_array is None else int(counts.max(initial=0)).bit_length()
+        planes = _bitops.pack_flags((counts >> np.arange(levels)[:, None]) & 1)
+        planes.flags.writeable = False
+        return planes
 
     def counts_array(self) -> np.ndarray:
         dense = np.zeros(self.n, dtype=np.int64)
@@ -310,9 +308,7 @@ def intersection_counts(system: SetSystem, sample: Sample) -> np.ndarray:
     if cost.incidence_ns < cost.dense_ns:
         index = system.incidence_when_paid(cost.dense_ns)
     if index is None:
-        return _bitops.intersection_sizes(
-            system.packed, _bitops.pack_masks(sample.planes, system.n)
-        )
+        return _bitops.intersection_sizes(system.packed, sample.planes)
     return _bitops.incidence_counts(
         index, sample.support_array, len(system), sample.multiplicity_array
     )
@@ -530,4 +526,6 @@ def write_sample_json(sample: Sample, path) -> None:
 def read_sample_json(path) -> Sample:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "n" not in doc or "members" not in doc:
+        raise ConstructionError(f"{path}: expected an object with 'n' and 'members'")
     return Sample(doc["n"], doc["members"], doc.get("counts"), seed=doc.get("seed"))

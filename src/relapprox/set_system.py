@@ -1,8 +1,9 @@
 """Finite set systems over a ground set [0, n) and their combinatorial primitives.
 
 The ground set is always {0, ..., n-1}; a subset is a bitmask (Python int).
-A SetSystem stores a deduplicated, order-preserving family of subsets.  All
-operations here are pure; SetSystem is immutable and safe to share.
+A SetSystem stores a deduplicated, order-preserving family of subsets as one
+packed matrix (`_bitops`).  All operations here are pure; SetSystem is
+immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -61,54 +62,75 @@ def symmetric_difference(a: Subset, b: Subset) -> Subset:
     return Subset(a.n, a.bits ^ b.bits)
 
 
-@dataclass(frozen=True)
 class SetSystem:
-    """Ground set [0, n) plus a deduplicated family of subset masks.
+    """Ground set [0, n) plus a deduplicated family of subsets, stored as the
+    read-only packed matrix `packed`; `masks` (Python ints) is built on demand.
 
-    `masks` preserves the first-occurrence order of distinct input sets and
-    is the canonical family order used by every index-valued result in this
-    package (worst-set indices, packing member indices, cover maps).
+    The row order is the canonical family order used by every index-valued
+    result in this package (worst-set indices, packing member indices, cover
+    maps).  Compares and hashes by n and the packed rows.
     """
 
-    n: int
-    masks: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConstructionError(f"ground set must be nonempty, got n={self.n}")
-        for k, m in enumerate(self.masks):
-            if m < 0 or m >> self.n:
-                raise ConstructionError(f"set #{k} has members outside [0, {self.n})")
-        if len(set(self.masks)) != len(self.masks):
+    def __init__(self, n: int, masks):
+        """The family of the distinct int `masks`; duplicate sets are rejected."""
+        packed = _pack(n, masks, dedup=False)
+        if len(_bitops.distinct_rows(packed)) != len(packed):
             raise ConstructionError("family contains duplicate sets")
+        vars(self).update(n=n, packed=packed)
+
+    @classmethod
+    def from_masks(cls, n: int, masks) -> "SetSystem":
+        """Build from raw bitmasks, collapsing duplicates (first occurrence wins)."""
+        return cls.from_packed(n, _pack(n, masks, dedup=True))
+
+    @classmethod
+    def from_packed(cls, n: int, rows) -> "SetSystem":
+        """Build from (m, words) uint64 packed rows, collapsing duplicates (first wins)."""
+        if n < 1:
+            raise ConstructionError(f"ground set must be nonempty, got n={n}")
+        rows, w = np.asarray(rows), _bitops.words_needed(n)
+        if rows.dtype != np.uint64 or rows.ndim != 2 or rows.shape[1] != w:
+            raise ConstructionError(f"packed rows must be a uint64 array of {w} words per set")
+        packed = rows[_bitops.distinct_rows(rows)]
+        bad = _bitops.rows_outside(packed, n)
+        if len(bad):
+            raise ConstructionError(f"set #{bad[0]} has members outside [0, {n})")
+        packed.flags.writeable = False
+        system = cls.__new__(cls)
+        vars(system).update(n=n, packed=packed)
+        return system
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SetSystem is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SetSystem is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.packed, other.packed)
+
+    def __hash__(self):
+        return hash((self.n, self.packed.tobytes()))
+
+    def __repr__(self):
+        return f"SetSystem(n={self.n!r}, sets={len(self)})"
 
     def __len__(self) -> int:
-        return len(self.masks)
-
-    @property
-    def family_size(self) -> int:
-        return len(self.masks)
+        return len(self.packed)
 
     @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.masks)
-
-    @cached_property
-    def family(self) -> tuple[Subset, ...]:
-        return tuple(Subset(self.n, m) for m in self.masks)
-
-    def subset(self, index: int) -> Subset:
-        return Subset(self.n, self.masks[index])
-
-    # Cached numpy views for bulk verification; cached_property writes to
-    # __dict__ directly so this works on a frozen dataclass.
-    @cached_property
-    def packed(self) -> np.ndarray:
-        return _bitops.pack_masks(self.masks, self.n)
+    def masks(self) -> tuple[int, ...]:
+        return _bitops.unpack_masks(self.packed)
 
     @cached_property
     def sizes_array(self) -> np.ndarray:
-        return np.array(self.sizes, dtype=np.int64)
+        return _bitops.popcount_words(self.packed).sum(axis=1, dtype=np.int64)
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(self.sizes_array.tolist())
 
     @cached_property
     def incidence(self) -> _bitops.Incidence:
@@ -134,25 +156,31 @@ class SetSystem:
                     return None
             return self.incidence
 
-    @classmethod
-    def from_masks(cls, n: int, masks) -> "SetSystem":
-        """Build from raw bitmasks, collapsing duplicates (first occurrence wins)."""
-        return cls(n, tuple(dict.fromkeys(masks)))
+
+def _pack(n: int, masks, dedup: bool) -> np.ndarray:
+    """The caller's int masks as packed rows; a bad set's index counts after dedup if `dedup`."""
+    if n < 1:
+        raise ConstructionError(f"ground set must be nonempty, got n={n}")
+    masks = list(masks)
+    if masks and (min(masks) < 0 or max(masks) >> n):
+        family = dict.fromkeys(masks) if dedup else masks
+        k = next(k for k, m in enumerate(family) if m < 0 or m >> n)
+        raise ConstructionError(f"set #{k} has members outside [0, {n})")
+    return _bitops.pack_masks(masks, n)
 
 
 def new_set_system(n: int, sets) -> SetSystem:
     """Build a SetSystem from index lists; duplicate sets and indices collapse."""
     if n < 1:
         raise ConstructionError(f"ground set must be nonempty, got n={n}")
-    masks = []
+    sets = [list(s) for s in sets]
+    flags = np.zeros((len(sets), n), dtype=bool)
     for k, s in enumerate(sets):
-        m = 0
-        for i in s:
-            if not 0 <= i < n:
-                raise ConstructionError(f"set #{k} contains index {i} outside [0, {n})")
-            m |= 1 << i
-        masks.append(m)
-    return SetSystem.from_masks(n, masks)
+        bad = [i for i in s if not 0 <= i < n]
+        if bad:
+            raise ConstructionError(f"set #{k} contains index {bad[0]} outside [0, {n})")
+        flags[k, s] = True
+    return SetSystem.from_packed(n, _bitops.pack_flags(flags))
 
 
 class RestrictResult(NamedTuple):
@@ -170,12 +198,13 @@ def restrict(system: SetSystem, y: int | Subset) -> RestrictResult:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(members.tolist())}
     traced = _bitops.gather_columns(system.packed, members)
-    return RestrictResult(SetSystem.from_masks(len(members), traced), index_map)
+    return RestrictResult(SetSystem.from_packed(len(members), traced), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:
     """Number of distinct traces |F|_Y| without materializing the trace system."""
-    return len({m & y_bits for m in system.masks})
+    y_row = _bitops.pack_masks([y_bits & ((1 << system.n) - 1)], system.n)
+    return len(_bitops.distinct_rows(system.packed & y_row))
 
 
 def is_shattered(system: SetSystem, y: int | Subset, guard: int = 30) -> bool:
@@ -187,13 +216,7 @@ def is_shattered(system: SetSystem, y: int | Subset, guard: int = 30) -> bool:
             f"|Y| = {k} exceeds the shatter guard of {guard}; "
             "pass a larger guard= to search sets this big"
         )
-    want = 1 << k
-    seen: set[int] = set()
-    for m in system.masks:
-        seen.add(m & y_bits)
-        if len(seen) == want:
-            return True
-    return False
+    return trace_count(system, y_bits) == 1 << k
 
 
 class VcResult(NamedTuple):
@@ -215,23 +238,13 @@ def vc_dimension(system: SetSystem, max_d: int = 10) -> VcResult:
     for s in range(1, max_d + 1):
         shattered_now: set[int] = set()
         for y in shattered_prev:
-            top = y.bit_length()
-            for x in range(top, system.n):
+            for x in range(y.bit_length(), system.n):  # each candidate once
                 cand = y | (1 << x)
                 # apriori prune: every (s-1)-subset must itself be shattered
-                if s > 1:
-                    ok = True
-                    rem = cand
-                    while rem:
-                        low = rem & -rem
-                        if (cand ^ low) not in shattered_prev:
-                            ok = False
-                            break
-                        rem ^= low
-                    if not ok:
-                        continue
-                if cand not in shattered_now and is_shattered(system, cand, guard=max_d):
-                    shattered_now.add(cand)
+                members = _bitops.indices_from_mask(cand).tolist()
+                if all((cand ^ 1 << e) in shattered_prev for e in members):
+                    if is_shattered(system, cand, guard=max_d):
+                        shattered_now.add(cand)
         if not shattered_now:
             return VcResult(s - 1, False)
         shattered_prev = shattered_now
@@ -311,6 +324,8 @@ def read_json(path) -> ReadResult:
     n, sets = doc["n"], doc["sets"]
     if not isinstance(n, int):
         raise ConstructionError(f"{path}: 'n' must be an integer")
+    if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
+        raise ConstructionError(f"{path}: 'sets' must be a list of lists")
     for k, s in enumerate(sets):
         if any(not isinstance(i, int) for i in s):
             raise ConstructionError(f"{path}: set #{k} has a non-integer member")

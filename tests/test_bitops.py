@@ -32,7 +32,7 @@ def random_masks(n: int, m: int, p: float, rng) -> list[int]:
 
 
 def dense_counts(system: SetSystem, sample: Sample) -> np.ndarray:
-    return _bitops.intersection_sizes(system.packed, _bitops.pack_masks(sample.planes, system.n))
+    return _bitops.intersection_sizes(system.packed, sample.planes)
 
 
 def incidence_counts(system: SetSystem, sample: Sample) -> np.ndarray:
@@ -98,7 +98,7 @@ def test_incidence_uses_int32_ids_past_65536_sets():
     for mode in (WITHOUT, WITH):
         sample = uniform_sample(n, 40, 9, mode=mode)
         repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
-        planes = _bitops.pack_masks(sample.planes, n)
+        planes = sample.planes
         assert np.array_equal(
             _bitops.incidence_counts(index, np.array(sample.support), m, repeats),
             _bitops.intersection_sizes(packed, planes),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -22,7 +23,9 @@ from relapprox.chaining import (
 )
 from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
 from relapprox.generators import halfplanes, intervals, power_set, random_points, random_system
-from relapprox.sampling import ApproxParams, Sample, relative_error, uniform_sample
+from relapprox.halving import combined_construction
+from relapprox.packing import verify_packing
+from relapprox.sampling import WITH, ApproxParams, Constants, Sample, relative_error, uniform_sample
 from relapprox.set_system import SetSystem
 
 
@@ -116,10 +119,64 @@ def test_difference_family_sizes(interval_chain):
     fam = len(system)
     for i, lv in enumerate(chain.levels):
         fine_size = chain.levels[i + 1].packing.size if i < chain.k else fam
-        assert len(lv.a_family) <= fine_size
-        assert len(lv.b_family) <= fine_size
+        assert lv.a_count <= fine_size
+        assert lv.b_count <= fine_size
         assert len(lv.ab_family) <= 2 * fine_size
         assert all(s < lv.alpha for s in lv.ab_family.sizes)
+
+
+def oracle_parts(chain, i: int):
+    """The per-set part loop: for each S in P_{i+1} minus P_i in index order,
+    the parts S minus parent and parent minus S as Python ints; returns the
+    distinct parts (all a-parts, then all b-parts, first occurrence wins) and
+    the numbers of distinct a- and b-parts."""
+    masks = chain.system.masks
+    fine = (
+        set(chain.levels[i + 1].packing.member_indices)
+        if i < chain.k
+        else set(range(len(chain.system)))
+    )
+    coarse = set(chain.levels[i].packing.member_indices)
+    cover = chain.levels[i].packing.cover_map
+    a_parts, b_parts = [], []
+    for s in sorted(fine - coarse):
+        s_mask, p_mask = masks[s], masks[cover[s]]
+        a_parts.append(s_mask & ~p_mask)
+        b_parts.append(p_mask & ~s_mask)
+    return tuple(dict.fromkeys(a_parts + b_parts)), len(set(a_parts)), len(set(b_parts))
+
+
+# chain summaries written by the per-set part loop, as SHA-256 digests
+ORACLE_CHAINS = {
+    "intervals-120": (
+        lambda: intervals(120), 0.2, 0.3,
+        "50bea3b1b1dc1c713a5ef93cb398b6cb993a4ebe8e70c4625205d6144bb070f7",
+        "486ca6b169dcc49b4a43defbc2d70cebb6750a9a6d9e0b8158bd5d36287cd5c2",
+    ),
+    "halfplanes-30": (
+        lambda: halfplanes(random_points(30, 404)), 0.25, 0.4,
+        "a94b39398dd9d9ec404ddc4338bdd9efa0c13208891418a3a6ad7a9bfb35a30e",
+        "3067d5f9c1f92c1daaff46beeaf355a79bc5c777633e7f26b6f3e31c1820244b",
+    ),
+    "bernoulli-30": (
+        lambda: random_system(30, 400, 0.15, 12), 0.6, 0.25,
+        "3d9ded95f77e6bc7615afd54115fcd047dc79fbb770f20f3df9fa8fc328b2770",
+        "e4a1eb54e864297b9428a58b02e8b69febdd8a130fee02eabb35c991bba9cc8f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CHAINS))
+def test_difference_families_match_the_per_set_loop(name, tmp_path):
+    make, eps, delta, json_digest, csv_digest = ORACLE_CHAINS[name]
+    chain = build_chain(make(), eps, delta)
+    assert any(len(lv.ab_family) for lv in chain.levels)
+    for i, lv in enumerate(chain.levels):
+        assert (lv.ab_family.masks, lv.a_count, lv.b_count) == oracle_parts(chain, i)
+    for ext, digest in (("json", json_digest), ("csv", csv_digest)):
+        path = tmp_path / f"summary.{ext}"
+        write_chain_summary(chain, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
@@ -217,8 +274,10 @@ def oracle_audit(chain, sample, index) -> Ledger:
         if not ok:
             failures.append((position, message, names_set))
 
+    counts = sample.counts_array().tolist()
+
     def count(mask):
-        return sum((mask & plane).bit_count() << k for k, plane in enumerate(sample.planes))
+        return sum(c for e, c in enumerate(counts) if mask >> e & 1)
 
     def size(mask):
         return mask.bit_count()
@@ -483,3 +542,22 @@ def test_chain_summary_and_files(tmp_path, interval_chain):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0].startswith("level,alpha,packing_size")
     assert len(lines) == chain.k + 2
+
+
+# --- the packed store -------------------------------------------------------------
+
+
+def test_hot_paths_never_derive_masks():
+    params = ApproxParams(0.25, 0.45, 0.3)
+    for system in (intervals(120), random_system(300, 200, 0.05, 7)):
+        chain = build_chain(system, 0.25, 0.4)
+        for level in chain.levels:
+            verify_packing(system, level.packing)
+        for sample in (Sample.full(system.n), uniform_sample(system.n, 90, 3, mode=WITH)):
+            claim7 = claim7_check(chain, sample)
+            if claim7.ok:
+                telescoping_audit_all(chain, sample, claim7)
+            relative_error(system, sample, Fraction(1, 4))
+            relative_error(system, sample, 0.25)
+        combined_construction(system, params, 2, Constants(2, 2, 2, 2), seed=8)
+        assert "masks" not in vars(system)

@@ -204,3 +204,24 @@ def test_usage_errors_exit_2(tmp_path):
     assert err.value.code == 2
     assert run("verify", "--system", tmp_path / "missing.json",
                "--sample", tmp_path / "missing2.json", "--eps", 0.2, "--delta", 0.3) == 2
+
+
+@pytest.mark.parametrize(
+    "system_doc, sample_doc",
+    [
+        ('{"n": 3, "sets": [5]}', '{"n": 3, "members": [0, 2]}'),
+        ('{"n": 3, "sets": 7}', '{"n": 3, "members": [0, 2]}'),
+        ('{"n": 3, "sets": [[0], "ab"]}', '{"n": 3, "members": [0, 2]}'),
+        ('{"n": 3, "sets": [[0, 1]]}', '{"n": 3, "t": 2}'),
+        ('{"n": 3, "sets": [[0, 1]]}', '{"members": [0, 2]}'),
+        ('{"n": 3, "sets": [[0, 1]]}', '[0, 2]'),
+    ],
+)
+def test_malformed_input_files_exit_2(tmp_path, capsys, system_doc, sample_doc):
+    system_path, sample_path = tmp_path / "sys.json", tmp_path / "s.json"
+    system_path.write_text(system_doc)
+    sample_path.write_text(sample_doc)
+    code = run("verify", "--system", system_path, "--sample", sample_path,
+               "--eps", 0.2, "--delta", 0.3)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

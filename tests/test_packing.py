@@ -257,6 +257,13 @@ def test_invalid_approximation_is_rejected_not_false():
         packing_trace_property(system, packing, bad)
 
 
+def test_sample_over_another_ground_set_is_rejected():
+    system = new_set_system(5, [[0, 1]])
+    packing = greedy_maximal_packing(system, 2.0)  # one member: no delta system
+    with pytest.raises(ConstructionError, match="sample over"):
+        packing_trace_property(system, packing, Sample.full(200))
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_systems(max_n=8, max_sets=8), st.sampled_from([2, 3, 4]))
 def test_trace_property_holds_for_every_valid_sample(system, alpha):

@@ -354,3 +354,100 @@ def test_json_reader_rejects_non_ascending(tmp_path):
     path.write_text('{"n": 3, "sets": [[1, 0]]}')
     with pytest.raises(ConstructionError, match="ascending"):
         read_json(path)
+
+
+# --- the SetSystem contract -------------------------------------------------------
+
+
+def test_ground_set_must_be_nonempty():
+    for n in (0, -3):
+        with pytest.raises(ConstructionError, match="ground set must be nonempty"):
+            SetSystem(n, ())
+        with pytest.raises(ConstructionError, match="ground set must be nonempty"):
+            SetSystem.from_masks(n, [])
+
+
+def test_negative_mask_rejected():
+    with pytest.raises(ConstructionError, match=r"set #1 has members outside \[0, 3\)"):
+        SetSystem(3, (0b101, -1))
+    with pytest.raises(ConstructionError, match=r"set #0 has members outside \[0, 3\)"):
+        SetSystem.from_masks(3, [-2, 1])
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_member_at_position_n_rejected(n):
+    with pytest.raises(ConstructionError, match=rf"set #2 has members outside \[0, {n}\)"):
+        SetSystem(n, (0, 1 << (n - 1), 1 << n))
+    with pytest.raises(ConstructionError, match=rf"set #1 has members outside \[0, {n}\)"):
+        SetSystem.from_masks(n, [1, 1, (1 << n) | 1])
+    assert len(SetSystem(n, (0, 1 << (n - 1), (1 << n) - 1))) == 3
+
+
+@pytest.mark.parametrize("n", [1, 64, 100])
+def test_mask_wider_than_last_word_rejected(n):
+    wide = 1 << (64 * ((n + 63) // 64) + 5)
+    with pytest.raises(ConstructionError, match=rf"set #1 has members outside \[0, {n}\)"):
+        SetSystem(n, (0, wide))
+    with pytest.raises(ConstructionError, match=rf"set #0 has members outside \[0, {n}\)"):
+        SetSystem.from_masks(n, [wide | 1, 0])
+
+
+def test_strict_constructor_rejects_duplicates():
+    with pytest.raises(ConstructionError, match="family contains duplicate sets"):
+        SetSystem(4, (0b11, 0b101, 0b11))
+    with pytest.raises(ConstructionError, match="family contains duplicate sets"):
+        SetSystem(200, (1 << 150, 0, 1 << 150))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 3, 64, 65, 130]), st.data())
+def test_from_masks_keeps_first_occurrences(n, data):
+    pool = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    masks = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=20))
+    system = SetSystem.from_masks(n, masks)
+    assert system.masks == tuple(dict.fromkeys(masks))
+    assert system.sizes == tuple(m.bit_count() for m in dict.fromkeys(masks))
+    assert len(system) == len(set(masks))
+
+
+def test_equal_families_compare_and_hash_equal():
+    masks = (0b1, 1 << 70, 0, (1 << 100) - 1)
+    strict = SetSystem(100, masks)
+    deduped = SetSystem.from_masks(100, masks + masks[:2])
+    assert strict == deduped and hash(strict) == hash(deduped)
+    assert strict != SetSystem(100, masks[::-1])
+    assert strict != SetSystem(101, masks)
+    assert SetSystem(5, ()) == SetSystem.from_masks(5, []) and SetSystem(5, ()) != SetSystem(6, ())
+
+
+def test_packed_is_read_only():
+    system = SetSystem(70, (1, 1 << 69))
+    assert not system.packed.flags.writeable
+    with pytest.raises(ValueError):
+        system.packed[0, 0] = 5
+
+
+def test_from_packed_matches_the_int_constructors():
+    masks = [0b1, 1 << 70, 0, (1 << 100) - 1]
+    words = [[m >> 64 * j & (2**64 - 1) for j in range(2)] for m in masks + masks[:2]]
+    system = SetSystem.from_packed(100, np.array(words, dtype=np.uint64))
+    assert system.masks == tuple(masks)
+    for other in (SetSystem(100, tuple(masks)), SetSystem.from_masks(100, masks * 2)):
+        assert system == other and hash(system) == hash(other)
+    assert not system.packed.flags.writeable
+    with pytest.raises(AttributeError):
+        system.n = 5
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_from_packed_rejects_members_outside(n):
+    rows = SetSystem.from_masks(n, [1, 1 << (n - 1)]).packed
+    if n % 64:  # a member at position n, in the last word's spare bits
+        wide = np.array(rows)
+        wide[:, -1] |= np.uint64(1) << np.uint64(n % 64)
+        with pytest.raises(ConstructionError, match=rf"set #1 has members outside \[0, {n}\)"):
+            SetSystem.from_packed(n, np.concatenate((rows[:1], rows[:1], wide[1:])))
+    with pytest.raises(ConstructionError, match="uint64 array"):
+        SetSystem.from_packed(n, rows.astype(np.int64))
+    with pytest.raises(ConstructionError, match="uint64 array"):
+        SetSystem.from_packed(n + 64, rows)
