@@ -28,7 +28,10 @@ dense scan.
 Two more kernels read the packed matrix in row blocks that stay in L2:
 
 - `nearest_rows`, the nearest of K query rows under symmetric-difference
-  distance for every row (packing certificates).  Each row block meets all
+  distance for every row (packing certificates: the packing layer calls it
+  once per group of sets sharing a hint, with the members near that hint,
+  and once over all rows against the seeds of a seeded greedy scan).  Each
+  row block meets all
   K rows word by word, summing popcounts into a (block, K) int32 buffer;
   its transients are block * K * 13 B (xor, popcount and sum) plus the
   block, about `_BLOCK_BYTES` in all.  It beats K `xor_sizes` scans, whose

@@ -6,6 +6,17 @@ distance < alpha of some packing member.  The greedy construction scans the
 family in index order, so the result is deterministic; the cover map (every
 set's nearest admitted member, ties to the lowest member index) doubles as
 the maximality certificate.
+
+Nearest members are found by a hinted search: each set comes with one member
+(its hint), and the sets sharing a hint meet only the members in a ball
+around it that the triangle inequality proves holds their nearest members,
+ties included, whatever the hint (pivot-based exact search).  The greedy
+scan's hints are each set's nearest seed, or the admitted member that first
+came within alpha of it; after one pass over the seeds its admit loop scans
+only the sets still >= alpha from every member so far, and the cover map is
+one hinted search at the end.  The verifier hints with each set's claimed
+cover when that is a member, so a wrong claim only widens the search and its
+verdict never rests on the certificate.
 """
 
 from __future__ import annotations
@@ -52,12 +63,56 @@ class Packing:
         }
 
 
-def _nearest_member(system: SetSystem, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distance_table(packed: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) int64 table of |packed[a_i] ^ packed[b_j]|.
+
+    Built a row block at a time, word by word, so the transients (the
+    block's xor and popcount, 9 B per pair) stay near `_bitops._BLOCK_BYTES`.
+    """
+    words_a, words_b = packed[a].T, np.ascontiguousarray(packed[b].T)
+    out = np.zeros((len(a), len(b)), dtype=np.int64)
+    step = max(1, _bitops._BLOCK_BYTES // (9 * max(1, len(b))))
+    for s in range(0, len(a), step):
+        acc = out[s : s + step]
+        for word_a, word_b in zip(words_a, words_b):
+            acc += np.bitwise_count(word_a[s : s + step, None] ^ word_b)
+    return out
+
+
+def _nearest_member(
+    system: SetSystem, members: np.ndarray, hint: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Every set's distance to its nearest member and that member's index,
-    ties to the lowest index (int64 max and -1 without members)."""
+    ties to the lowest index (int64 max and -1 without members).
+
+    `hint` holds a member index for every set, or -1.  The sets hinted with
+    member h meet only the members within 2R of h, R the largest distance of
+    one of them to h: a member m at least as near to S as h has
+    d(h, m) <= d(h, S) + d(S, m) <= 2 d(S, h), so the nearest members, ties
+    included, are in that ball whatever the hint.  Unhinted sets meet every
+    member.
+    """
+    packed = system.packed
     order = np.sort(members)
-    dist, k = _bitops.nearest_rows(system.packed, system.packed[order])
-    return dist, order[k] if len(order) else k
+    dist = np.full(len(system), _BIG, dtype=np.int64)
+    arg = np.full(len(system), -1, dtype=np.int64)
+    if not len(order):
+        return dist, arg
+    hinted = np.flatnonzero(hint >= 0)
+    rows = hinted[np.argsort(hint[hinted], kind="stable")]
+    hints, starts = np.unique(hint[rows], return_index=True)
+    reach = np.zeros(len(rows), dtype=np.int64)  # d(S, hint), a word column at a time
+    for col in packed.T:
+        reach += np.bitwise_count(col[rows] ^ col[hint[rows]])
+    radius = np.maximum.reduceat(reach, starts)
+    balls = _distance_table(packed, hints, order) <= 2 * radius[:, None]
+    groups = [(np.flatnonzero(hint < 0), order)]
+    groups += zip(np.split(rows, starts[1:]), (order[ball] for ball in balls))
+    for sets, near in groups:
+        if len(sets):
+            dist[sets], k = _bitops.nearest_rows(packed[sets], packed[near])
+            arg[sets] = near[k]
+    return dist, arg
 
 
 def greedy_maximal_packing(
@@ -82,27 +137,30 @@ def greedy_maximal_packing(
 
     need = math.ceil(alpha)  # an integer distance d is >= alpha iff d >= need
     seeds = np.array(seed_members, dtype=np.int64)
-    for i, k in enumerate(seed_members[1:], 1):
-        d = _bitops.xor_sizes(system.packed[seeds[:i]], system.packed[k]).min()
-        if d < need:
-            raise ConstructionError(
-                f"seed member {k} is within {d} < alpha of an earlier seed"
-            )
-    best_dist, best_member = _nearest_member(system, seeds)
+    close = _distance_table(system.packed, seeds, seeds)
+    close[np.triu_indices(len(seeds))] = _BIG  # each seed against the earlier ones
+    early = np.flatnonzero(close.min(axis=1, initial=_BIG) < need)
+    if len(early):
+        i = int(early[0])
+        raise ConstructionError(
+            f"seed member {seed_members[i]} is within {close[i].min()} < alpha of an earlier seed"
+        )
+    # a set's hint is its nearest seed, or else the admitted member that took
+    # it out of the far set (the sets still >= alpha from every member so far);
+    # each admit scans only what is left of the far set
+    seed_dist, hint = _nearest_member(system, seeds, np.full(fam, -1))
     members = [int(k) for k in seed_members]
-
-    k = 0
-    while True:
-        ahead = np.flatnonzero(best_dist[k:] >= need)
-        if not len(ahead):
-            break
-        k += int(ahead[0])
-        d = _bitops.xor_sizes(system.packed, system.packed[k])
-        closer = (d < best_dist) | ((d == best_dist) & (k < best_member))
-        best_dist[closer] = d[closer]
-        best_member[closer] = k
+    far = np.flatnonzero(seed_dist >= need)
+    rows = system.packed[far]
+    while len(far):
+        k = int(far[0])
         members.append(k)
-    return Packing(alpha, tuple(members), best_member)
+        keep = _bitops.xor_sizes(rows[1:], rows[0]) >= need
+        hint[k] = k
+        hint[far[1:][~keep]] = k
+        far, rows = far[1:][keep], rows[1:][keep]
+    _, cover = _nearest_member(system, np.array(members), hint)
+    return Packing(alpha, tuple(members), cover)
 
 
 def verify_packing(system: SetSystem, packing: Packing) -> None:
@@ -112,18 +170,23 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
     if sorted(set(mem)) != sorted(mem):
         raise AuditFailure("duplicate member indices")
     mem_arr = np.array(mem, dtype=np.int64)
-    for k in mem:
-        d = _bitops.xor_sizes(system.packed[mem_arr], system.packed[k])
-        d[mem_arr == k] = _BIG
-        if len(mem) > 1 and d.min() < alpha:
-            raise AuditFailure(f"members {k} and {mem[int(d.argmin())]} are {d.min()} apart")
+    need = math.ceil(alpha)
+    apart = _distance_table(system.packed, mem_arr, mem_arr)
+    np.fill_diagonal(apart, _BIG)
+    close = np.flatnonzero(apart.min(axis=1, initial=_BIG) < need)
+    if len(close):
+        i = int(close[0])
+        j = int(apart[i].argmin())
+        raise AuditFailure(f"members {mem[i]} and {mem[j]} are {apart[i, j]} apart")
     if len(packing.cover_map) != len(system):
         raise AuditFailure("cover map is not total")
-    # recompute nearest member (ties to lowest member index) from scratch
-    best_dist, best_member = _nearest_member(system, mem_arr)
+    # recompute nearest member (ties to lowest member index) from scratch; a
+    # claimed cover that is a member only hints where to look, and a wrong
+    # claim widens the search without changing its result
     cover = packing.cover_array
     non_member = ~np.isin(cover, mem_arr)
-    far = best_dist >= math.ceil(alpha)
+    best_dist, best_member = _nearest_member(system, mem_arr, np.where(non_member, -1, cover))
+    far = best_dist >= need
     # a member is its own nearest member (the sets are distinct), so a member
     # covered by another fails the nearest-member check
     bad = np.flatnonzero(non_member | far | (cover != best_member))

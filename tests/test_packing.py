@@ -1,13 +1,20 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relapprox import _bitops
+from relapprox.chaining import build_chain
 from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
+from relapprox.generators import intervals, random_system
 from relapprox.packing import (
     Packing,
+    _distance_table,
+    _nearest_member,
     delta_system,
     greedy_maximal_packing,
     packing_size_bound,
@@ -60,6 +67,42 @@ def reference_greedy(masks, alpha, seeds=()) -> tuple[tuple[int, ...], tuple[int
             members.append(k)
     cover = tuple(min(members, key=lambda j: (dist(i, j), j)) for i in range(len(masks)))
     return tuple(members), cover
+
+
+def reference_verdict(masks, alpha, members, cover) -> str | None:
+    """The first failure a brute-force recheck of a packing certificate
+    finds, as its `AuditFailure` message, or None when it holds."""
+
+    def dist(a, b):
+        return (masks[a] ^ masks[b]).bit_count()
+
+    if len(set(members)) != len(members):
+        return "duplicate member indices"
+    for k in members:
+        others = [j for j in members if j != k]
+        if others:
+            j = min(others, key=lambda j: (dist(k, j), members.index(j)))
+            if dist(k, j) < alpha:
+                return f"members {k} and {j} are {dist(k, j)} apart"
+    if len(cover) != len(masks):
+        return "cover map is not total"
+    for i, c in enumerate(cover):
+        if c not in members:
+            return f"set {i} covered by non-member {c}"
+        nearest = min(members, key=lambda j: (dist(i, j), j))
+        if dist(i, nearest) >= alpha:
+            return f"set {i} is {dist(i, nearest)} >= alpha from every member"
+        if c != nearest:
+            return f"set {i}: cover {c} is not the nearest member"
+    return None
+
+
+def farthest_members(masks, members) -> tuple[int, ...]:
+    """Every set's farthest member, ties to the lowest index."""
+    return tuple(
+        max(members, key=lambda j: ((masks[i] ^ masks[j]).bit_count(), -j))
+        for i in range(len(masks))
+    )
 
 
 @st.composite
@@ -159,6 +202,95 @@ def test_greedy_matches_pure_python_reference(system, alpha, data):
         verify_packing(system, seeded)
 
 
+def test_seeded_greedy_names_the_first_seed_too_close_to_an_earlier_one():
+    system = new_set_system(4, [[0], [1], [0, 1], [2, 3]])
+    # seed 2 is 1 from seed 0 and 4 from seed 3; seed 1 is too close as well
+    with pytest.raises(ConstructionError) as err:
+        greedy_maximal_packing(system, 3.0, seed_members=(3, 0, 2, 1))
+    assert str(err.value) == "seed member 2 is within 1 < alpha of an earlier seed"
+
+
+# SHA-256 of the int64 little-endian member indices, then of the cover maps,
+# of every level of build_chain(intervals(400), eps, delta), level by level,
+# as the all-pairs greedy scan and verifier computed them.
+PINNED_INTERVAL_CHAINS = [
+    (
+        0.25,
+        0.4,
+        [17, 65, 186],
+        "baeeacd4c363071d8877587070a5f8b06a3713e91b81a32b28b50668c0f50861",
+        "68808d437584ca13d679a0bcbdeabf254cbf265f77f1faecaa05d2aeb0f3c134",
+    ),
+    (
+        0.1,
+        0.25,
+        [101, 401, 1601],
+        "7ed64af96ca530cf281b2614bf01cf97e35560c4f033fbf58c2fe57363818c36",
+        "2f06d56faadf0860fba860f46bd834a8f758e11fc5d2f0f02f3a4d837caa5810",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "eps, delta, sizes, members_sha, cover_sha",
+    PINNED_INTERVAL_CHAINS,
+    ids=[f"eps{p[0]}-delta{p[1]}" for p in PINNED_INTERVAL_CHAINS],
+)
+def test_interval_chain_packings_match_pinned_digests(eps, delta, sizes, members_sha, cover_sha):
+    system = intervals(400)
+    packings = [level.packing for level in build_chain(system, eps, delta).levels]
+    assert [p.size for p in packings] == sizes
+
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.asarray(a, dtype="<i8").tobytes())
+        return h.hexdigest()
+
+    assert digest(p.member_indices for p in packings) == members_sha
+    assert digest(p.cover_map for p in packings) == cover_sha
+    for p in packings:
+        verify_packing(system, p)
+
+
+# --- nearest-member search -----------------------------------------------------------
+
+HINTS = ("nearest", "farthest", "tied-higher", "any", "none")
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_systems(), st.data())
+def test_hinted_nearest_member_matches_unpruned_scan(system, data):
+    fam, masks = len(system), system.masks
+    members = data.draw(st.lists(st.integers(0, fam - 1), min_size=1, unique=True))
+    order = np.sort(members)
+    want_dist, k = _bitops.nearest_rows(system.packed, system.packed[order])
+    want = order[k]
+    farthest = farthest_members(masks, members)
+    kinds = data.draw(st.lists(st.sampled_from(HINTS), min_size=fam, max_size=fam))
+    hint = []
+    for i, kind in enumerate(kinds):
+        if kind == "tied-higher":
+            tied = [m for m in members if (masks[i] ^ masks[m]).bit_count() == want_dist[i]]
+            hint.append(max(tied))
+        elif kind == "any":
+            hint.append(data.draw(st.sampled_from(members)))
+        else:
+            hint.append({"nearest": want[i], "farthest": farthest[i], "none": -1}[kind])
+    dist, got = _nearest_member(system, np.array(members), np.array(hint))
+    assert dist.tolist() == want_dist.tolist()
+    assert got.tolist() == want.tolist()
+
+
+def test_distance_table_in_small_row_blocks(monkeypatch):
+    system = random_system(130, 60, 0.3, 8)
+    a, b = np.arange(0, 60, 2), np.arange(59, -1, -3)
+    want = [[(system.masks[i] ^ system.masks[j]).bit_count() for j in b] for i in a]
+    assert _distance_table(system.packed, a, b).tolist() == want
+    monkeypatch.setattr(_bitops, "_BLOCK_BYTES", 64)  # one or two rows a block
+    assert _distance_table(system.packed, a, b).tolist() == want
+
+
 # --- corrupted certificates ---------------------------------------------------------
 
 
@@ -204,6 +336,54 @@ def test_verify_rejects_set_far_from_every_member():
     bad = Packing(2.0, (0, 1, 2), (0, 1, 2, 0, 0))
     with pytest.raises(AuditFailure, match="set 3 is 2 >= alpha from every member"):
         verify_packing(system, bad)
+
+
+def test_verify_rejects_non_member_cover_after_a_wrong_nearest_one():
+    system, packing = singletons_packing()
+    # set 2 is member 2 but claims member 3; the later set 4 claims non-member 4
+    bad = Packing(2.0, packing.member_indices, (0, 1, 3, 3, 4))
+    with pytest.raises(AuditFailure) as err:
+        verify_packing(system, bad)
+    assert str(err.value) == "set 2: cover 3 is not the nearest member"
+
+
+def test_verify_rejects_farthest_member_covers():
+    system = intervals(20)
+    packing = greedy_maximal_packing(system, 5)
+    verify_packing(system, packing)
+    members = packing.member_indices
+    farthest = farthest_members(system.masks, members)
+    with pytest.raises(AuditFailure) as err:
+        verify_packing(system, Packing(5, members, farthest))
+    assert str(err.value) == "set 0: cover 20 is not the nearest member"
+    # the right covers up to set 149, every later set sent to its farthest member
+    late = packing.cover_map[:150] + farthest[150:]
+    with pytest.raises(AuditFailure) as err:
+        verify_packing(system, Packing(5, members, late))
+    assert str(err.value) == "set 150: cover 10 is not the nearest member"
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_systems(), st.sampled_from([1.5, 2.0, 3.0, 4.0]), st.data())
+def test_verify_agrees_with_brute_force_on_corrupted_certificates(system, alpha, data):
+    fam, masks = len(system), system.masks
+    packing = greedy_maximal_packing(system, alpha)
+    members = list(packing.member_indices)
+    if data.draw(st.booleans()):
+        # a random member list: members dropped, sets admitted too close to others
+        members = data.draw(st.lists(st.integers(0, fam - 1), min_size=1, unique=True))
+    farthest = farthest_members(masks, members)
+    cover = [
+        data.draw(st.sampled_from([c, farthest[i], data.draw(st.integers(0, fam - 1))]))
+        for i, c in enumerate(packing.cover_map)
+    ]
+    want = reference_verdict(masks, alpha, members, cover)
+    if want is None:
+        verify_packing(system, Packing(alpha, tuple(members), tuple(cover)))
+    else:
+        with pytest.raises(AuditFailure) as err:
+            verify_packing(system, Packing(alpha, tuple(members), tuple(cover)))
+        assert str(err.value) == want
 
 
 def test_verify_rejects_members_closer_than_alpha():
