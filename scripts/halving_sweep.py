@@ -4,9 +4,12 @@
 Prints, per ground-set size, the construction's output size and success rate
 in both sampling modes; the i.i.d. column shows the ground-set-independent
 behaviour of the size recursion (the without-replacement column caps at n
-whenever the requested size exceeds what a subset can hold).  The last
-column is the CPU seconds of the cell (process time, so time the hypervisor
-takes from a shared virtual machine does not count).
+whenever the requested size exceeds what a subset can hold).  The `combined`
+rows run the two-stage construction (halving, then a chaining-sized verified
+subsample of the trace, d = 2, constants from constants.json), each stage
+with one attempt.  The last column is the CPU seconds of the cell (process
+time, so time the hypervisor takes from a shared virtual machine does not
+count).
 
     python scripts/halving_sweep.py [--eps 0.1] [--delta 0.25] [--gamma 0.1]
 """
@@ -16,12 +19,15 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from relapprox.errors import RetriesExhausted  # noqa: E402
 from relapprox.generators import ImplicitIntervals  # noqa: E402
-from relapprox.halving import certified_halving  # noqa: E402
-from relapprox.sampling import WITH, WITHOUT, ApproxParams  # noqa: E402
+from relapprox.halving import certified_halving, combined_construction  # noqa: E402
+from relapprox.sampling import WITH, WITHOUT, ApproxParams, find_constants  # noqa: E402
+
+COMBINED = "combined"
 
 
 def main() -> int:
@@ -35,18 +41,25 @@ def main() -> int:
     args = ap.parse_args()
 
     params = ApproxParams(args.eps, args.delta, args.gamma)
+    constants = find_constants(os.path.join(ROOT, "constants.json"))
     print(f"eps={args.eps} delta={args.delta} gamma={args.gamma}, {args.trials} trials per cell")
     print(f"{'n':>8}  {'mode':>8}  {'mean t':>10}  {'success':>8}  {'cpu s':>6}")
     for n in args.sizes:
         family = ImplicitIntervals(n)
-        for mode in (WITHOUT, WITH):
+        for mode in (WITHOUT, WITH, COMBINED):
             started = time.process_time()
             sizes, ok = [], 0
             for i in range(args.trials):
+                seed = (args.seed, n, i)
                 try:
-                    sample = certified_halving(
-                        family, params, seed=(args.seed, n, i), max_retries=1, mode=mode
-                    )
+                    if mode == COMBINED:
+                        sample = combined_construction(
+                            family, params, 2, constants, seed, max_retries=1
+                        )
+                    else:
+                        sample = certified_halving(
+                            family, params, seed, max_retries=1, mode=mode
+                        )
                 except RetriesExhausted:
                     continue
                 ok += 1

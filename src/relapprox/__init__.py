@@ -24,12 +24,10 @@ from .sampling import (
 )
 from .set_system import (
     SetSystem,
-    Subset,
     growth_bound_check,
     is_shattered,
     new_set_system,
     restrict,
-    symmetric_difference,
     vc_dimension,
 )
 
@@ -39,7 +37,6 @@ __all__ = [
     "Constants",
     "Sample",
     "SetSystem",
-    "Subset",
     "basic_sample_size",
     "chaining_sample_size",
     "chernoff_bound",
@@ -54,7 +51,6 @@ __all__ = [
     "new_set_system",
     "relative_error",
     "restrict",
-    "symmetric_difference",
     "uniform_sample",
     "vc_dimension",
 ]

@@ -37,9 +37,10 @@ Two more kernels read the packed matrix in row blocks that stay in L2:
   block, about `_BLOCK_BYTES` in all.  It beats K `xor_sizes` scans, whose
   per-row sum dominates on narrow rows, from a few rows up, and loses to
   one scan at K = 1.
-- `gather_columns`, the trace of every row on a set of columns (`restrict`):
-  each row block is unpacked to one byte per bit (64 B per word, about
-  `_BLOCK_BYTES`), its columns gathered and packed again.
+- `gather_columns`, the trace of every row on a set of columns
+  (`SetSystem.trace_on`, `restrict`): each row block is unpacked to one
+  byte per bit (64 B per word, about `_BLOCK_BYTES`), its columns gathered
+  and packed again.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import generators, harness
+from . import harness
 from .chaining import build_chain, write_chain_summary
 from .errors import RelApproxError
 from .halving import iterated_halving, write_trace_json
@@ -18,11 +18,8 @@ from .packing import greedy_maximal_packing
 from .sampling import (
     WITHOUT,
     ApproxParams,
-    basic_sample_size,
-    chaining_sample_size,
     find_constants,
-    halving_sample_size,
-    main_sample_size,
+    formula_sample_size,
     relative_error,
     seed_sequence,
     uniform_sample,
@@ -33,18 +30,8 @@ from .set_system import read_json, write_json
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "intervals":
-        system = generators.intervals(args.n)
-    elif args.family == "power_set":
-        system = generators.power_set(args.n)
-    elif args.family == "random":
-        system = generators.random_system(args.n, args.m, args.p, args.seed)
-    elif args.family == "halfplanes":
-        system = generators.halfplanes(generators.random_points(args.points, args.seed))
-    elif args.family == "rectangles":
-        system = generators.axis_rectangles(generators.random_points(args.points, args.seed))
-    else:
-        raise RelApproxError(f"unknown family {args.family!r}")
+    # the generate options are named like the descriptor keys
+    system = harness.system_from_descriptor(vars(args))
     write_json(system, args.out)
     print(f"wrote {args.family} system: n={system.n}, |F|={len(system)} -> {args.out}")
     return 0
@@ -65,14 +52,7 @@ def _cmd_sample(args) -> int:
     system = read_json(args.system).system
     params = ApproxParams(args.eps, args.delta, args.gamma)
     constants = find_constants(args.constants)
-    if args.formula == "basic":
-        t = basic_sample_size(params, len(system))
-    elif args.formula == "main":
-        t = main_sample_size(params, _required_d(args), constants)
-    elif args.formula == "halving":
-        t = halving_sample_size(params, _required_d(args), constants)
-    else:
-        t = chaining_sample_size(params, _required_d(args), len(system), constants)
+    t = formula_sample_size(args.formula, params, args.d, len(system), constants)
     if args.mode == WITHOUT:
         t = min(t, system.n)
     sample = uniform_sample(system.n, t, args.seed, mode=args.mode)
@@ -150,12 +130,6 @@ def _cmd_calibrate(args) -> int:
         f"c2={constants.c2} c3={constants.c3} -> {args.out}"
     )
     return 0
-
-
-def _required_d(args) -> int:
-    if args.d is None:
-        raise RelApproxError(f"--formula {args.formula} requires --d")
-    return args.d
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,9 +4,13 @@
 return materialized SetSystems.  `ImplicitIntervals` is the same interval
 family without materialization: the family of all intervals on n points has
 n(n+1)/2 + 1 sets, so at n = 10^5 it can only be handled through its
-structure (prefix sums for intersection counts, a closed form for trace
-counts).  Its verifier is exact in integer arithmetic, accepts float or
-Fraction eps like the generic one, and agrees with it.
+structure.  It answers the same family protocol as SetSystem (see
+`sampling`): its verifiers work from prefix sums, exactly in integer
+arithmetic, accept float or Fraction eps like the materialized ones and
+agree with them; and since intervals on any m points trace to all intervals
+on m points, its trace on a sample is `ImplicitIntervals(m)` and its trace
+count the closed form m(m+1)/2 + 1.  So every construction, the two-stage
+one included, runs on it unmaterialized.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import ConstructionError
 from .sampling import (
     ApproximationReport,
     Sample,
+    _check_ground_set,
     _check_verifier_inputs,
     big_size_limit,
     exact_dtype,
@@ -50,18 +55,20 @@ class ImplicitIntervals:
         if self.n < 1:
             raise ConstructionError(f"need n >= 1, got {self.n}")
 
-    @property
-    def family_size(self) -> int:
+    def __len__(self) -> int:
         return self.n * (self.n + 1) // 2 + 1
 
-    def __len__(self) -> int:
-        return self.family_size
+    def trace_count(self, sample: Sample) -> int:
+        """|F|_A| depends only on m = |A|: m(m+1)/2 intervals and the empty set."""
+        _check_ground_set(self, sample)
+        m = len(sample.support_array)
+        return m * (m + 1) // 2 + 1
 
-    def trace_count_for_support(self, m: int) -> int:
-        """|F|_Y| depends only on |Y|: intervals trace to intervals."""
-        if m < 0:
-            raise ConstructionError("support size must be >= 0")
-        return m * (m + 1) // 2 + 1 if m else 1
+    def trace_on(self, sample: Sample) -> "ImplicitIntervals":
+        """Intervals on any m points trace to all intervals on m points, and
+        their first occurrences come in the same order as the family's."""
+        _check_ground_set(self, sample)
+        return ImplicitIntervals(len(sample.support_array))
 
     def index_of(self, i: int, j: int) -> int:
         """Family index of the interval {i..j}, 0 <= i <= j < n."""

@@ -5,8 +5,10 @@ error delta/3^j with failure budget gamma/2^j; the recursion bottoms out when
 delta/3^m <= 1/sqrt(n), where the whole ground set is already small enough to
 serve as-is.  Sampling outward, each level draws from the previous one a
 union-bound-sized sample for the previous level's trace system, whose
-distinct-trace count is computed exactly.  Each step degrades the error by
-the composition rule d1 + d2 + d1*d2, and the schedule telescopes to delta.
+distinct-trace count the family computes exactly (`trace_count`).  Each
+step degrades the error by the composition rule d1 + d2 + d1*d2, and the
+schedule telescopes to delta.  Every function here takes any family of the
+`sampling` protocol, materialized or not.
 
 Modes differ in how oversized requests are handled: without replacement the
 draw is capped at the available set (taking everything is a zero-error
@@ -41,7 +43,6 @@ from .sampling import (
     seed_sequence,
     uniform_sample,
 )
-from .set_system import SetSystem, restrict, trace_count
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,6 @@ def expected_depth(delta: float, n: int) -> int:
     return max(0, math.ceil(math.log(v, 3))) if v > 1 else 0
 
 
-def _support_trace_count(system, sample: Sample) -> int:
-    if isinstance(system, SetSystem):
-        return trace_count(system, sample.bits)
-    return system.trace_count_for_support(len(sample.support_array))
-
-
 def _subsample_without(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
     pool = sample.support_array
     chosen = rng.permutation(len(pool))[:t]
@@ -143,7 +138,7 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
     levels = [HalvingLevel(base_delta, base_gamma, n, n, n, None)]
     for j in range(len(schedule) - 1, -1, -1):
         d, g = schedule[j]
-        tr = _support_trace_count(system, current)
+        tr = system.trace_count(current)
         req = basic_sample_size(ApproxParams(params.eps, d / 3.0, g / 2.0), tr)
         rng = make_rng(seed, j)
         if mode == WITHOUT:
@@ -190,25 +185,25 @@ def certified_halving(
     )
 
 
-def composition_check(system: SetSystem, a1: Sample, a2: Sample, eps, delta1, delta2) -> bool:
+def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bool:
     """Whether a2 is a relative (eps, d1 + d2 + d1 d2)-approximation of F,
     given (checked here) a2 <= a1 <= X, a1 a relative (eps, d1)-approximation
-    of F and a2 a relative (eps, d2)-approximation of F restricted to a1.
+    of F and a2 a relative (eps, d2)-approximation of the trace of F on a1
+    (`system.trace_on(a1)`, with a2 carried to the trace's positions).
 
     The property suite asserts this always returns True.  Fraction arguments
     make every comparison exact.
     """
     if a1.mode != WITHOUT or a2.mode != WITHOUT:
         raise ConstructionError("composition is defined for without-replacement samples")
-    if a2.bits & ~a1.bits:
+    if not np.isin(a2.support_array, a1.support_array).all():
         raise PreconditionFailed("a2 is not contained in a1")
     if not relative_error(system, a1, eps).passes(delta1):
         raise PreconditionFailed(f"a1 is not a relative ({eps}, {delta1})-approximation")
-    traced, _ = restrict(system, a1.bits)
     a2_traced = Sample(
         len(a1.support_array), np.searchsorted(a1.support_array, a2.support_array)
     )
-    if not relative_error(traced, a2_traced, eps).passes(delta2):
+    if not relative_error(system.trace_on(a1), a2_traced, eps).passes(delta2):
         raise PreconditionFailed(
             f"a2 is not a relative ({eps}, {delta2})-approximation of the trace"
         )
@@ -217,7 +212,7 @@ def composition_check(system: SetSystem, a1: Sample, a2: Sample, eps, delta1, de
 
 
 def combined_construction(
-    system: SetSystem,
+    system,
     params: ApproxParams,
     d: int,
     constants: Constants,
@@ -227,11 +222,13 @@ def combined_construction(
     """Two-stage construction: certified halving at (eps, delta/3), then a
     chaining-sized verified subsample of the trace at (eps, delta/3).  The
     composition rule makes the result a relative (eps, delta)-approximation.
+    Both stages run on the family's own protocol (`sampling`), so the trace
+    of an `ImplicitIntervals` family stays unmaterialized.
     """
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
-    traced, _ = restrict(system, a1.bits)
-    m1 = len(a1.support_array)
+    traced = system.trace_on(a1)
+    m1 = traced.n
     t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
     for attempt in range(max_retries):
         cand = uniform_sample(m1, t2, seed_sequence(seed, 1, attempt))

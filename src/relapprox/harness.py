@@ -21,20 +21,18 @@ from .chaining import build_chain, claim7_check
 from .errors import CalibrationError, ConstructionError
 from .packing import greedy_maximal_packing
 from .sampling import (
-    WITH,
     WITHOUT,
     ApproxParams,
     Constants,
-    Sample,
-    basic_sample_size,
     chaining_sample_size,
+    formula_sample_size,
     halving_sample_size,
     main_sample_size,
     relative_error,
     seed_sequence,
     uniform_sample,
 )
-from .set_system import SetSystem, read_json
+from .set_system import read_json
 
 CALIBRATION_GRID = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
 
@@ -279,25 +277,10 @@ def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
 def _cell_sizes(spec, params, system, constants) -> list[int]:
     if spec.t_values:
         return list(spec.t_values)
-    if spec.formula == "basic":
-        t = basic_sample_size(params, len(system))
-    elif spec.formula == "main":
-        t = main_sample_size(params, _need_d(spec), constants)
-    elif spec.formula == "halving":
-        t = halving_sample_size(params, _need_d(spec), constants)
-    elif spec.formula == "chaining":
-        t = chaining_sample_size(params, _need_d(spec), len(system), constants)
-    else:
-        raise ConstructionError(f"unknown formula {spec.formula!r}")
+    t = formula_sample_size(spec.formula, params, spec.d, len(system), constants)
     if spec.replacement_mode == WITHOUT:
         t = min(t, system.n)
     return [t]
-
-
-def _need_d(spec) -> int:
-    if spec.d is None:
-        raise ConstructionError(f"formula {spec.formula!r} needs the dimension d")
-    return spec.d
 
 
 CSV_COLUMNS = [

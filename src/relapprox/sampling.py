@@ -12,6 +12,17 @@ the two side winners are compared exactly (`worst_report`).  The type of
 `eps` only chooses the number type of the reported ratio: a Fraction gives
 the exact Fraction, a float gives the float abs(s/n - c/t) / max(s/n, eps)
 at the worst set.  `passes(delta)` compares that reported ratio to delta.
+
+The functions here take any family that answers one protocol: its
+ground-set size `n`, its number of sets `len(family)`, and, for a sample
+over [0, n), `error_report(sample, eps)` (the report above),
+`max_additive_numerator(sample)` (the largest |s t - c n|),
+`is_eps_net(sample, eps)`, `trace_count(sample)` (the number of distinct
+traces on the sample's support) and `trace_on(sample)` (the trace as a
+family of the same protocol over [0, |support|), the j-th support element
+becoming element j).  `set_system.SetSystem` answers it from its packed
+rows and `generators.ImplicitIntervals` from prefix sums and closed forms;
+no function here looks at the family's type.
 """
 
 from __future__ import annotations
@@ -22,13 +33,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import _bitops
 from .errors import ConstructionError
-from .set_system import SetSystem
+
+if TYPE_CHECKING:
+    from .set_system import SetSystem
 
 WITHOUT = "without"
 WITH = "with"
@@ -174,10 +187,6 @@ class Sample:
         return WITHOUT if self.multiplicity_array is None else WITH
 
     @cached_property
-    def bits(self) -> int:
-        return _bitops.unpack_masks(_bitops.pack_flags(self.counts_array()[None]))[0]
-
-    @cached_property
     def planes(self) -> np.ndarray:
         """Binary planes of the multiplicity as read-only packed rows: plane k
         holds the elements whose multiplicity has bit k set, so |A & S| is
@@ -314,11 +323,15 @@ def intersection_counts(system: SetSystem, sample: Sample) -> np.ndarray:
     )
 
 
-def _check_verifier_inputs(system, sample) -> None:
+def _check_ground_set(system, sample) -> None:
     if sample.n != system.n:
         raise ConstructionError(
             f"sample over [0, {sample.n}) but system over [0, {system.n})"
         )
+
+
+def _check_verifier_inputs(system, sample) -> None:
+    _check_ground_set(system, sample)
     if sample.t < 1:
         raise ConstructionError("sample has t = 0; densities are undefined")
 
@@ -397,39 +410,23 @@ def relative_error(system, sample: Sample, eps) -> ApproximationReport:
     Fraction eps the report carries the exact Fraction ratio, otherwise the
     float abs(s/n - c/t) / max(s/n, eps) of the worst set.
     """
-    if not isinstance(system, SetSystem):
-        return system.error_report(sample, eps)
-    _check_verifier_inputs(system, sample)
-    counts = intersection_counts(system, sample)
-    return worst_of_counts(system.n, sample.t, eps, system.sizes_array, counts)
+    return system.error_report(sample, eps)
 
 
 def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:
     return relative_error(system, sample, params.eps).passes(params.delta)
 
 
-def max_additive_numerator(system, sample: Sample) -> int:
-    """max over S of |s t - c n|, the largest additive error scaled by n t,
-    exactly (0 for an empty family)."""
-    if not isinstance(system, SetSystem):
-        return system.max_additive_numerator(sample)
-    _check_verifier_inputs(system, sample)
-    if len(system) == 0:
-        return 0
-    counts = intersection_counts(system, sample)
-    return int(error_numerators(system.n, sample.t, system.sizes_array, counts).max())
-
-
 def max_additive_error(system, sample: Sample) -> float:
     """max over S of | |S|/n - |A & S|/t |, as the float nearest the exact value."""
-    return max_additive_numerator(system, sample) / (system.n * sample.t)
+    return system.max_additive_numerator(sample) / (system.n * sample.t)
 
 
 def is_eps_approximation(system, sample: Sample, eps) -> bool:
     """Whether every set's additive error is at most eps, compared exactly:
     max |s t - c n| <= floor(eps n t) with eps taken as Fraction(eps)."""
     limit = math.floor(Fraction(eps) * system.n * sample.t)
-    return max_additive_numerator(system, sample) <= limit
+    return system.max_additive_numerator(sample) <= limit
 
 
 def big_size_limit(n: int, eps) -> int:
@@ -439,16 +436,7 @@ def big_size_limit(n: int, eps) -> int:
 
 def is_eps_net(system, sample: Sample, eps) -> bool:
     """Whether the sample hits every set of size >= eps * n, compared exactly."""
-    if not isinstance(system, SetSystem):
-        return system.is_eps_net(sample, eps)
-    _check_verifier_inputs(system, sample)
-    if len(system) == 0:
-        return True
-    big = system.sizes_array >= big_size_limit(system.n, eps)
-    if not big.any():
-        return True
-    counts = intersection_counts(system, sample)
-    return bool((counts[big] > 0).all())
+    return system.is_eps_net(sample, eps)
 
 
 # --- tail bound and sample-size formulas ------------------------------------
@@ -498,6 +486,24 @@ def chaining_sample_size(
     first = math.log(family_size / g) / (e * dl)
     second = (d * math.log(1 / e) + math.log(1 / g)) / (e * dl * dl)
     return math.ceil(constants.c2 * max(first, second))
+
+
+def formula_sample_size(
+    formula: str, params: ApproxParams, d: int | None, family_size: int, constants: Constants
+) -> int:
+    """The size given by the named formula: basic, main, halving or chaining.
+    Every formula but basic needs the dimension parameter d."""
+    if formula == "basic":
+        return basic_sample_size(params, family_size)
+    if formula not in ("main", "halving", "chaining"):
+        raise ConstructionError(f"unknown formula {formula!r}")
+    if d is None:
+        raise ConstructionError(f"formula {formula!r} needs the dimension d")
+    if formula == "main":
+        return main_sample_size(params, d, constants)
+    if formula == "halving":
+        return halving_sample_size(params, d, constants)
+    return chaining_sample_size(params, d, family_size, constants)
 
 
 def _check_dim(d: int) -> None:

@@ -1,9 +1,11 @@
 """Finite set systems over a ground set [0, n) and their combinatorial primitives.
 
-The ground set is always {0, ..., n-1}; a subset is a bitmask (Python int).
-A SetSystem stores a deduplicated, order-preserving family of subsets as one
-packed matrix (`_bitops`).  All operations here are pure; SetSystem is
-immutable and safe to share.
+The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
+order-preserving family of subsets as one packed matrix (`_bitops`) and
+answers the family protocol of `sampling` (verifiers, trace counts and
+traces on a sample) from it.  The combinatorial functions below take a
+subset as a bitmask (Python int).  All operations here are pure; SetSystem
+is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -19,47 +21,20 @@ import numpy as np
 
 from . import _bitops
 from .errors import ConstructionError, GuardExceeded
+from .sampling import (
+    ApproximationReport,
+    Sample,
+    _check_ground_set,
+    _check_verifier_inputs,
+    big_size_limit,
+    error_numerators,
+    intersection_counts,
+    worst_of_counts,
+)
 
 # Guards every family's index purchase: the rent ledger's read-modify-write
 # and the build, so concurrent queries build an index at most once.
 _INCIDENCE_LOCK = threading.Lock()
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of [0, n), with its cardinality cached."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConstructionError(f"ground set must be nonempty, got n={self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ConstructionError(
-                f"subset mask {bin(self.bits)} has members outside [0, {self.n})"
-            )
-
-    @cached_property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> list[int]:
-        return _bitops.indices_from_mask(self.bits).tolist()
-
-    @classmethod
-    def from_indices(cls, n: int, indices) -> "Subset":
-        bad = [i for i in indices if not 0 <= i < n]
-        if bad:
-            raise ConstructionError(f"index {bad[0]} outside ground set [0, {n})")
-        return cls(n, _bitops.mask_from_indices(indices))
-
-
-def symmetric_difference(a: Subset, b: Subset) -> Subset:
-    """Exact symmetric difference of two subsets of the same ground set."""
-    if a.n != b.n:
-        raise ConstructionError(f"ground-set size mismatch: {a.n} vs {b.n}")
-    return Subset(a.n, a.bits ^ b.bits)
 
 
 class SetSystem:
@@ -156,6 +131,42 @@ class SetSystem:
                     return None
             return self.incidence
 
+    # -- the family protocol (see `sampling`) --------------------------------
+
+    def error_report(self, sample: Sample, eps) -> ApproximationReport:
+        _check_verifier_inputs(self, sample)
+        counts = intersection_counts(self, sample)
+        return worst_of_counts(self.n, sample.t, eps, self.sizes_array, counts)
+
+    def max_additive_numerator(self, sample: Sample) -> int:
+        """max over S of |s t - c n|, the largest additive error scaled by
+        n t, exactly (0 for an empty family)."""
+        _check_verifier_inputs(self, sample)
+        if len(self) == 0:
+            return 0
+        counts = intersection_counts(self, sample)
+        return int(error_numerators(self.n, sample.t, self.sizes_array, counts).max())
+
+    def is_eps_net(self, sample: Sample, eps) -> bool:
+        _check_verifier_inputs(self, sample)
+        big = self.sizes_array >= big_size_limit(self.n, eps)
+        if not big.any():
+            return True
+        counts = intersection_counts(self, sample)
+        return bool((counts[big] > 0).all())
+
+    def trace_count(self, sample: Sample) -> int:
+        """|F|_A|, the number of distinct traces on the sample's support
+        (the union of its binary planes)."""
+        _check_ground_set(self, sample)
+        return _count_traces(self, np.bitwise_or.reduce(sample.planes, axis=0))
+
+    def trace_on(self, sample: Sample) -> "SetSystem":
+        """The trace F|_A over [0, |A|): support element support_array[j]
+        becomes element j."""
+        _check_ground_set(self, sample)
+        return _gather(self, sample.support_array)
+
 
 def _pack(n: int, masks, dedup: bool) -> np.ndarray:
     """The caller's int masks as packed rows; a bad set's index counts after dedup if `dedup`."""
@@ -183,40 +194,48 @@ def new_set_system(n: int, sets) -> SetSystem:
     return SetSystem.from_packed(n, _bitops.pack_flags(flags))
 
 
+def _count_traces(system: SetSystem, row: np.ndarray) -> int:
+    """The number of distinct rows of the family ANDed with the packed `row`."""
+    return len(_bitops.distinct_rows(system.packed & row))
+
+
+def _gather(system: SetSystem, columns: np.ndarray) -> SetSystem:
+    """The trace on the ascending `columns`, columns[j] becoming element j."""
+    traced = _bitops.gather_columns(system.packed, columns)
+    return SetSystem.from_packed(len(columns), traced)
+
+
 class RestrictResult(NamedTuple):
     system: SetSystem
     index_map: dict[int, int]  # original index -> dense index in the trace
 
 
-def restrict(system: SetSystem, y: int | Subset) -> RestrictResult:
+def restrict(system: SetSystem, y: int) -> RestrictResult:
     """Trace F|_Y as a SetSystem over Y re-indexed densely in ascending order."""
-    y_bits = y.bits if isinstance(y, Subset) else y
-    if y_bits < 0 or y_bits >> system.n:
+    if y < 0 or y >> system.n:
         raise ConstructionError("restriction set has members outside the ground set")
-    members = _bitops.indices_from_mask(y_bits)
+    members = _bitops.indices_from_mask(y)
     if not len(members):
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(members.tolist())}
-    traced = _bitops.gather_columns(system.packed, members)
-    return RestrictResult(SetSystem.from_packed(len(members), traced), index_map)
+    return RestrictResult(_gather(system, members), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:
     """Number of distinct traces |F|_Y| without materializing the trace system."""
     y_row = _bitops.pack_masks([y_bits & ((1 << system.n) - 1)], system.n)
-    return len(_bitops.distinct_rows(system.packed & y_row))
+    return _count_traces(system, y_row)
 
 
-def is_shattered(system: SetSystem, y: int | Subset, guard: int = 30) -> bool:
+def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
     """Whether the trace on Y realizes all 2^|Y| subsets of Y."""
-    y_bits = y.bits if isinstance(y, Subset) else y
-    k = y_bits.bit_count()
+    k = y.bit_count()
     if k > guard:
         raise GuardExceeded(
             f"|Y| = {k} exceeds the shatter guard of {guard}; "
             "pass a larger guard= to search sets this big"
         )
-    return trace_count(system, y_bits) == 1 << k
+    return trace_count(system, y) == 1 << k
 
 
 class VcResult(NamedTuple):

@@ -307,8 +307,9 @@ def test_c7_packing_trace_property_exhaustive():
 
 def _oracle_relative_ok(system, sample, eps, delta) -> bool:
     n, t = system.n, sample.t
+    sample_bits = sum(1 << e for e in sample.support)
     for mask, size in zip(system.masks, system.sizes):
-        cnt = (mask & sample.bits).bit_count()
+        cnt = (mask & sample_bits).bit_count()
         if abs(size / n - cnt / t) > delta * max(size / n, eps):
             return False
     return True

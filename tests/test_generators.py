@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relapprox.errors import ConstructionError
+from relapprox.errors import ConstructionError, RelApproxError
 from relapprox.generators import (
     ImplicitIntervals,
     PointSet2D,
@@ -18,12 +18,14 @@ from relapprox.generators import (
     random_system,
 )
 from relapprox.generators import _max_slope_at_least, _window_max_diff
+from relapprox.halving import composition_check
 from relapprox.sampling import (
     WITH,
     WITHOUT,
     Sample,
     is_eps_approximation,
     is_eps_net,
+    make_rng,
     max_additive_error,
     relative_error,
     uniform_sample,
@@ -146,7 +148,7 @@ def test_interval_vc_dimension_is_two():
 def test_implicit_matches_materialized():
     imp = ImplicitIntervals(9)
     mat = imp.materialize()
-    assert imp.family_size == len(mat)
+    assert len(imp) == len(mat)
     k = 0
     for i in range(9):
         for j in range(i, 9):
@@ -162,7 +164,39 @@ def test_implicit_trace_count_closed_form(n, data):
     imp = ImplicitIntervals(n)
     mat = imp.materialize()
     y = data.draw(st.integers(0, (1 << n) - 1))
-    assert imp.trace_count_for_support(y.bit_count()) == trace_count(mat, y)
+    assert imp.trace_count(Sample.from_mask(n, y)) == trace_count(mat, y)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except RelApproxError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 65])
+def test_both_interval_forms_answer_the_family_protocol_alike(n, mode):
+    imp, mat = ImplicitIntervals(n), intervals(n)
+    rng = make_rng(n, 9)
+    eps = Fraction(1, 4)
+    outcomes = set()
+    for seed in range(12):
+        t = int(rng.integers(1, 2 * n + 1)) if mode == WITH else int(rng.integers(1, n + 1))
+        a1 = uniform_sample(n, t, seed, mode=mode)
+        trace = mat.trace_on(a1)
+        assert imp.trace_on(a1).materialize() == trace
+        assert imp.trace_count(a1) == mat.trace_count(a1) == len(trace)
+        # a2 inside a1; the first delta holds exactly, the second varies
+        a2 = Sample(n, a1.support_array[rng.random(len(a1.support_array)) < 0.6])
+        delta1 = relative_error(mat, a1, eps).worst_ratio
+        delta2 = Fraction(seed % 3, 2)
+        got = _outcome(composition_check, imp, a1, a2, eps, delta1, delta2)
+        assert got == _outcome(composition_check, mat, a1, a2, eps, delta1, delta2)
+        outcomes.add(got if isinstance(got, bool) else got[0])
+    if mode == WITH:
+        assert outcomes == {ConstructionError}
 
 
 @settings(max_examples=60, deadline=None)

@@ -83,10 +83,10 @@ def test_subsample_helpers_nest():
     base = uniform_sample(200, 80, seed=9)
     sub = _subsample_without(base, 30, rng)
     assert sub.t == 30
-    assert sub.bits & ~base.bits == 0
+    assert set(sub.support) <= set(base.support)
     multi = _subsample_with(base, 500, rng)
     assert multi.t == 500
-    assert multi.bits & ~base.bits == 0
+    assert set(multi.support) <= set(base.support)
     assert sum(multi.multiplicity) == 500
 
 
@@ -138,8 +138,8 @@ def test_certified_retries_exhausted_surfaces_worst_ratio():
         class AlwaysBad:
             n = 50
 
-            def trace_count_for_support(self, m):
-                return m + 1
+            def trace_count(self, sample):
+                return len(sample.support_array) + 1
 
             def error_report(self, sample, eps):
                 return ApproximationReport(worst, 0, sample.t, eps)
@@ -233,6 +233,22 @@ def test_combined_construction_produces_verified_sample():
     assert sample.t <= 150
 
 
+def test_combined_construction_on_implicit_intervals_at_scale(calibrated_constants):
+    # the paper's two-stage pipeline on 10^5 points with nothing materialized:
+    # stage 2 samples the trace ImplicitIntervals(m1) at the chaining size,
+    # which does not grow with n
+    family = ImplicitIntervals(10**5)
+    params = ApproxParams(0.1, 0.25, 0.1)
+    stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
+    sample = combined_construction(family, params, d=2, constants=calibrated_constants, seed=0)
+    assert relative_error(family, sample, params.eps).passes(params.delta)
+    a1 = certified_halving(family, stage, seed_sequence(0, 0))
+    trace = family.trace_on(a1)
+    assert np.isin(sample.support_array, a1.support_array).all()
+    assert sample.t <= chaining_sample_size(stage, 2, len(trace), calibrated_constants)
+    assert sample.t < family.n
+
+
 def test_trace_json(tmp_path):
     _, trace = iterated_halving(ImplicitIntervals(2000), ApproxParams(0.5, 0.5, 0.5), seed=4)
     path = tmp_path / "trace.json"
@@ -272,7 +288,7 @@ def _tuple_subsample_with(sample, t, rng):
 def _tuple_combined_construction(system, params, d, constants, seed, max_retries=5):
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
-    traced, _ = restrict(system, a1.bits)
+    traced, _ = restrict(system, sum(1 << e for e in a1.support))
     m1 = len(a1.support)
     t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
     for attempt in range(max_retries):

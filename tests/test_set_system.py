@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from relapprox.errors import ConstructionError, GuardExceeded
 from relapprox.set_system import (
     SetSystem,
-    Subset,
     growth_bound_check,
     is_shattered,
     new_set_system,
     read_json,
     restrict,
-    symmetric_difference,
     trace_count,
     vc_dimension,
     write_json,
@@ -186,41 +184,6 @@ def test_restrict_rejects_empty_and_outside_sets():
         restrict(system, 0b1000)
     with pytest.raises(ConstructionError, match="outside the ground set"):
         restrict(system, -1)
-
-
-# --- symmetric difference ----------------------------------------------------
-
-
-def test_symmetric_difference_basic():
-    a = Subset.from_indices(3, [0, 1])
-    b = Subset.from_indices(3, [1, 2])
-    d = symmetric_difference(a, b)
-    assert d.indices() == [0, 2]
-    assert d.size == 2
-
-
-def test_symmetric_difference_identity_and_empty():
-    s = Subset.from_indices(4, [1, 3])
-    assert symmetric_difference(s, s).size == 0
-    empty = Subset(4, 0)
-    assert symmetric_difference(s, empty).bits == s.bits
-
-
-def test_symmetric_difference_mismatched_ground_sets():
-    with pytest.raises(ConstructionError, match="mismatch"):
-        symmetric_difference(Subset(2, 1), Subset(3, 1))
-
-
-@given(st.integers(1, 10), st.data())
-def test_symmetric_difference_is_a_metric(n, data):
-    masks = data.draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * 3))
-    a, b, c = (Subset(n, m) for m in masks)
-    dab = symmetric_difference(a, b).size
-    dbc = symmetric_difference(b, c).size
-    dac = symmetric_difference(a, c).size
-    assert dac <= dab + dbc
-    assert dab == (a.bits & ~b.bits).bit_count() + (b.bits & ~a.bits).bit_count()
-    assert (dab == 0) == (a.bits == b.bits)
 
 
 # --- shattering and VC dimension ----------------------------------------------
