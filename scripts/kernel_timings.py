@@ -14,11 +14,7 @@ repeats:
 - `ns_per_entry`: `incidence_counts` for t = 200 distinct elements, per
   incidence entry gathered (`_bitops.NS_PER_ENTRY`);
 - `ns_per_build_word`: `build_incidence`, per packed word
-  (`_bitops.NS_PER_BUILD_WORD`);
-- `nearest_ns_per_word`: `nearest_rows` with K query rows, per packed word
-  and query row, for K in 1, 17 and 186 (a K-row call costs about
-  K * m * words times this; one `xor_sizes` scan costs m * words times
-  `ns_per_word`).
+  (`_bitops.NS_PER_BUILD_WORD`).
 
 The report repeats the constants stated in `_bitops` beside the measured
 figures.  `sampling.count_costs` chooses the counting strategy from those
@@ -40,7 +36,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from relapprox import _bitops  # noqa: E402
 
 WIDTHS = (7, 64, 128)
-NEAREST_K = (1, 17, 186)
 MATRIX_BYTES = 4 << 20
 SAMPLE_T = 200
 
@@ -80,11 +75,6 @@ def measure(w: int, repeats: int, rng) -> dict:
         / entries
         * 1e9
     )
-    out["nearest_ns_per_word"] = {}
-    for k in NEAREST_K:
-        rows = packed[rng.choice(m, size=k, replace=False)]
-        secs = cpu_seconds(lambda: _bitops.nearest_rows(packed, rows), repeats)
-        out["nearest_ns_per_word"][str(k)] = secs / (words * k) * 1e9
     return out
 
 

@@ -25,22 +25,12 @@ scans that it would have undercut have cost as much as building it
 (`SetSystem.incidence_when_paid`); a family queried once or twice keeps the
 dense scan.
 
-Two more kernels read the packed matrix in row blocks that stay in L2:
-
-- `nearest_rows`, the nearest of K query rows under symmetric-difference
-  distance for every row (packing certificates: the packing layer calls it
-  once per group of sets sharing a hint, with the members near that hint,
-  and once over all rows against the seeds of a seeded greedy scan).  Each
-  row block meets all
-  K rows word by word, summing popcounts into a (block, K) int32 buffer;
-  its transients are block * K * 13 B (xor, popcount and sum) plus the
-  block, about `_BLOCK_BYTES` in all.  It beats K `xor_sizes` scans, whose
-  per-row sum dominates on narrow rows, from a few rows up, and loses to
-  one scan at K = 1.
-- `gather_columns`, the trace of every row on a set of columns
-  (`SetSystem.trace_on`, `restrict`): each row block is unpacked to one
-  byte per bit (64 B per word, about `_BLOCK_BYTES`), its columns gathered
-  and packed again.
+`gather_columns` reads the packed matrix in row blocks that stay in L2: the
+trace of every row on a set of columns (`SetSystem.trace_on`, `restrict`).
+Each row block is unpacked to one byte per bit (64 B per word, about
+`_BLOCK_BYTES`), its columns gathered and packed again.  Packing
+(`pack_flags`) pads the rows to whole words and packs the flat array in one
+`packbits`, a third of the cost of packing row by row.
 """
 
 from __future__ import annotations
@@ -92,11 +82,19 @@ def pack_masks(masks: Iterable[int], n: int) -> np.ndarray:
 
 
 def pack_flags(flags: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D (rows, n) flag array (nonzero = member) as packed rows."""
+    """The rows of a 2-D (rows, n) flag array (nonzero = member) as packed rows.
+
+    One `packbits` over the flat array, which costs a third of a per-row
+    (axis=1) pack: rows are first padded to whole words, unless they are bool
+    flags that already fill them.
+    """
     rows, n = flags.shape
-    out = np.zeros((rows, 8 * words_needed(n)), dtype=np.uint8)
-    out[:, : (n + 7) // 8] = np.packbits(flags, axis=1, bitorder="little")
-    return out.view("<u8")
+    width = 64 * words_needed(n)
+    if n != width or flags.dtype != bool:
+        padded = np.zeros((rows, width), dtype=bool)
+        padded[:, :n] = flags
+        flags = padded
+    return np.packbits(flags, bitorder="little").view("<u8").reshape(rows, width // 64)
 
 
 def unpack_masks(packed: np.ndarray) -> tuple[int, ...]:
@@ -111,12 +109,25 @@ def int_order(packed: np.ndarray) -> np.ndarray:
     return np.lexsort(packed.T)
 
 
-def distinct_rows(packed: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row."""
+def distinct_rows(packed: np.ndarray, labels: bool = False):
+    """Ascending indices of the first occurrence of every distinct row; with
+    `labels`, also each row's class, the position of its first occurrence
+    among those indices (so packed[first][label] equals packed), both from
+    one stable sort."""
     rows = np.ascontiguousarray(packed).view(np.dtype((np.void, 8 * packed.shape[1])))[:, 0]
     order = np.argsort(rows, kind="stable")  # equal rows side by side, in index order
-    ordered = rows[order]
-    return np.sort(np.concatenate((order[:1], order[1:][ordered[1:] != ordered[:-1]])))
+    new = np.ones(len(rows), dtype=bool)  # the rows that differ from the one before
+    step = max(1, _BLOCK_BYTES // rows.itemsize)
+    for s in range(0, len(rows), step):
+        ordered = rows[order[s : s + step + 1]]
+        new[s + 1 : s + len(ordered)] = ordered[1:] != ordered[:-1]
+    heads = order[new]  # first occurrences, in row-value order
+    first = np.sort(heads)
+    if not labels:
+        return first
+    label = np.empty(len(rows), dtype=np.int64)
+    label[order] = np.searchsorted(first, heads)[np.cumsum(new) - 1]
+    return first, label
 
 
 def rows_outside(packed: np.ndarray, n: int) -> np.ndarray:
@@ -160,40 +171,6 @@ def xor_sizes(packed: np.ndarray, row: np.ndarray) -> np.ndarray:
     return _bulk_op_sizes(packed, row, np.bitwise_xor)
 
 
-def nearest_rows(packed: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For every row S_i of `packed`, min_k |S_i ^ rows[k]| and the lowest k
-    attaining it, as int64 (int64 max and -1 when `rows` is empty).
-
-    One pass over `packed`: each row block meets all K rows word by word,
-    adding popcounts into a (block, K) int32 buffer, so there is no per-row
-    sum and no (m, K) matrix.
-    """
-    m, w = packed.shape
-    k = len(rows)
-    dist = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
-    arg = np.full(m, -1, dtype=np.int64)
-    if k == 0 or m == 0:
-        return dist, arg
-    cols = np.ascontiguousarray(rows.T)
-    # the xor, popcount and sum buffers (13 B per pair) and the block itself
-    step = min(m, max(1, _BLOCK_BYTES // (13 * k + 8 * w)))
-    xor = np.empty((step, k), dtype=np.uint64)
-    cnt = np.empty((step, k), dtype=np.uint8)
-    acc = np.empty((step, k), dtype=np.int32)
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        x, c, a = xor[: e - s], cnt[: e - s], acc[: e - s]
-        block = np.ascontiguousarray(packed[s:e].T)
-        a.fill(0)
-        for j in range(w):
-            np.bitwise_xor(block[j][:, None], cols[j], out=x)
-            a += np.bitwise_count(x, out=c)
-        best = a.argmin(axis=1)
-        arg[s:e] = best
-        dist[s:e] = np.take_along_axis(a, best[:, None], axis=1)[:, 0]
-    return dist, arg
-
-
 def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Every row of `packed` restricted to `columns`, element columns[j]
     becoming bit j, as a packed matrix over [0, len(columns)).
@@ -206,7 +183,7 @@ def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (64 * w))
     for s in range(0, m, step):
         bits = np.unpackbits(packed[s : s + step].view(np.uint8), axis=1, bitorder="little")
-        out[s : s + step] = pack_flags(bits[:, columns])
+        out[s : s + step] = pack_flags(bits.view(bool)[:, columns])
     return out
 
 

@@ -85,9 +85,11 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
     """Construct nested maximal packings and the per-level difference families.
 
     Nesting is enforced by seeding each finer greedy scan with the coarser
-    packing's members, which keeps "P_{i+1} minus P_i" well defined; nesting
-    and the parent distances (so the part sizes) are re-verified.  A level's
-    parts are formed at once from the packed rows of its sets and parents.
+    packing, which keeps "P_{i+1} minus P_i" well defined (its cover map
+    hints every set's nearest seed); nesting and the parent distances (so
+    the part sizes) are re-verified.  A level's parts are formed at once
+    from the packed rows of its sets and parents, and one sort of them
+    yields the distinct parts of each half and of both.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConstructionError(f"need eps, delta in (0, 1), got {(eps, delta)}")
@@ -98,7 +100,7 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
 
     packings: list[Packing] = []
     for i in range(k + 1):
-        seeds = packings[-1].member_indices if packings else ()
+        seeds = packings[-1] if packings else ()
         packings.append(greedy_maximal_packing(system, chain_scale(eps, n, i), seeds))
 
     levels = []
@@ -110,8 +112,12 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
         far = np.flatnonzero(distances >= alpha)
         if len(far):
             raise AuditFailure(f"parent distance at level {i} is >= alpha for set {sets[far[0]]}")
-        a_count, b_count = (len(_bitops.distinct_rows(part)) for part in np.split(ab_rows, 2))
-        ab_family = SetSystem.from_packed(n, ab_rows)
+        first, label = _bitops.distinct_rows(ab_rows, labels=True)
+        a_count, b_count = (
+            int(np.count_nonzero(np.bincount(half, minlength=len(first))))
+            for half in np.split(label, 2)
+        )
+        ab_family = SetSystem._of_distinct(n, ab_rows[first])
         levels.append(ChainLevel(i, alpha, packings[i], ab_family, a_count, b_count))
     return ChainDecomposition(system, eps, delta, k, tuple(levels))
 

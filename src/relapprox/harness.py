@@ -181,11 +181,21 @@ def minimal_sample_size_search(
 # --- experiment sweeps --------------------------------------------------------
 
 
+# The keys each generated family needs in its descriptor.
+_FAMILY_KEYS = dict(
+    intervals=("n",), implicit_intervals=("n",), power_set=("n",),
+    random=("n", "m", "p"), halfplanes=("points",), rectangles=("points",),
+)
+
+
 def system_from_descriptor(desc: dict):
     """Build a system from a JSON-able descriptor (generator or file path)."""
     if "path" in desc:
         return read_json(desc["path"]).system
     family = desc.get("family")
+    for key in _FAMILY_KEYS.get(family, ()):
+        if desc.get(key) is None:
+            raise ConstructionError(f"family {family!r} needs {key!r}")
     if family == "intervals":
         return generators.intervals(desc["n"])
     if family == "implicit_intervals":

@@ -8,15 +8,16 @@ set's nearest admitted member, ties to the lowest member index) doubles as
 the maximality certificate.
 
 Nearest members are found by a hinted search: each set comes with one member
-(its hint), and the sets sharing a hint meet only the members in a ball
-around it that the triangle inequality proves holds their nearest members,
-ties included, whatever the hint (pivot-based exact search).  The greedy
-scan's hints are each set's nearest seed, or the admitted member that first
-came within alpha of it; after one pass over the seeds its admit loop scans
-only the sets still >= alpha from every member so far, and the cover map is
-one hinted search at the end.  The verifier hints with each set's claimed
-cover when that is a member, so a wrong claim only widens the search and its
-verdict never rests on the certificate.
+(its hint) and meets only the members in its own ball around the hint, which
+the triangle inequality proves holds its nearest members, ties included,
+whatever the hint (pivot-based exact search).  The greedy scan's hints are
+each set's nearest seed, or the admitted member that first came within alpha
+of it; seeds given as a coarser `Packing` come with their cover map, which
+hints the nearest seeds themselves.  After one pass over the seeds the admit
+loop scans only the sets still >= alpha from every member so far, and the
+cover map is one hinted search at the end.  The verifier hints with each
+set's claimed cover when that is a member, so a wrong claim only widens the
+search and its verdict never rests on the certificate.
 """
 
 from __future__ import annotations
@@ -85,38 +86,60 @@ def _nearest_member(
     """Every set's distance to its nearest member and that member's index,
     ties to the lowest index (int64 max and -1 without members).
 
-    `hint` holds a member index for every set, or -1.  The sets hinted with
-    member h meet only the members within 2R of h, R the largest distance of
-    one of them to h: a member m at least as near to S as h has
-    d(h, m) <= d(h, S) + d(S, m) <= 2 d(S, h), so the nearest members, ties
-    included, are in that ball whatever the hint.  Unhinted sets meet every
-    member.
+    `hint` holds a member index for every set, or -1 for the lowest member.
+    A set S hinted with h meets only the members m with d(h, m) <= 2 d(S, h):
+    a member at least as near to S as h has d(h, m) <= d(h, S) + d(S, m)
+    <= 2 d(S, h), so the nearest members, ties included, are among them
+    whatever the hint.  With each row of the member distance table sorted,
+    those candidates are a prefix of the hint's row.  The sets, ordered by
+    candidate count, meet their j-th candidates together at step j, one
+    L2-sized block of sets at a time.
     """
     packed = system.packed
-    order = np.sort(members)
-    dist = np.full(len(system), _BIG, dtype=np.int64)
-    arg = np.full(len(system), -1, dtype=np.int64)
-    if not len(order):
-        return dist, arg
-    hinted = np.flatnonzero(hint >= 0)
-    rows = hinted[np.argsort(hint[hinted], kind="stable")]
-    hints, starts = np.unique(hint[rows], return_index=True)
-    reach = np.zeros(len(rows), dtype=np.int64)  # d(S, hint), a word column at a time
-    for col in packed.T:
-        reach += np.bitwise_count(col[rows] ^ col[hint[rows]])
-    radius = np.maximum.reduceat(reach, starts)
-    balls = _distance_table(packed, hints, order) <= 2 * radius[:, None]
-    groups = [(np.flatnonzero(hint < 0), order)]
-    groups += zip(np.split(rows, starts[1:]), (order[ball] for ball in balls))
-    for sets, near in groups:
-        if len(sets):
-            dist[sets], k = _bitops.nearest_rows(packed[sets], packed[near])
-            arg[sets] = near[k]
+    order = np.unique(members)
+    fam, k = len(system), len(order)
+    if not k:
+        return np.full(fam, _BIG, dtype=np.int64), np.full(fam, -1, dtype=np.int64)
+    member_words = np.ascontiguousarray(packed[order].T)
+    rank = np.searchsorted(order, hint)  # -1 sorts first, to the lowest member
+    reach = np.zeros(fam, dtype=np.int64)  # d(S, hint), a word column at a time
+    for col, member_col in zip(packed.T, member_words):
+        reach += np.bitwise_count(col ^ member_col[rank])
+    hinted = np.bincount(rank, minlength=k) > 0
+    row = np.cumsum(hinted)[rank] - 1  # the row of the set's hint in the table
+    table = _distance_table(packed, order[hinted], order)
+    near = np.argsort(table, axis=1, kind="stable")
+    # one searchsorted over the sorted rows laid end to end, row r shifted
+    # by r * span (a distance is at most n, a bound 2 d(S, h) at most 2n)
+    span = 2 * system.n + 1
+    flat = np.take_along_axis(table, near, axis=1) + span * np.arange(len(table))[:, None]
+    count = np.searchsorted(flat.ravel(), span * row + 2 * reach, side="right") - k * row
+    by = np.argsort(-count, kind="stable")
+    # candidate 0 is the hint itself (members are distinct); the best so far
+    # is kept as distance * k + member rank, so ties go to the lowest rank
+    best = reach[by] * k + rank[by]
+    count, row, near = count[by], row[by], np.ascontiguousarray(near.T)
+    # a block's words and per-set buffers stay in L2
+    step = max(1, _bitops._BLOCK_BYTES // (8 * len(member_words) + 32))
+    for s in range(0, fam, step):
+        if count[s] < 2:
+            break
+        words = np.ascontiguousarray(packed[by[s : s + step]].T)
+        serves = np.searchsorted(-count[s : s + step], -np.arange(1, count[s]), side="left")
+        block_best, block_row = best[s : s + step], row[s : s + step]
+        for j, p in enumerate(serves.tolist(), start=1):
+            cand = near[j][block_row[:p]]
+            apart = np.zeros(p, dtype=np.int64)
+            for word, member_col in zip(words, member_words):
+                apart += np.bitwise_count(word[:p] ^ member_col[cand])
+            np.minimum(block_best[:p], apart * k + cand, out=block_best[:p])
+    dist, arg = np.empty(fam, dtype=np.int64), np.empty(fam, dtype=np.int64)
+    dist[by], arg[by] = best // k, order[best % k]
     return dist, arg
 
 
 def greedy_maximal_packing(
-    system: SetSystem, alpha, seed_members: Sequence[int] = ()
+    system: SetSystem, alpha, seed_members: Sequence[int] | Packing = ()
 ) -> Packing:
     """Scan in family-index order, admitting every set >= alpha from all
     admitted members.
@@ -124,10 +147,21 @@ def greedy_maximal_packing(
     `seed_members` are admitted first, in the given order; they must
     themselves be pairwise >= alpha apart.  Seeding a coarser packing yields
     a maximal finer packing that contains it (used by the chain builder).
+    Given a `Packing`, its members are the seeds and its cover map hints
+    each set's nearest seed (an entry that is not a seed hints nothing); the
+    result does not depend on the hints.
     """
     if not alpha > 0:
         raise ConstructionError(f"alpha must be positive, got {alpha}")
     fam = len(system)
+    seed_hint = np.full(fam, -1)
+    if isinstance(seed_members, Packing):
+        seed_hint = seed_members.cover_array
+        if len(seed_hint) != fam:
+            raise ConstructionError(
+                f"seed packing covers {len(seed_hint)} sets, the family has {fam}"
+            )
+        seed_members = seed_members.member_indices
     if fam == 0:
         return Packing(alpha, (), ())
 
@@ -148,7 +182,8 @@ def greedy_maximal_packing(
     # a set's hint is its nearest seed, or else the admitted member that took
     # it out of the far set (the sets still >= alpha from every member so far);
     # each admit scans only what is left of the far set
-    seed_dist, hint = _nearest_member(system, seeds, np.full(fam, -1))
+    seed_hint = np.where(np.isin(seed_hint, seeds), seed_hint, -1)
+    seed_dist, hint = _nearest_member(system, seeds, seed_hint)
     members = [int(k) for k in seed_members]
     far = np.flatnonzero(seed_dist >= need)
     rows = system.packed[far]

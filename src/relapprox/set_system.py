@@ -66,7 +66,11 @@ class SetSystem:
         rows, w = np.asarray(rows), _bitops.words_needed(n)
         if rows.dtype != np.uint64 or rows.ndim != 2 or rows.shape[1] != w:
             raise ConstructionError(f"packed rows must be a uint64 array of {w} words per set")
-        packed = rows[_bitops.distinct_rows(rows)]
+        return cls._of_distinct(n, rows[_bitops.distinct_rows(rows)])
+
+    @classmethod
+    def _of_distinct(cls, n: int, packed: np.ndarray) -> "SetSystem":
+        """The family of packed rows known to be distinct, taking over the array."""
         bad = _bitops.rows_outside(packed, n)
         if len(bad):
             raise ConstructionError(f"set #{bad[0]} has members outside [0, {n})")

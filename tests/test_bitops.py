@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,38 +115,55 @@ def test_incidence_uses_uint16_ids_up_to_65536_sets():
     assert members.tolist() == [k for k in range(1 << 16) if k >> 3 & 1]
 
 
+def reference_pack_flags(flags: np.ndarray) -> np.ndarray:
+    """Packed rows by a per-row pack (axis=1), padded to whole words."""
+    rows, n = flags.shape
+    out = np.zeros((rows, 8 * _bitops.words_needed(n)), dtype=np.uint8)
+    out[:, : (n + 7) // 8] = np.packbits(flags, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 400, 7056])
+@pytest.mark.parametrize("rows", [0, 1, 37])
+def test_pack_flags_matches_the_per_row_pack(n, rows):
+    flags = make_rng(n + rows).random((rows, n)) < 0.3
+    want = reference_pack_flags(flags)
+    for given_flags in (flags, flags.astype(np.uint8), flags.astype(np.int64)):
+        got = _bitops.pack_flags(given_flags)
+        assert got.dtype == np.dtype("<u8") and got.shape == (rows, _bitops.words_needed(n))
+        assert np.array_equal(got, want)
+    if rows:
+        assert _bitops.unpack_masks(want) == tuple(
+            _bitops.mask_from_indices(np.flatnonzero(row).tolist()) for row in flags
+        )
+
+
+@pytest.mark.parametrize("n", [5, 64, 130])
+@pytest.mark.parametrize("keep", [0, 1, 7, 9, 63, 65, 100])
+def test_gather_columns_matches_int_masks(monkeypatch, n, keep):
+    rng = make_rng(7 * n + keep)
+    masks = random_masks(n, 50, 0.4, rng)
+    columns = np.sort(rng.choice(n, size=min(keep, n), replace=False))
+    want = [
+        sum(1 << j for j, e in enumerate(columns.tolist()) if mask >> e & 1) for mask in masks
+    ]
+    packed = _bitops.pack_masks(masks, n)
+    for block in (1 << 19, 64):  # one row block, then one or a few rows a block
+        monkeypatch.setattr(_bitops, "_BLOCK_BYTES", block)
+        got = _bitops.gather_columns(packed, columns)
+        assert got.shape == (50, _bitops.words_needed(len(columns)))
+        assert list(_bitops.unpack_masks(got)) == want
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.sampled_from([1, 7, 64, 65, 200]),
-    m=st.integers(0, 120),
-    k=st.integers(0, 12),
-    spots=st.integers(1, 6),
-    seed=st.integers(0, 2**32),
-)
-def test_nearest_rows_matches_brute_force(n, m, k, spots, seed):
-    # sets over a few positions, so distances tie often
-    rng = make_rng(seed)
-    pos = rng.choice(n, size=min(n, spots), replace=False)
-
-    def draw(count):
-        return [sum(1 << int(e) for e in pos if rng.random() < 0.5) for _ in range(count)]
-    rows, queries = draw(m), draw(k)
-    dist, arg = _bitops.nearest_rows(_bitops.pack_masks(rows, n), _bitops.pack_masks(queries, n))
-    for i, r in enumerate(rows):
-        if not queries:
-            assert (dist[i], arg[i]) == (np.iinfo(np.int64).max, -1)
-            continue
-        d = [(r ^ q).bit_count() for q in queries]
-        assert (dist[i], arg[i]) == (min(d), d.index(min(d)))
-
-
-def test_nearest_rows_across_row_blocks_matches_xor_scans():
-    # 200 query rows make row blocks of about 200 rows, so 3,000 rows span many
-    rng = make_rng(3)
-    rows = [int(rng.integers(0, 2**40)) << int(rng.integers(0, 160)) for _ in range(3000)]
-    packed = _bitops.pack_masks(rows, 200)
-    queries = packed[rng.choice(3000, size=200, replace=False)]
-    dist, arg = _bitops.nearest_rows(packed, queries)
-    scans = np.stack([_bitops.xor_sizes(packed, q) for q in queries], axis=1)
-    assert (dist == scans.min(axis=1)).all()
-    assert (arg == scans.argmin(axis=1)).all()
+@given(st.lists(st.integers(0, 7), max_size=30), st.sampled_from([1, 65]))
+def test_distinct_rows_first_occurrences_and_labels(values, n):
+    packed = _bitops.pack_masks([v << (n - 1) for v in values], n + 2)
+    want = sorted({v: i for i, v in reversed(list(enumerate(values)))}.values())
+    for block in (_bitops._BLOCK_BYTES, 16):  # then a row or two a block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_bitops, "_BLOCK_BYTES", block)
+            first, label = _bitops.distinct_rows(packed, labels=True)
+            assert np.array_equal(_bitops.distinct_rows(packed), first)
+        assert first.tolist() == want
+        assert np.array_equal(packed[first][label], packed)

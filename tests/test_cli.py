@@ -207,6 +207,21 @@ def test_usage_errors_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--family", "intervals"], "'n'"),
+        (["--family", "random", "--n", "10"], "'m'"),
+    ],
+)
+def test_generate_without_a_family_size_exits_2(tmp_path, capsys, argv, missing):
+    out = tmp_path / "x.json"
+    assert run("generate", *argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"needs {missing}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "system_doc, sample_doc",
     [
         ('{"n": 3, "sets": [5]}', '{"n": 3, "members": [0, 2]}'),

@@ -172,6 +172,21 @@ def test_system_descriptor_from_file(tmp_path):
     assert len(system) == 29
 
 
+@pytest.mark.parametrize(
+    "desc, missing",
+    [
+        ({"family": "intervals"}, "n"),
+        ({"family": "implicit_intervals", "n": None}, "n"),
+        ({"family": "random", "n": 10, "p": 0.5}, "m"),
+        ({"family": "random", "n": 10, "m": 5}, "p"),
+        ({"family": "halfplanes", "seed": 1}, "points"),
+    ],
+)
+def test_system_descriptor_names_its_missing_key(desc, missing):
+    with pytest.raises(ConstructionError, match=f"needs '{missing}'"):
+        system_from_descriptor(desc)
+
+
 # --- calibration ----------------------------------------------------------------------
 
 

@@ -194,12 +194,33 @@ def test_greedy_matches_pure_python_reference(system, alpha, data):
     assert (packing.member_indices, packing.cover_map) == reference_greedy(system.masks, alpha)
     if alpha > 1:
         # a coarser reference packing, admitted first in an arbitrary order
-        coarse, _ = reference_greedy(system.masks, data.draw(st.sampled_from([alpha, 2 * alpha])))
+        coarse_alpha = data.draw(st.sampled_from([alpha, 2 * alpha]))
+        coarse, true_cover = reference_greedy(system.masks, coarse_alpha)
         seeds = data.draw(st.permutations(coarse))
         seeded = greedy_maximal_packing(system, alpha, seed_members=seeds)
         want = reference_greedy(system.masks, alpha, seeds)
         assert (seeded.member_indices, seeded.cover_map) == want
         verify_packing(system, seeded)
+        # the same seeds as a Packing, whose cover map only hints
+        outside = [i for i in range(len(system)) if i not in coarse] + [-1, len(system)]
+        covers = (
+            true_cover,
+            data.draw(st.permutations(true_cover)),
+            data.draw(st.lists(st.sampled_from(outside), min_size=len(system), max_size=len(system))),
+        )
+        for cover in covers:
+            seeded = greedy_maximal_packing(system, alpha, Packing(coarse_alpha, tuple(seeds), cover))
+            assert (seeded.member_indices, seeded.cover_map) == want
+
+
+def test_seed_packing_must_cover_the_family():
+    system = new_set_system(4, [[0], [1], [2, 3]])
+    coarse = greedy_maximal_packing(system, 2.0)
+    for cover in (coarse.cover_map[:-1], coarse.cover_map + (0,)):
+        with pytest.raises(ConstructionError, match="seed packing covers"):
+            greedy_maximal_packing(system, 2.0, Packing(2.0, coarse.member_indices, cover))
+    fine = greedy_maximal_packing(system, 2.0, coarse)
+    assert (fine.member_indices, fine.cover_map) == (coarse.member_indices, coarse.cover_map)
 
 
 def test_seeded_greedy_names_the_first_seed_too_close_to_an_earlier_one():
@@ -263,9 +284,8 @@ HINTS = ("nearest", "farthest", "tied-higher", "any", "none")
 def test_hinted_nearest_member_matches_unpruned_scan(system, data):
     fam, masks = len(system), system.masks
     members = data.draw(st.lists(st.integers(0, fam - 1), min_size=1, unique=True))
-    order = np.sort(members)
-    want_dist, k = _bitops.nearest_rows(system.packed, system.packed[order])
-    want = order[k]
+    want = [min(members, key=lambda m: ((masks[i] ^ masks[m]).bit_count(), m)) for i in range(fam)]
+    want_dist = [(masks[i] ^ masks[m]).bit_count() for i, m in enumerate(want)]
     farthest = farthest_members(masks, members)
     kinds = data.draw(st.lists(st.sampled_from(HINTS), min_size=fam, max_size=fam))
     hint = []
@@ -277,9 +297,12 @@ def test_hinted_nearest_member_matches_unpruned_scan(system, data):
             hint.append(data.draw(st.sampled_from(members)))
         else:
             hint.append({"nearest": want[i], "farthest": farthest[i], "none": -1}[kind])
-    dist, got = _nearest_member(system, np.array(members), np.array(hint))
-    assert dist.tolist() == want_dist.tolist()
-    assert got.tolist() == want.tolist()
+    for block in (_bitops._BLOCK_BYTES, 64):  # then a set or two a block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_bitops, "_BLOCK_BYTES", block)
+            dist, got = _nearest_member(system, np.array(members), np.array(hint))
+        assert dist.tolist() == want_dist
+        assert got.tolist() == want
 
 
 def test_distance_table_in_small_row_blocks(monkeypatch):
