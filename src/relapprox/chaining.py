@@ -70,15 +70,20 @@ def chain_scale(eps: float, n: int, i: int) -> float:
     return eps * n / 2.0**i
 
 
-def _finer_sets(packings: list[Packing], i: int, fam: int) -> np.ndarray:
-    """Ascending indices of P_{i+1} \\ P_i (P_{k+1} = F); AuditFailure unless P_i <= P_{i+1}."""
-    fine = np.zeros(fam, dtype=bool)
+def _level_parts(system: SetSystem, packings: list[Packing], i: int):
+    """Level i's sets, the ascending indices of P_{i+1} \\ P_i (P_{k+1} = F),
+    their part rows against their parents (`_part_rows`) and the parent
+    distances |S Delta parent|; AuditFailure unless P_i <= P_{i+1}."""
+    fine = np.zeros(len(system), dtype=bool)
     fine[list(packings[i + 1].member_indices) if i + 1 < len(packings) else slice(None)] = True
     coarse = list(packings[i].member_indices)
     if not fine[coarse].all():
         raise AuditFailure("packings are not nested")
     fine[coarse] = False
-    return np.flatnonzero(fine)
+    sets = np.flatnonzero(fine)
+    rows = _part_rows(system.packed, sets, packings[i].cover_array[sets])
+    sizes = _bitops.popcount_words(rows).sum(axis=1, dtype=np.int64)
+    return sets, rows, sizes.reshape(2, -1).sum(axis=0)
 
 
 def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecomposition:
@@ -105,10 +110,8 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
 
     levels = []
     for i in range(k + 1):
-        sets = _finer_sets(packings, i, len(system))
+        sets, ab_rows, distances = _level_parts(system, packings, i)
         alpha = chain_scale(eps, n, i)
-        ab_rows = _part_rows(system.packed, sets, packings[i].cover_array[sets])
-        distances = _bitops.popcount_words(ab_rows).sum(axis=1).reshape(2, -1).sum(axis=0)
         far = np.flatnonzero(distances >= alpha)
         if len(far):
             raise AuditFailure(f"parent distance at level {i} is >= alpha for set {sets[far[0]]}")
@@ -407,7 +410,4 @@ def write_chain_summary(chain: ChainDecomposition, path) -> None:
 
 def parent_distances(chain: ChainDecomposition, level: int) -> np.ndarray:
     """|Delta(S, parent)| for each S in P_{level+1} \\ P_level, in index order."""
-    packings = [lv.packing for lv in chain.levels]
-    rows = _finer_sets(packings, level, len(chain.system))
-    parts = _part_rows(chain.system.packed, rows, packings[level].cover_array[rows])
-    return _bitops.popcount_words(parts).sum(axis=1, dtype=np.int64).reshape(2, -1).sum(axis=0)
+    return _level_parts(chain.system, [lv.packing for lv in chain.levels], level)[2]

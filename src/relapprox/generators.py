@@ -31,6 +31,7 @@ from .sampling import (
     _check_verifier_inputs,
     big_size_limit,
     exact_dtype,
+    make_rng,
     small_size_limit,
     worst_report,
 )
@@ -202,7 +203,7 @@ class PointSet2D:
 def random_points(m: int, seed: int, box: int = 10**6) -> PointSet2D:
     """m distinct lattice points in [0, box)^2; lattice coords keep the
     halfplane sweep exact."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     seen: set[tuple[int, int]] = set()
     pts = []
     while len(pts) < m:
@@ -282,7 +283,7 @@ def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
     """m independent Bernoulli(p) subsets of [0, n), deduplicated."""
     if not 0 <= p <= 1:
         raise ConstructionError(f"need 0 <= p <= 1, got {p}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     rows = np.empty((m, _bitops.words_needed(n)), dtype=np.uint64)
     # one rng.random(n) per row, in row order, drawn about 4 MB at a time
     step = max(1, (1 << 19) // n)

@@ -17,8 +17,9 @@ requested size is drawn in full and the output size follows the size formula
 rather than n.
 
 Subsampling is array-only: a level indexes the current sample's int64
-support (and multiplicity) arrays with the drawn permutation prefix or the
-nonzero multinomial counts, so no level runs a per-element Python loop.
+support (and multiplicity) arrays with the ascending positions that
+`uniform_sample` draws or the nonzero multinomial counts, so no level runs
+a per-element Python loop.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def expected_depth(delta: float, n: int) -> int:
 
 def _subsample_without(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
     pool = sample.support_array
-    chosen = rng.permutation(len(pool))[:t]
-    return Sample(sample.n, np.sort(pool[chosen]))
+    return Sample(sample.n, pool[uniform_sample(len(pool), t, rng).support_array])
 
 
 def _subsample_with(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
@@ -125,6 +125,8 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
     Returns (final sample, trace).  Deterministic in (system, params, seed,
     mode).
     """
+    if mode not in (WITHOUT, WITH):
+        raise ConstructionError(f"unknown sampling mode {mode!r}")
     n = system.n
     schedule = _level_schedule(params.delta, params.gamma, n)
     seed_val = seed if isinstance(seed, int) else None
@@ -141,15 +143,12 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
         tr = system.trace_count(current)
         req = basic_sample_size(ApproxParams(params.eps, d / 3.0, g / 2.0), tr)
         rng = make_rng(seed, j)
-        if mode == WITHOUT:
-            if req >= current.t:
-                nxt = current  # the whole set: zero additional error
-            else:
-                nxt = _subsample_without(current, req, rng)
-        elif mode == WITH:
+        if mode == WITH:
             nxt = _subsample_with(current, req, rng)
+        elif req >= current.t:
+            nxt = current  # the whole set: zero additional error
         else:
-            raise ConstructionError(f"unknown sampling mode {mode!r}")
+            nxt = _subsample_without(current, req, rng)
         levels.append(HalvingLevel(d, g, current.t, req, nxt.t, seed_val))
         current = nxt
 

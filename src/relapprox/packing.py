@@ -261,9 +261,8 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
                 "sample is not a relative (alpha/n, 1/2)-approximation of the "
                 f"delta system (worst ratio {float(report.worst_ratio):.6g})"
             )
-    members = system.packed[list(packing.member_indices)]
-    traces = _bitops.distinct_rows(_bitops.gather_columns(members, sample.support_array))
-    return len(traces) == len(members)
+    members = SetSystem._of_distinct(system.n, system.packed[list(packing.member_indices)])
+    return members.trace_count(sample) == len(members)
 
 
 def packing_size_bound(n: int, alpha: float, d: int, c3: float) -> float:

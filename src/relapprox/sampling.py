@@ -232,21 +232,13 @@ def make_rng(*entropy) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(*entropy)))
 
 
-def _partial_fisher_yates(n: int, t: int, rng: np.random.Generator) -> list[int]:
-    # first t entries of a uniform permutation, sparse representation
-    jumps = rng.integers(low=np.arange(t), high=n)
-    perm: dict[int, int] = {}
-    out = []
-    for i in range(t):
-        j = int(jumps[i])
-        vj = perm.get(j, j)
-        perm[j] = perm.get(i, i)
-        out.append(vj)
-    return out
-
-
 def uniform_sample(n: int, t: int, seed, mode: str = WITHOUT) -> Sample:
-    """Uniform random sample, a deterministic function of (n, t, seed, mode)."""
+    """Uniform random sample, a deterministic function of (n, t, seed, mode).
+
+    Without replacement it is numpy's `choice(n, t, replace=False)`, a
+    partial shuffle that switches to Floyd's algorithm when t is small
+    against n, so a sparse draw costs O(t) however large n is.
+    """
     if n < 1 or t < 1:
         raise ConstructionError(f"need n >= 1 and t >= 1, got n={n}, t={t}")
     seed_val = seed if isinstance(seed, int) else None
@@ -254,7 +246,7 @@ def uniform_sample(n: int, t: int, seed, mode: str = WITHOUT) -> Sample:
     if mode == WITHOUT:
         if t > n:
             raise ConstructionError(f"cannot draw {t} distinct elements from {n}")
-        return Sample(n, sorted(_partial_fisher_yates(n, t, rng)), seed=seed_val)
+        return Sample(n, np.sort(rng.choice(n, t, replace=False)), seed=seed_val)
     if mode == WITH:
         draws = rng.integers(0, n, size=t)
         support, counts = np.unique(draws, return_counts=True)

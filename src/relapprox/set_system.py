@@ -29,6 +29,7 @@ from .sampling import (
     big_size_limit,
     error_numerators,
     intersection_counts,
+    make_rng,
     worst_of_counts,
 )
 
@@ -163,13 +164,15 @@ class SetSystem:
         """|F|_A|, the number of distinct traces on the sample's support
         (the union of its binary planes)."""
         _check_ground_set(self, sample)
-        return _count_traces(self, np.bitwise_or.reduce(sample.planes, axis=0))
+        support = np.bitwise_or.reduce(sample.planes, axis=0)
+        return len(_bitops.distinct_rows(self.packed & support))
 
     def trace_on(self, sample: Sample) -> "SetSystem":
         """The trace F|_A over [0, |A|): support element support_array[j]
         becomes element j."""
         _check_ground_set(self, sample)
-        return _gather(self, sample.support_array)
+        columns = sample.support_array
+        return SetSystem.from_packed(len(columns), _bitops.gather_columns(self.packed, columns))
 
 
 def _pack(n: int, masks, dedup: bool) -> np.ndarray:
@@ -198,17 +201,6 @@ def new_set_system(n: int, sets) -> SetSystem:
     return SetSystem.from_packed(n, _bitops.pack_flags(flags))
 
 
-def _count_traces(system: SetSystem, row: np.ndarray) -> int:
-    """The number of distinct rows of the family ANDed with the packed `row`."""
-    return len(_bitops.distinct_rows(system.packed & row))
-
-
-def _gather(system: SetSystem, columns: np.ndarray) -> SetSystem:
-    """The trace on the ascending `columns`, columns[j] becoming element j."""
-    traced = _bitops.gather_columns(system.packed, columns)
-    return SetSystem.from_packed(len(columns), traced)
-
-
 class RestrictResult(NamedTuple):
     system: SetSystem
     index_map: dict[int, int]  # original index -> dense index in the trace
@@ -218,17 +210,16 @@ def restrict(system: SetSystem, y: int) -> RestrictResult:
     """Trace F|_Y as a SetSystem over Y re-indexed densely in ascending order."""
     if y < 0 or y >> system.n:
         raise ConstructionError("restriction set has members outside the ground set")
-    members = _bitops.indices_from_mask(y)
-    if not len(members):
+    sample = Sample.from_mask(system.n, y)
+    if not sample.t:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
-    index_map = {orig: new for new, orig in enumerate(members.tolist())}
-    return RestrictResult(_gather(system, members), index_map)
+    index_map = {orig: new for new, orig in enumerate(sample.support)}
+    return RestrictResult(system.trace_on(sample), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:
     """Number of distinct traces |F|_Y| without materializing the trace system."""
-    y_row = _bitops.pack_masks([y_bits & ((1 << system.n) - 1)], system.n)
-    return _count_traces(system, y_row)
+    return system.trace_count(Sample.from_mask(system.n, y_bits & ((1 << system.n) - 1)))
 
 
 def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
@@ -305,7 +296,7 @@ def growth_bound_check(
     """Spot-check the growth bound |F|_Y| <= (e|Y|/d)^d on random Y plus Y = X."""
     if d < 1:
         raise ConstructionError(f"growth parameter d must be >= 1, got {d}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     checks = []
     sizes = []
     if system.n >= d:
@@ -313,11 +304,13 @@ def growth_bound_check(
         for _ in range(samples):
             sizes.append(int(rng.integers(d, system.n + 1)))
     for y_size in sizes:
-        idx = rng.permutation(system.n)[:y_size] if y_size < system.n else range(system.n)
-        y_bits = _bitops.mask_from_indices(int(i) for i in idx)
-        tr = trace_count(system, y_bits)
+        y = (
+            Sample(system.n, np.sort(rng.permutation(system.n)[:y_size]))
+            if y_size < system.n
+            else Sample.full(system.n)
+        )
         bound = (math.e * y_size / d) ** d
-        checks.append(GrowthCheck(y_size, tr, bound))
+        checks.append(GrowthCheck(y_size, system.trace_count(y), bound))
     return GrowthReport(d, tuple(checks))
 
 

@@ -410,7 +410,15 @@ def test_audit_rejects_a_part_bound_missed_by_less_than_float_rounding(interval_
     # the worst Claim 7 ratio of this sample is about 2/7; delta forged to the
     # float just below it leaves a level-0 part over its bound by ~1e-17
     system, chain = interval_chain
-    sample = uniform_sample(120, 70, seed=(41, 2))
+    sample = Sample(
+        120,
+        (
+            1, 2, 3, 4, 7, 10, 11, 16, 18, 20, 23, 25, 27, 30, 31, 32, 33, 35, 36, 37, 40,
+            41, 42, 44, 46, 47, 48, 49, 50, 52, 54, 55, 56, 58, 61, 62, 63, 67, 68, 72, 74,
+            79, 80, 81, 82, 83, 84, 85, 86, 88, 90, 91, 92, 94, 95, 97, 99, 100, 101, 104,
+            106, 109, 110, 111, 112, 113, 115, 116, 118, 119
+        ),
+    )
     report = claim7_check(chain, sample)
     assert report.ok
     worst = max(item.report.worst_ratio for item in report.items)
@@ -423,7 +431,15 @@ def test_audit_rejects_a_part_bound_missed_by_less_than_float_rounding(interval_
 def test_audit_rejects_a_base_bound_just_missed(interval_chain):
     # the base packing's worst ratio is this sample's largest Claim 7 ratio
     system, chain = interval_chain
-    sample = uniform_sample(120, 70, seed=(41, 3))
+    sample = Sample(
+        120,
+        (
+            0, 2, 4, 5, 6, 9, 11, 12, 13, 16, 19, 20, 22, 25, 29, 31, 32, 36, 37, 43, 44,
+            45, 46, 49, 51, 52, 53, 55, 57, 58, 59, 60, 63, 64, 66, 67, 69, 70, 71, 72, 73,
+            74, 77, 79, 82, 83, 85, 86, 87, 90, 91, 93, 94, 95, 96, 97, 98, 101, 103, 104,
+            105, 107, 108, 110, 111, 113, 114, 115, 116, 117
+        ),
+    )
     report = claim7_check(chain, sample)
     ratios = {item.condition: item.report.worst_ratio for item in report.items}
     assert report.ok and ratios["base-packing"] == max(ratios.values())
@@ -457,7 +473,15 @@ def dyadic_chain():
 def test_audit_accepts_bounds_met_with_equality(dyadic_chain):
     system, chain = dyadic_chain
     assert chain.k == 2 and chain.levels[chain.k].alpha == chain.eps * system.n * chain.delta
-    sample = uniform_sample(128, 64, seed=(43, 1))
+    sample = Sample(
+        128,
+        (
+            0, 4, 5, 6, 8, 9, 11, 13, 14, 15, 16, 18, 19, 21, 22, 25, 28, 29, 36, 40, 41,
+            44, 45, 46, 50, 52, 53, 54, 59, 60, 61, 62, 63, 65, 70, 71, 72, 74, 77, 80, 81,
+            83, 84, 85, 87, 90, 91, 93, 95, 97, 100, 101, 103, 105, 107, 113, 114, 116, 117,
+            118, 119, 120, 121, 123
+        ),
+    )
     report = claim7_check(chain, sample)
     assert max(item.report.worst_ratio for item in report.items) == Fraction(1, 4)
     summary = assert_oracle_agrees(chain, sample, report, range(len(system)))

@@ -154,6 +154,14 @@ def test_certified_requires_positive_retries():
         certified_halving(intervals(4), ApproxParams(0.3, 0.5, 0.5), 0, max_retries=0)
 
 
+def test_unknown_mode_is_rejected_before_any_level():
+    # delta = 0.4 <= 1/sqrt(4): the schedule is empty, so no level checks the mode
+    p = ApproxParams(0.5, 0.4, 0.5)
+    for run in (iterated_halving, certified_halving):
+        with pytest.raises(ConstructionError, match="unknown sampling mode 'bogus'"):
+            run(intervals(4), p, 1, mode="bogus")
+
+
 # --- composition ------------------------------------------------------------------
 
 
@@ -269,7 +277,7 @@ def test_trace_json(tmp_path):
 
 def _tuple_subsample_without(sample, t, rng):
     pool = sample.support
-    chosen = rng.permutation(len(pool))[:t]
+    chosen = rng.choice(len(pool), t, replace=False)
     return Sample(sample.n, tuple(sorted(pool[int(i)] for i in chosen)))
 
 

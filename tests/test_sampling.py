@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from relapprox import _bitops
 from relapprox.errors import ConstructionError
 from relapprox.generators import ImplicitIntervals, intervals, random_system
+from relapprox.halving import _subsample_without
 from relapprox.harness import monte_carlo_rows
 from relapprox.sampling import (
     WITH,
@@ -105,6 +106,32 @@ def test_t_larger_than_n_without_replacement_is_an_error():
     # but fine with replacement
     s = uniform_sample(5, 12, seed=0, mode=WITH)
     assert s.t == 12 and len(s.support) <= 5
+
+
+@pytest.mark.parametrize("route", ["uniform_sample", "subsample_without"])
+def test_draws_without_replacement_include_each_element_at_rate_t_over_n(route):
+    # 5-sigma check of every element's inclusion count over 20,000 seeds
+    n, t, trials = 10, 3, 20_000
+    pool = Sample(1000, np.arange(7, 1000, 100))
+    counts = np.zeros(n, dtype=np.int64)
+    for seed in range(trials):
+        if route == "uniform_sample":
+            drawn = uniform_sample(n, t, seed).support_array
+        else:
+            sub = _subsample_without(pool, t, make_rng(seed))
+            drawn = np.searchsorted(pool.support_array, sub.support_array)
+            assert np.array_equal(pool.support_array[drawn], sub.support_array)
+        assert len(drawn) == t
+        counts[drawn] += 1
+    p = t / n
+    assert np.all(np.abs(counts - trials * p) <= 5 * math.sqrt(trials * p * (1 - p)))
+
+
+def test_sparse_draw_from_a_huge_ground_set():
+    # the draw is O(t): a permutation of all 10^12 elements would need 8 TB
+    s = uniform_sample(10**12, 5, seed=3)
+    assert s.t == 5 and len(set(s.support)) == 5
+    assert list(s.support) == sorted(s.support) and 0 <= s.support[0] < s.support[-1] < 10**12
 
 
 def test_with_replacement_invariants():
