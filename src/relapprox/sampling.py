@@ -11,7 +11,9 @@ s <= eps n are compared by that numerator, the others by numerator / s, and
 the two side winners are compared exactly (`worst_report`).  The type of
 `eps` only chooses the number type of the reported ratio: a Fraction gives
 the exact Fraction, a float gives the float abs(s/n - c/t) / max(s/n, eps)
-at the worst set.  `passes(delta)` compares that reported ratio to delta.
+at the worst set.  `passes(delta)` compares the exact ratio to delta, taken
+as Fraction(delta), so a sample that meets the bound exactly passes however
+the float ratio rounds.
 
 The functions here take any family that answers one protocol: its
 ground-set size `n`, its number of sets `len(family)`, and, for a sample
@@ -30,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -263,9 +265,13 @@ class ApproximationReport:
     worst_set_index: int | None
     t: int
     eps: float | Fraction
+    exact_ratio: Fraction | None = field(default=None, compare=False, repr=False)
 
     def passes(self, delta) -> bool:
-        return self.worst_ratio <= delta
+        """Whether the worst ratio is at most delta, exactly when the report
+        carries the exact ratio."""
+        ratio = self.worst_ratio if self.exact_ratio is None else self.exact_ratio
+        return ratio <= delta
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,7 +349,8 @@ def worst_report(n: int, t: int, eps, candidates) -> ApproximationReport:
     """Report on the worst of `candidates`, triples (index, s, c) of a set's
     family index, size and sample count.  Ratios are compared exactly and
     ties go to the lowest index.  The reported ratio is the exact Fraction
-    for Fraction eps, else the float abs(s/n - c/t) / max(s/n, eps)."""
+    for Fraction eps, else the float abs(s/n - c/t) / max(s/n, eps); the
+    exact Fraction rides along as `exact_ratio` for `passes`."""
     exact = isinstance(eps, Fraction)
     e = Fraction(eps)
 
@@ -351,10 +358,11 @@ def worst_report(n: int, t: int, eps, candidates) -> ApproximationReport:
         return Fraction(abs(s * t - c * n), n * t) / max(Fraction(s, n), e)
 
     if not candidates:
-        return ApproximationReport(Fraction(0) if exact else 0.0, None, t, eps)
+        return ApproximationReport(Fraction(0) if exact else 0.0, None, t, eps, Fraction(0))
     index, s, c = max(candidates, key=lambda w: (rational(w[1], w[2]), -w[0]))
-    ratio = rational(s, c) if exact else abs(s / n - c / t) / max(s / n, eps)
-    return ApproximationReport(ratio, index, t, eps)
+    worst = rational(s, c)
+    ratio = worst if exact else abs(s / n - c / t) / max(s / n, eps)
+    return ApproximationReport(ratio, index, t, eps, worst)
 
 
 def _argmax_ratio(num: np.ndarray, den: np.ndarray) -> int:

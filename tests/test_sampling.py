@@ -48,11 +48,11 @@ def oracle_count(mask, sample) -> int:
 
 
 def oracle_definition_holds(system, sample, eps, delta) -> bool:
-    """Direct per-set re-evaluation of the defining inequality."""
-    n, t = system.n, sample.t
+    """Direct per-set re-evaluation of the defining inequality, in Fractions."""
+    n, t, e, d = system.n, sample.t, Fraction(eps), Fraction(delta)
     for mask, size in zip(system.masks, system.sizes):
         cnt = oracle_count(mask, sample)
-        if abs(size / n - cnt / t) > delta * max(size / n, eps):
+        if abs(Fraction(size, n) - Fraction(cnt, t)) > d * max(Fraction(size, n), e):
             return False
     return True
 
@@ -288,14 +288,27 @@ def test_verifier_matches_direct_definition(sys_sample, eps, delta):
 @settings(max_examples=40, deadline=None)
 @given(system_and_sample(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 def test_equivalent_displayed_form(sys_sample, eps, delta):
-    # |A & S| = |S| t / n +- delta t max(|S|/n, eps), the second displayed form
+    # |A & S| = |S| t / n +- delta t max(|S|/n, eps), the second displayed form,
+    # in Fractions: a set that meets the bound exactly passes
     system, sample = sys_sample
-    n, t = system.n, sample.t
+    n, t, e, d = system.n, sample.t, Fraction(eps), Fraction(delta)
     second_form = all(
-        abs(cnt - size * t / n) <= delta * t * max(size / n, eps) + 1e-12
+        abs(cnt - Fraction(size * t, n)) <= d * t * max(Fraction(size, n), e)
         for cnt, size in zip(intersection_counts(system, sample), system.sizes)
     )
     assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == second_form
+
+
+def test_a_sample_meeting_the_bound_exactly_passes():
+    # |5/9 - 1/3| / (5/9) is exactly 2/5, below the float 0.4, though the float
+    # ratio rounds to 0.4000000000000001; 1/3 is above the float 1/3
+    system, sample = SetSystem.from_masks(9, [0b101111]), Sample(9, (1, 4, 6))
+    report = relative_error(system, sample, 0.5)
+    assert report.worst_ratio > 0.4 and report.exact_ratio == Fraction(2, 5)
+    assert report.passes(0.4) and is_relative_approx(system, sample, ApproxParams(0.5, 0.4, 0.5))
+    system, sample = SetSystem.from_masks(4, [0b0111]), Sample(4, (2, 3))
+    report = relative_error(system, sample, 0.5)
+    assert report.exact_ratio == Fraction(1, 3) and not report.passes(1 / 3)
 
 
 def fraction_oracle(system, sample, eps):
