@@ -57,13 +57,6 @@ NS_PER_BUILD_WORD = 300.0
 _BLOCK_BYTES = 1 << 19
 
 
-def mask_from_indices(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
 def indices_from_mask(mask: int) -> np.ndarray:
     """Ascending positions of the set bits of a nonnegative mask, as int64."""
     raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)

@@ -71,6 +71,11 @@ class ImplicitIntervals:
         _check_ground_set(self, sample)
         return ImplicitIntervals(len(sample.support_array))
 
+    def trace_error_report(self, within: Sample, sample: Sample, eps) -> ApproximationReport:
+        """`trace_on(within).error_report(sample, eps)`: the trace is
+        `ImplicitIntervals(m)`, which costs nothing to build."""
+        return self.trace_on(within).error_report(sample, eps)
+
     def index_of(self, i: int, j: int) -> int:
         """Family index of the interval {i..j}, 0 <= i <= j < n."""
         return 1 + i * self.n - i * (i - 1) // 2 + (j - i)
@@ -133,15 +138,13 @@ def _trailing_min(arr: np.ndarray, w: int) -> np.ndarray:
     k = len(arr)
     if w >= k:
         return np.minimum.accumulate(arr)
-    pad = (-k) % w
-    padded = np.concatenate((arr, np.full(pad, arr.max(), dtype=arr.dtype)))
+    # padding with the last element leaves every suffix minimum unchanged
+    padded = np.concatenate((arr, np.full((-k) % w, arr[-1], dtype=arr.dtype)))
     blocks = padded.reshape(-1, w)
     pre = np.minimum.accumulate(blocks, axis=1).ravel()[:k]
     suf = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    out = pre.copy()
-    idx = np.arange(w - 1, k)
-    out[idx] = np.minimum(pre[idx], suf[idx - w + 1])
-    return out
+    np.minimum(pre[w - 1 :], suf[: k - w + 1], out=pre[w - 1 :])
+    return pre
 
 
 def _window_max_diff(u: np.ndarray, w: int) -> tuple[int, int]:

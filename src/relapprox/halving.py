@@ -188,7 +188,8 @@ def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bo
     """Whether a2 is a relative (eps, d1 + d2 + d1 d2)-approximation of F,
     given (checked here) a2 <= a1 <= X, a1 a relative (eps, d1)-approximation
     of F and a2 a relative (eps, d2)-approximation of the trace of F on a1
-    (`system.trace_on(a1)`, with a2 carried to the trace's positions).
+    (`system.trace_on(a1)`, with a2 carried to the trace's positions; the
+    check asks `system.trace_error_report`, so the trace is never built).
 
     The property suite asserts this always returns True.  Fraction arguments
     make every comparison exact.
@@ -202,7 +203,7 @@ def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bo
     a2_traced = Sample(
         len(a1.support_array), np.searchsorted(a1.support_array, a2.support_array)
     )
-    if not relative_error(system.trace_on(a1), a2_traced, eps).passes(delta2):
+    if not system.trace_error_report(a1, a2_traced, eps).passes(delta2):
         raise PreconditionFailed(
             f"a2 is not a relative ({eps}, {delta2})-approximation of the trace"
         )
@@ -221,17 +222,17 @@ def combined_construction(
     """Two-stage construction: certified halving at (eps, delta/3), then a
     chaining-sized verified subsample of the trace at (eps, delta/3).  The
     composition rule makes the result a relative (eps, delta)-approximation.
-    Both stages run on the family's own protocol (`sampling`), so the trace
-    of an `ImplicitIntervals` family stays unmaterialized.
+    Both stages run on the family's own protocol (`sampling`): stage 2 is
+    sized by `trace_count(a1)` and each attempt is checked by
+    `trace_error_report(a1, ...)`, so no trace is built, packed or implicit.
     """
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
-    traced = system.trace_on(a1)
-    m1 = traced.n
-    t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
+    m1 = len(a1.support_array)
+    t2 = min(m1, chaining_sample_size(stage, d, system.trace_count(a1), constants))
     for attempt in range(max_retries):
         cand = uniform_sample(m1, t2, seed_sequence(seed, 1, attempt))
-        if relative_error(traced, cand, params.eps).passes(stage.delta):
+        if system.trace_error_report(a1, cand, params.eps).passes(stage.delta):
             final = Sample(system.n, a1.support_array[cand.support_array])
             if not relative_error(system, final, params.eps).passes(params.delta):
                 raise AuditFailure(

@@ -20,11 +20,15 @@ ground-set size `n`, its number of sets `len(family)`, and, for a sample
 over [0, n), `error_report(sample, eps)` (the report above),
 `max_additive_numerator(sample)` (the largest |s t - c n|),
 `is_eps_net(sample, eps)`, `trace_count(sample)` (the number of distinct
-traces on the sample's support) and `trace_on(sample)` (the trace as a
-family of the same protocol over [0, |support|), the j-th support element
-becoming element j).  `set_system.SetSystem` answers it from its packed
-rows and `generators.ImplicitIntervals` from prefix sums and closed forms;
-no function here looks at the family's type.
+traces on the sample's support), `trace_on(sample)` (the trace as a family
+of the same protocol over [0, |support|), the j-th support element
+becoming element j) and `trace_error_report(within, sample, eps)`, which
+equals `trace_on(within).error_report(sample, eps)` field for field, the
+worst set indexed in the trace's order, for a sample over
+[0, |within's support|), without building the trace.
+`set_system.SetSystem` answers it from its packed rows and
+`generators.ImplicitIntervals` from prefix sums and closed forms; no
+function here looks at the family's type.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .sampling import (
     error_numerators,
     intersection_counts,
     make_rng,
+    uniform_sample,
     worst_of_counts,
 )
 
@@ -160,12 +161,35 @@ class SetSystem:
         counts = intersection_counts(self, sample)
         return bool((counts[big] > 0).all())
 
-    def trace_count(self, sample: Sample) -> int:
-        """|F|_A|, the number of distinct traces on the sample's support
-        (the union of its binary planes)."""
+    def _trace_rows(self, sample: Sample) -> np.ndarray:
+        """Ascending indices of the first set of each distinct trace on the
+        sample's support (the union of its binary planes): the rows the
+        trace keeps, in the trace's own order."""
         _check_ground_set(self, sample)
         support = np.bitwise_or.reduce(sample.planes, axis=0)
-        return len(_bitops.distinct_rows(self.packed & support))
+        return _bitops.distinct_rows(self.packed & support)
+
+    def trace_count(self, sample: Sample) -> int:
+        """|F|_A|, the number of distinct traces on the sample's support."""
+        return len(self._trace_rows(sample))
+
+    def trace_error_report(self, within: Sample, sample: Sample, eps) -> ApproximationReport:
+        """`self.trace_on(within).error_report(sample, eps)` without building
+        the trace: a trace set's size is |S & A| and its count is the sample
+        lifted back through `within.support_array`, both counted on the
+        family's own rows and read at the trace's rows."""
+        first = self._trace_rows(within)
+        columns = within.support_array
+        if sample.n != len(columns):
+            raise ConstructionError(
+                f"sample over [0, {sample.n}) but trace over [0, {len(columns)})"
+            )
+        if sample.t < 1:
+            raise ConstructionError("sample has t = 0; densities are undefined")
+        lifted = Sample(self.n, columns[sample.support_array], sample.multiplicity_array)
+        sizes = intersection_counts(self, Sample(self.n, columns))[first]
+        counts = intersection_counts(self, lifted)[first]
+        return worst_of_counts(len(columns), sample.t, eps, sizes, counts)
 
     def trace_on(self, sample: Sample) -> "SetSystem":
         """The trace F|_A over [0, |A|): support element support_array[j]
@@ -304,11 +328,7 @@ def growth_bound_check(
         for _ in range(samples):
             sizes.append(int(rng.integers(d, system.n + 1)))
     for y_size in sizes:
-        y = (
-            Sample(system.n, np.sort(rng.permutation(system.n)[:y_size]))
-            if y_size < system.n
-            else Sample.full(system.n)
-        )
+        y = uniform_sample(system.n, y_size, rng) if y_size < system.n else Sample.full(system.n)
         bound = (math.e * y_size / d) ** d
         checks.append(GrowthCheck(y_size, system.trace_count(y), bound))
     return GrowthReport(d, tuple(checks))

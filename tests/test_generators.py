@@ -188,6 +188,11 @@ def test_both_interval_forms_answer_the_family_protocol_alike(n, mode):
         trace = mat.trace_on(a1)
         assert imp.trace_on(a1).materialize() == trace
         assert imp.trace_count(a1) == mat.trace_count(a1) == len(trace)
+        s2 = uniform_sample(trace.n, 1 + seed % trace.n, seed, mode=mode)
+        want = trace.error_report(s2, eps)
+        for family in (imp, mat):
+            got = family.trace_error_report(a1, s2, eps)
+            assert (got, got.exact_ratio) == (want, want.exact_ratio)
         # a2 inside a1; the first delta holds exactly, the second varies
         a2 = Sample(n, a1.support_array[rng.random(len(a1.support_array)) < 0.6])
         delta1 = relative_error(mat, a1, eps).worst_ratio
@@ -356,15 +361,31 @@ def test_max_slope_matches_brute_force(values, data):
     assert _max_slope_at_least(u, min_gap) == min(p for p in pairs if slope[p] == best)
 
 
+def _brute_window_max_diff(u, w):
+    k = len(u)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, min(i + w, k - 1) + 1)]
+    best = max(int(u[j] - u[i]) for i, j in pairs)
+    return min(p for p in pairs if u[p[1]] - u[p[0]] == best)
+
+
 @settings(max_examples=200, deadline=None)
 @given(VALUES, st.data())
 def test_window_max_diff_matches_brute_force(values, data):
     u = np.array(values, dtype=np.int64)
-    k = len(u)
-    w = data.draw(st.integers(1, k))
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, min(i + w, k - 1) + 1)]
-    best = max(int(u[j] - u[i]) for i, j in pairs)
-    assert _window_max_diff(u, w) == min(p for p in pairs if u[p[1]] - u[p[0]] == best)
+    w = data.draw(st.integers(1, len(u)))
+    assert _window_max_diff(u, w) == _brute_window_max_diff(u, w)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_window_max_diff_at_block_edges(w, extra, blocks):
+    # the trailing minima run over u[:-1]: its length is blocks * w (w
+    # divides it) or blocks * w + 1 (one element past a block; at
+    # blocks = 1, w is that length minus 1)
+    u = make_rng(w, extra, blocks).integers(-20, 20, size=blocks * w + extra + 1)
+    for values in (u, u[::-1], np.sort(u), np.sort(u)[::-1]):
+        assert _window_max_diff(values, w) == _brute_window_max_diff(values, w)
 
 
 # --- halfplanes ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox.errors import ConstructionError, GuardExceeded
+from relapprox.sampling import WITH, WITHOUT, Sample
 from relapprox.set_system import (
     SetSystem,
     growth_bound_check,
@@ -294,6 +296,49 @@ def test_trace_count_matches_oracle(system, data):
     # bits of y at or above n name no element and are dropped
     y = data.draw(st.integers(0, (1 << (system.n + 3)) - 1))
     assert trace_count(system, y) == len(oracle_traces(system, y))
+
+
+@st.composite
+def samples_over(draw, n, mode):
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    if mode == WITHOUT:
+        return Sample(n, support)
+    k = len(support)
+    return Sample(n, support, draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 5, 63, 64, 65, 130]), st.data())
+def test_trace_error_report_equals_the_built_trace(n, data):
+    within = data.draw(samples_over(n, data.draw(st.sampled_from([WITHOUT, WITH]))))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    # the first sets with every element outside `within` flipped, put first:
+    # distinct sets with the same trace
+    outside = (1 << n) - 1 - sum(1 << e for e in within.support)
+    system = SetSystem.from_masks(n, [mask ^ outside for mask in masks[:3]] + masks)
+    m = len(within.support_array)
+    sample = data.draw(samples_over(m, data.draw(st.sampled_from([WITHOUT, WITH]))))
+    eps = data.draw(
+        st.one_of(st.fractions(Fraction(1, 50), Fraction(49, 50)), st.floats(0.02, 0.98))
+    )
+    got = system.trace_error_report(within, sample, eps)
+    want = system.trace_on(within).error_report(sample, eps)
+    assert (got, type(got.worst_ratio), got.exact_ratio) == (
+        want, type(want.worst_ratio), want.exact_ratio
+    )
+    assert (len(system) == 0) == (got.worst_set_index is None)
+
+
+def test_trace_error_report_rejects_mismatched_ground_sets():
+    system = SetSystem.from_masks(10, [0b1011, 0b110, 0b1111111111])
+    within = Sample(10, [1, 4, 5, 8])
+    cases = [(within, Sample(5, [0, 3])), (within, Sample(3, [0, 1])), (within, Sample(4, []))]
+    cases.append((Sample(11, [1, 4]), Sample(2, [0])))
+    for within, sample in cases:
+        with pytest.raises(ConstructionError):
+            system.trace_error_report(within, sample, 0.2)
+        with pytest.raises(ConstructionError):  # as the built trace does
+            system.trace_on(within).error_report(sample, 0.2)
 
 
 def test_json_roundtrip(tmp_path):
