@@ -26,7 +26,7 @@ scans that it would have undercut have cost as much as building it
 dense scan.
 
 `gather_columns` reads the packed matrix in row blocks that stay in L2: the
-trace of every row on a set of columns (`SetSystem.trace_on`, its only caller).
+trace of every row on a set of columns (`set_system.restrict`, its only caller).
 Each row block is unpacked to one byte per bit (64 B per word, about
 `_BLOCK_BYTES`), its columns gathered and packed again.  Packing
 (`pack_flags`) pads the rows to whole words and packs the flat array in one

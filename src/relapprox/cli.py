@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .chaining import build_chain, write_chain_summary
-from .errors import RelApproxError
+from .errors import ConstructionError, RelApproxError
 from .halving import iterated_halving, write_trace_json
 from .packing import greedy_maximal_packing
 from .sampling import (
@@ -64,6 +64,8 @@ def _cmd_sample(args) -> int:
 def _cmd_halve(args) -> int:
     system = read_json(args.system).system
     params = ApproxParams(args.eps, args.delta, args.gamma)
+    if args.max_retries < 1:
+        raise ConstructionError(f"max_retries must be >= 1, got {args.max_retries}")
     best = None
     for attempt in range(args.max_retries):
         sample, trace = iterated_halving(

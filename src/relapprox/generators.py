@@ -8,9 +8,9 @@ structure.  It answers the same family protocol as SetSystem (see
 `sampling`): its verifiers work from prefix sums, exactly in integer
 arithmetic, accept float or Fraction eps like the materialized ones and
 agree with them; and since intervals on any m points trace to all intervals
-on m points, its trace on a sample is `ImplicitIntervals(m)` and its trace
-count the closed form m(m+1)/2 + 1.  So every construction, the two-stage
-one included, runs on it unmaterialized.
+on m points, its trace on a sample is `ImplicitIntervals(m)`, whose length
+is the closed form m(m+1)/2 + 1.  So every construction, the two-stage one
+included, runs on it unmaterialized.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .set_system import SetSystem
 
 @dataclass(frozen=True)
 class ImplicitIntervals:
-    """All intervals {i..j} on [0, n), plus the empty set, unmaterialized.
+    """All intervals {i..j} on [0, n), plus the empty set, unmaterialized
+    (for n = 0, the trace on an empty support, the empty set alone).
 
     Family order (shared with the materialized form): index 0 is the empty
     set, then intervals in lexicographic (i, j) order.  VC dimension is 2
@@ -53,28 +54,17 @@ class ImplicitIntervals:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConstructionError(f"need n >= 1, got {self.n}")
+        if self.n < 0:
+            raise ConstructionError(f"need n >= 0, got {self.n}")
 
     def __len__(self) -> int:
         return self.n * (self.n + 1) // 2 + 1
-
-    def trace_count(self, sample: Sample) -> int:
-        """|F|_A| depends only on m = |A|: m(m+1)/2 intervals and the empty set."""
-        _check_ground_set(self, sample)
-        m = len(sample.support_array)
-        return m * (m + 1) // 2 + 1
 
     def trace_on(self, sample: Sample) -> "ImplicitIntervals":
         """Intervals on any m points trace to all intervals on m points, and
         their first occurrences come in the same order as the family's."""
         _check_ground_set(self, sample)
         return ImplicitIntervals(len(sample.support_array))
-
-    def trace_error_report(self, within: Sample, sample: Sample, eps) -> ApproximationReport:
-        """`trace_on(within).error_report(sample, eps)`: the trace is
-        `ImplicitIntervals(m)`, which costs nothing to build."""
-        return self.trace_on(within).error_report(sample, eps)
 
     def index_of(self, i: int, j: int) -> int:
         """Family index of the interval {i..j}, 0 <= i <= j < n."""

@@ -5,7 +5,7 @@ error delta/3^j with failure budget gamma/2^j; the recursion bottoms out when
 delta/3^m <= 1/sqrt(n), where the whole ground set is already small enough to
 serve as-is.  Sampling outward, each level draws from the previous one a
 union-bound-sized sample for the previous level's trace system, whose
-distinct-trace count the family computes exactly (`trace_count`).  Each
+distinct-trace count the family computes exactly (`len(trace_on(A))`).  Each
 step degrades the error by the composition rule d1 + d2 + d1*d2, and the
 schedule telescopes to delta.  Every function here takes any family of the
 `sampling` protocol, materialized or not.
@@ -140,7 +140,7 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
     levels = [HalvingLevel(base_delta, base_gamma, n, n, n, None)]
     for j in range(len(schedule) - 1, -1, -1):
         d, g = schedule[j]
-        tr = system.trace_count(current)
+        tr = len(system.trace_on(current))
         req = basic_sample_size(ApproxParams(params.eps, d / 3.0, g / 2.0), tr)
         rng = make_rng(seed, j)
         if mode == WITH:
@@ -188,8 +188,7 @@ def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bo
     """Whether a2 is a relative (eps, d1 + d2 + d1 d2)-approximation of F,
     given (checked here) a2 <= a1 <= X, a1 a relative (eps, d1)-approximation
     of F and a2 a relative (eps, d2)-approximation of the trace of F on a1
-    (`system.trace_on(a1)`, with a2 carried to the trace's positions; the
-    check asks `system.trace_error_report`, so the trace is never built).
+    (`system.trace_on(a1)`, with a2 carried to the trace's positions).
 
     The property suite asserts this always returns True.  Fraction arguments
     make every comparison exact.
@@ -200,10 +199,9 @@ def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bo
         raise PreconditionFailed("a2 is not contained in a1")
     if not relative_error(system, a1, eps).passes(delta1):
         raise PreconditionFailed(f"a1 is not a relative ({eps}, {delta1})-approximation")
-    a2_traced = Sample(
-        len(a1.support_array), np.searchsorted(a1.support_array, a2.support_array)
-    )
-    if not system.trace_error_report(a1, a2_traced, eps).passes(delta2):
+    trace = system.trace_on(a1)
+    a2_traced = Sample(trace.n, np.searchsorted(a1.support_array, a2.support_array))
+    if not trace.error_report(a2_traced, eps).passes(delta2):
         raise PreconditionFailed(
             f"a2 is not a relative ({eps}, {delta2})-approximation of the trace"
         )
@@ -222,17 +220,17 @@ def combined_construction(
     """Two-stage construction: certified halving at (eps, delta/3), then a
     chaining-sized verified subsample of the trace at (eps, delta/3).  The
     composition rule makes the result a relative (eps, delta)-approximation.
-    Both stages run on the family's own protocol (`sampling`): stage 2 is
-    sized by `trace_count(a1)` and each attempt is checked by
-    `trace_error_report(a1, ...)`, so no trace is built, packed or implicit.
+    Both stages run on the family's own protocol (`sampling`): stage 2
+    samples the trace `system.trace_on(a1)`, found once, is sized by its
+    length and checks each attempt with its `error_report`.
     """
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
-    m1 = len(a1.support_array)
-    t2 = min(m1, chaining_sample_size(stage, d, system.trace_count(a1), constants))
+    trace = system.trace_on(a1)
+    t2 = min(trace.n, chaining_sample_size(stage, d, len(trace), constants))
     for attempt in range(max_retries):
-        cand = uniform_sample(m1, t2, seed_sequence(seed, 1, attempt))
-        if system.trace_error_report(a1, cand, params.eps).passes(stage.delta):
+        cand = uniform_sample(trace.n, t2, seed_sequence(seed, 1, attempt))
+        if trace.error_report(cand, params.eps).passes(stage.delta):
             final = Sample(system.n, a1.support_array[cand.support_array])
             if not relative_error(system, final, params.eps).passes(params.delta):
                 raise AuditFailure(

@@ -24,6 +24,7 @@ from .sampling import (
     WITHOUT,
     ApproxParams,
     Constants,
+    _read_json_object,
     chaining_sample_size,
     formula_sample_size,
     halving_sample_size,
@@ -238,8 +239,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = _read_json_object(path, ("system", "eps", "delta", "gamma", "trials", "master_seed"))
         return cls(
             system=doc["system"],
             eps=tuple(doc["eps"]),
@@ -371,8 +371,7 @@ class _CaseRuntime:
 
 
 def load_suite(path) -> tuple[list[CalibrationCase], int, int]:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path, ("cases", "trials", "master_seed"))
     cases = [
         CalibrationCase(
             name=c["name"],

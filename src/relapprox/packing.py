@@ -144,8 +144,8 @@ def greedy_maximal_packing(
     """Scan in family-index order, admitting every set >= alpha from all
     admitted members.
 
-    `seed_members` are admitted first, in the given order; they must
-    themselves be pairwise >= alpha apart.  Seeding a coarser packing yields
+    `seed_members` (family indices) are admitted first, in the given order;
+    they must be pairwise >= alpha apart.  Seeding a coarser packing yields
     a maximal finer packing that contains it (used by the chain builder).
     Given a `Packing`, its members are the seeds and its cover map hints
     each set's nearest seed (an entry that is not a seed hints nothing); the
@@ -162,6 +162,9 @@ def greedy_maximal_packing(
                 f"seed packing covers {len(seed_hint)} sets, the family has {fam}"
             )
         seed_members = seed_members.member_indices
+    bad = [k for k in seed_members if not 0 <= k < fam]
+    if bad:
+        raise ConstructionError(f"seed member {bad[0]} is outside the family's [0, {fam})")
     if fam == 0:
         return Packing(alpha, (), ())
 
@@ -202,6 +205,9 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
     """Independent re-check of the packing and maximality certificates."""
     mem = packing.member_indices
     alpha = packing.alpha
+    bad = [k for k in mem if not 0 <= k < len(system)]
+    if bad:
+        raise AuditFailure(f"member {bad[0]} is outside the family's [0, {len(system)})")
     if sorted(set(mem)) != sorted(mem):
         raise AuditFailure("duplicate member indices")
     mem_arr = np.array(mem, dtype=np.int64)
@@ -249,8 +255,6 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
     of the members' symmetric-difference system; when that holds the traces
     are provably distinct, and property tests assert exactly that.
     """
-    if sample.n != system.n:
-        raise ConstructionError(f"sample over [0, {sample.n}) but system over [0, {system.n})")
     deltas = delta_system(system, packing)
     if len(deltas) > 0:
         eps = packing.alpha / system.n
@@ -262,7 +266,7 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
                 f"delta system (worst ratio {float(report.worst_ratio):.6g})"
             )
     members = SetSystem._of_distinct(system.n, system.packed[list(packing.member_indices)])
-    return members.trace_count(sample) == len(members)
+    return len(members.trace_on(sample)) == len(members)
 
 
 def packing_size_bound(n: int, alpha: float, d: int, c3: float) -> float:

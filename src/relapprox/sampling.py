@@ -19,16 +19,14 @@ The functions here take any family that answers one protocol: its
 ground-set size `n`, its number of sets `len(family)`, and, for a sample
 over [0, n), `error_report(sample, eps)` (the report above),
 `max_additive_numerator(sample)` (the largest |s t - c n|),
-`is_eps_net(sample, eps)`, `trace_count(sample)` (the number of distinct
-traces on the sample's support), `trace_on(sample)` (the trace as a family
-of the same protocol over [0, |support|), the j-th support element
-becoming element j) and `trace_error_report(within, sample, eps)`, which
-equals `trace_on(within).error_report(sample, eps)` field for field, the
-worst set indexed in the trace's order, for a sample over
-[0, |within's support|), without building the trace.
-`set_system.SetSystem` answers it from its packed rows and
-`generators.ImplicitIntervals` from prefix sums and closed forms; no
-function here looks at the family's type.
+`is_eps_net(sample, eps)` and `trace_on(sample)`: the trace F|_A on the
+sample's support A, over [0, |A|), the j-th support element becoming
+element j.  A trace answers at least `n`, `len` (the number of distinct
+traces) and `error_report`, the worst set indexed in the trace's order.
+`set_system.SetSystem` answers the protocol from its packed rows, its
+trace a `set_system.Trace` whose rows are never gathered, and
+`generators.ImplicitIntervals` from prefix sums and closed forms, its
+trace `ImplicitIntervals(m)`; no function here looks at the family's type.
 """
 
 from __future__ import annotations
@@ -87,9 +85,19 @@ class Constants:
 DEFAULT_CONSTANTS = Constants(c=8.0, c1=8.0, c2=8.0, c3=4.0 * math.sqrt(8.0))
 
 
-def load_constants(path) -> Constants:
+def _read_json_object(path, keys) -> dict:
+    """The JSON object in the file at `path`; ConstructionError names the
+    first of `keys` that it lacks."""
     with open(path) as fh:
         doc = json.load(fh)
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise ConstructionError(f"{path}: expected a JSON object with key {missing[0]!r}")
+    return doc
+
+
+def load_constants(path) -> Constants:
+    doc = _read_json_object(path, ("c", "c1", "c2", "c3"))
     return Constants(c=doc["c"], c1=doc["c1"], c2=doc["c2"], c3=doc["c3"])
 
 
@@ -534,8 +542,5 @@ def write_sample_json(sample: Sample, path) -> None:
 
 
 def read_sample_json(path) -> Sample:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "n" not in doc or "members" not in doc:
-        raise ConstructionError(f"{path}: expected an object with 'n' and 'members'")
+    doc = _read_json_object(path, ("n", "members"))
     return Sample(doc["n"], doc["members"], doc.get("counts"), seed=doc.get("seed"))

@@ -2,10 +2,10 @@
 
 The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
 order-preserving family of subsets as one packed matrix (`_bitops`) and
-answers the family protocol of `sampling` (verifiers, trace counts and
-traces on a sample) from it.  The combinatorial functions below take a
-subset as a bitmask (Python int).  All operations here are pure; SetSystem
-is immutable and safe to share.
+answers the family protocol of `sampling` from it; its trace on a sample is
+a `Trace`, which never gathers the rows (only `restrict` does).  Subsets
+are bitmasks (Python ints) in the functions below.  All operations are
+pure; SetSystem and Trace are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .sampling import (
     Sample,
     _check_ground_set,
     _check_verifier_inputs,
+    _read_json_object,
     big_size_limit,
     error_numerators,
     intersection_counts,
@@ -161,42 +162,41 @@ class SetSystem:
         counts = intersection_counts(self, sample)
         return bool((counts[big] > 0).all())
 
-    def _trace_rows(self, sample: Sample) -> np.ndarray:
-        """Ascending indices of the first set of each distinct trace on the
-        sample's support (the union of its binary planes): the rows the
-        trace keeps, in the trace's own order."""
+    def trace_on(self, sample: Sample) -> "Trace":
+        """The trace F|_A on the sample's support A, over [0, |A|)."""
         _check_ground_set(self, sample)
         support = np.bitwise_or.reduce(sample.planes, axis=0)
-        return _bitops.distinct_rows(self.packed & support)
+        return Trace(self, sample.support_array, _bitops.distinct_rows(self.packed & support))
 
-    def trace_count(self, sample: Sample) -> int:
-        """|F|_A|, the number of distinct traces on the sample's support."""
-        return len(self._trace_rows(sample))
 
-    def trace_error_report(self, within: Sample, sample: Sample, eps) -> ApproximationReport:
-        """`self.trace_on(within).error_report(sample, eps)` without building
-        the trace: a trace set's size is |S & A| and its count is the sample
-        lifted back through `within.support_array`, both counted on the
-        family's own rows and read at the trace's rows."""
-        first = self._trace_rows(within)
-        columns = within.support_array
-        if sample.n != len(columns):
-            raise ConstructionError(
-                f"sample over [0, {sample.n}) but trace over [0, {len(columns)})"
-            )
-        if sample.t < 1:
-            raise ConstructionError("sample has t = 0; densities are undefined")
-        lifted = Sample(self.n, columns[sample.support_array], sample.multiplicity_array)
-        sizes = intersection_counts(self, Sample(self.n, columns))[first]
-        counts = intersection_counts(self, lifted)[first]
-        return worst_of_counts(len(columns), sample.t, eps, sizes, counts)
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """F|_A over [0, |A|), family element `columns[j]` becoming element j:
+    the traces of the family's `rows`, the first of each distinct row ANDed
+    with A.  They are never gathered: a set's size and count are the
+    family's exact counts of A and of the sample lifted through `columns`."""
 
-    def trace_on(self, sample: Sample) -> "SetSystem":
-        """The trace F|_A over [0, |A|): support element support_array[j]
-        becomes element j."""
-        _check_ground_set(self, sample)
-        columns = sample.support_array
-        return SetSystem.from_packed(len(columns), _bitops.gather_columns(self.packed, columns))
+    family: SetSystem
+    columns: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return intersection_counts(self.family, Sample(self.family.n, self.columns))[self.rows]
+
+    def error_report(self, sample: Sample, eps) -> ApproximationReport:
+        _check_verifier_inputs(self, sample)
+        elements = self.columns[sample.support_array]
+        lifted = Sample(self.family.n, elements, sample.multiplicity_array)
+        counts = intersection_counts(self.family, lifted)[self.rows]
+        return worst_of_counts(self.n, sample.t, eps, self.sizes, counts)
 
 
 def _pack(n: int, masks, dedup: bool) -> np.ndarray:
@@ -238,12 +238,13 @@ def restrict(system: SetSystem, y: int) -> RestrictResult:
     if not sample.t:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(sample.support)}
-    return RestrictResult(system.trace_on(sample), index_map)
+    gathered = _bitops.gather_columns(system.packed, sample.support_array)
+    return RestrictResult(SetSystem.from_packed(sample.t, gathered), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:
-    """Number of distinct traces |F|_Y| without materializing the trace system."""
-    return system.trace_count(Sample.from_mask(system.n, y_bits & ((1 << system.n) - 1)))
+    """Number of distinct traces |F|_Y|; bits of y_bits at or above n are dropped."""
+    return len(system.trace_on(Sample.from_mask(system.n, y_bits & ((1 << system.n) - 1))))
 
 
 def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
@@ -330,7 +331,7 @@ def growth_bound_check(
     for y_size in sizes:
         y = uniform_sample(system.n, y_size, rng) if y_size < system.n else Sample.full(system.n)
         bound = (math.e * y_size / d) ** d
-        checks.append(GrowthCheck(y_size, system.trace_count(y), bound))
+        checks.append(GrowthCheck(y_size, len(system.trace_on(y)), bound))
     return GrowthReport(d, tuple(checks))
 
 
@@ -353,10 +354,7 @@ class ReadResult(NamedTuple):
 
 def read_json(path) -> ReadResult:
     """Read the set-system JSON format, applying constructor dedup."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "n" not in doc or "sets" not in doc:
-        raise ConstructionError(f"{path}: expected an object with 'n' and 'sets'")
+    doc = _read_json_object(path, ("n", "sets"))
     n, sets = doc["n"], doc["sets"]
     if not isinstance(n, int):
         raise ConstructionError(f"{path}: 'n' must be an integer")

@@ -240,3 +240,30 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, system_doc, sample_doc):
                "--eps", 0.2, "--delta", 0.3)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_halve_rejects_fewer_than_one_retry(interval_file, capsys):
+    code = run("halve", "--system", interval_file, "--eps", 0.2, "--delta", 0.4,
+               "--gamma", 0.2, "--seed", 1, "--max-retries", 0)
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_retries must be >= 1, got 0\n"
+
+
+def test_montecarlo_spec_missing_a_key_exits_2(tmp_path, interval_file, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "system": {"path": str(interval_file)}, "eps": [0.2], "delta": [0.4],
+        "gamma": [0.2], "t": [15], "master_seed": 2,
+    }))
+    assert run("montecarlo", "--spec", spec, "--out", tmp_path / "mc.csv") == 2
+    assert capsys.readouterr().err == f"error: {spec}: expected a JSON object with key 'trials'\n"
+
+
+def test_sample_constants_missing_a_key_exits_2(tmp_path, interval_file, capsys):
+    constants = tmp_path / "constants.json"
+    constants.write_text('{"c": 8.0, "c2": 8.0, "c3": 12.0}')
+    code = run("sample", "--system", interval_file, "--formula", "main", "--d", 2,
+               "--eps", 0.2, "--delta", 0.4, "--gamma", 0.2, "--seed", 5,
+               "--constants", constants, "--out", tmp_path / "s.json")
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {constants}: expected a JSON object with key 'c1'\n"

@@ -164,7 +164,27 @@ def test_implicit_trace_count_closed_form(n, data):
     imp = ImplicitIntervals(n)
     mat = imp.materialize()
     y = data.draw(st.integers(0, (1 << n) - 1))
-    assert imp.trace_count(Sample.from_mask(n, y)) == trace_count(mat, y)
+    assert len(imp.trace_on(Sample.from_mask(n, y))) == trace_count(mat, y)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+def test_implicit_trace_on_an_empty_support_is_the_empty_family_of_one_set(mode):
+    empty = Sample(9, [], [] if mode == WITH else None)
+    trace = ImplicitIntervals(9).trace_on(empty)
+    assert trace == ImplicitIntervals(0)
+    assert len(trace) == len(intervals(9).trace_on(empty)) == 1
+
+
+def test_implicit_intervals_on_no_points():
+    # the family {empty set} over [0, 0): one set, nothing to sample or build
+    family = ImplicitIntervals(0)
+    assert (family.n, len(family)) == (0, 1)
+    with pytest.raises(ConstructionError, match="nonempty"):
+        family.materialize()
+    with pytest.raises(ConstructionError, match="t = 0"):
+        family.error_report(Sample(0, []), 0.5)
+    with pytest.raises(ConstructionError, match="n >= 0"):
+        ImplicitIntervals(-1)
 
 
 def _outcome(fn, *args):
@@ -177,7 +197,7 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("mode", [WITHOUT, WITH])
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 65])
-def test_both_interval_forms_answer_the_family_protocol_alike(n, mode):
+def test_both_interval_forms_answer_the_family_protocol_alike(built_trace, n, mode):
     imp, mat = ImplicitIntervals(n), intervals(n)
     rng = make_rng(n, 9)
     eps = Fraction(1, 4)
@@ -185,13 +205,13 @@ def test_both_interval_forms_answer_the_family_protocol_alike(n, mode):
     for seed in range(12):
         t = int(rng.integers(1, 2 * n + 1)) if mode == WITH else int(rng.integers(1, n + 1))
         a1 = uniform_sample(n, t, seed, mode=mode)
-        trace = mat.trace_on(a1)
+        trace = built_trace(mat, a1)
         assert imp.trace_on(a1).materialize() == trace
-        assert imp.trace_count(a1) == mat.trace_count(a1) == len(trace)
+        assert len(imp.trace_on(a1)) == len(mat.trace_on(a1)) == len(trace)
         s2 = uniform_sample(trace.n, 1 + seed % trace.n, seed, mode=mode)
         want = trace.error_report(s2, eps)
         for family in (imp, mat):
-            got = family.trace_error_report(a1, s2, eps)
+            got = family.trace_on(a1).error_report(s2, eps)
             assert (got, got.exact_ratio) == (want, want.exact_ratio)
         # a2 inside a1; the first delta holds exactly, the second varies
         a2 = Sample(n, a1.support_array[rng.random(len(a1.support_array)) < 0.6])

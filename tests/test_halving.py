@@ -138,8 +138,8 @@ def test_certified_retries_exhausted_surfaces_worst_ratio():
         class AlwaysBad:
             n = 50
 
-            def trace_count(self, sample):
-                return len(sample.support_array) + 1
+            def trace_on(self, sample):
+                return range(len(sample.support_array) + 1)  # only its length is read
 
             def error_report(self, sample, eps):
                 return ApproximationReport(worst, 0, sample.t, eps)

@@ -173,6 +173,17 @@ def test_seeded_greedy_rejects_invalid_seeds():
         greedy_maximal_packing(system, 3.0, seed_members=(0, 1))
 
 
+def test_seeded_greedy_rejects_seeds_outside_the_family():
+    # a negative seed must not alias a row from the end, nor a large one escape as IndexError
+    system = new_set_system(3, [[0], [1]])
+    for seeds, bad in (((-1,), -1), ((0, 7), 7), ((2,), 2)):
+        with pytest.raises(ConstructionError) as err:
+            greedy_maximal_packing(system, 3.0, seed_members=seeds)
+        assert str(err.value) == f"seed member {bad} is outside the family's [0, 2)"
+    with pytest.raises(ConstructionError, match="outside"):
+        greedy_maximal_packing(SetSystem(3, ()), 3.0, seed_members=(0,))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_systems(), st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
 def test_greedy_passes_independent_verifier(system, alpha):
@@ -407,6 +418,15 @@ def test_verify_agrees_with_brute_force_on_corrupted_certificates(system, alpha,
         with pytest.raises(AuditFailure) as err:
             verify_packing(system, Packing(alpha, tuple(members), tuple(cover)))
         assert str(err.value) == want
+
+
+def test_verify_rejects_members_outside_the_family():
+    # -1 would alias the last set, which then looks like a valid member
+    system = new_set_system(3, [[0], [1]])
+    for members, bad in (((0, -1), -1), ((0, 5), 5), ((2,), 2)):
+        with pytest.raises(AuditFailure) as err:
+            verify_packing(system, Packing(3.0, members, (0, members[-1])))
+        assert str(err.value) == f"member {bad} is outside the family's [0, 2)"
 
 
 def test_verify_rejects_members_closer_than_alpha():

@@ -309,7 +309,7 @@ def samples_over(draw, n, mode):
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([1, 5, 63, 64, 65, 130]), st.data())
-def test_trace_error_report_equals_the_built_trace(n, data):
+def test_trace_error_report_equals_the_built_trace(built_trace, n, data):
     within = data.draw(samples_over(n, data.draw(st.sampled_from([WITHOUT, WITH]))))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
     # the first sets with every element outside `within` flipped, put first:
@@ -321,24 +321,38 @@ def test_trace_error_report_equals_the_built_trace(n, data):
     eps = data.draw(
         st.one_of(st.fractions(Fraction(1, 50), Fraction(49, 50)), st.floats(0.02, 0.98))
     )
-    got = system.trace_error_report(within, sample, eps)
-    want = system.trace_on(within).error_report(sample, eps)
+    trace, built = system.trace_on(within), built_trace(system, within)
+    assert (trace.n, len(trace)) == (built.n, len(built))
+    got = trace.error_report(sample, eps)
+    want = built.error_report(sample, eps)
     assert (got, type(got.worst_ratio), got.exact_ratio) == (
         want, type(want.worst_ratio), want.exact_ratio
     )
     assert (len(system) == 0) == (got.worst_set_index is None)
 
 
-def test_trace_error_report_rejects_mismatched_ground_sets():
+def test_trace_error_report_rejects_mismatched_ground_sets(built_trace):
     system = SetSystem.from_masks(10, [0b1011, 0b110, 0b1111111111])
     within = Sample(10, [1, 4, 5, 8])
     cases = [(within, Sample(5, [0, 3])), (within, Sample(3, [0, 1])), (within, Sample(4, []))]
     cases.append((Sample(11, [1, 4]), Sample(2, [0])))
     for within, sample in cases:
         with pytest.raises(ConstructionError):
-            system.trace_error_report(within, sample, 0.2)
-        with pytest.raises(ConstructionError):  # as the built trace does
             system.trace_on(within).error_report(sample, 0.2)
+        with pytest.raises(ConstructionError):  # as the built trace does
+            built_trace(system, within).error_report(sample, 0.2)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+def test_trace_on_an_empty_support_has_one_set(mode):
+    # every set traces to the empty set; an empty family has no trace at all
+    empty = Sample(70, [], [] if mode == WITH else None)
+    system = SetSystem.from_masks(70, [0, 0b101, 1 << 69])
+    trace = system.trace_on(empty)
+    assert (trace.n, len(trace)) == (0, 1)
+    assert len(SetSystem(70, ()).trace_on(empty)) == 0
+    assert trace_count(system, 0) == 1 and is_shattered(system, 0)
+    assert not is_shattered(SetSystem(70, ()), 0)
 
 
 def test_json_roundtrip(tmp_path):
