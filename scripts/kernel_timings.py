@@ -17,8 +17,9 @@ repeats:
   (`_bitops.NS_PER_BUILD_WORD`).
 
 The report repeats the constants stated in `_bitops` beside the measured
-figures.  `sampling.count_costs` chooses the counting strategy from those
-constants, so a change to them changes which kernel runs.
+figures.  `SetSystem.count_costs` prices each count query with those
+constants and `SetSystem.counts` runs the cheaper kernel, so a change to
+them changes which kernel runs.
 """
 
 import argparse

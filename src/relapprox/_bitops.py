@@ -4,8 +4,13 @@ A family of m subsets is a packed matrix, (m, words) uint64 little-endian
 words with bit i of a row set iff element i is a member.  It is the only
 store of a `SetSystem`, and only this module knows its layout: rows are built
 from flag arrays (`pack_flags`) or a caller's Python-int masks (`pack_masks`)
-and turned into ints only on request (`unpack_masks`).  Hot loops (many
-counts against a fixed family of m sets) go through one of two layouts:
+and turned into ints only on request (`unpack_masks`).  Every popcount of
+packed words is made here (`row_sizes`, `symdiff_sizes`,
+`intersection_sizes`), and every loop over row blocks, here or in a caller,
+sizes its blocks with `block_rows` so that they stay in L2.  Counts against
+a fixed family of m sets (`SetSystem.counts` prices each query with the
+measured per-unit constants below and runs the cheaper kernel) go through
+one of two layouts:
 
 - the packed matrix.  A weighted intersection count sum over e in S of w(e)
   is a popcount scan of the whole matrix against the packed binary planes
@@ -18,23 +23,17 @@ counts against a fixed family of m sets) go through one of two layouts:
   t * nnz / n entries for t draws from n elements when the family has nnz
   incidences (an element drawn r times is read popcount(r) times).
 
-`sampling.count_costs` prices a query both ways with the measured per-unit
-constants below, and `sampling.intersection_counts` takes the cheaper.  The
-index is built lazily, at most once per family, when the family's dense
-scans that it would have undercut have cost as much as building it
-(`SetSystem.incidence_when_paid`); a family queried once or twice keeps the
-dense scan.
-
-`gather_columns` reads the packed matrix in row blocks that stay in L2: the
-trace of every row on a set of columns (`set_system.restrict`, its only caller).
-Each row block is unpacked to one byte per bit (64 B per word, about
-`_BLOCK_BYTES`), its columns gathered and packed again.  Packing
-(`pack_flags`) pads the rows to whole words and packs the flat array in one
-`packbits`, a third of the cost of packing row by row.
+`gather_columns` reads the packed matrix in row blocks: the trace of every
+row on a set of columns (`set_system.restrict`, its only caller).  Each row
+block is unpacked to one byte per bit (64 B per word), its columns gathered
+and packed again.  Packing (`pack_flags`) pads the rows to whole words and
+packs the flat array in one `packbits`, a third of the cost of packing row
+by row.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
@@ -55,6 +54,12 @@ NS_PER_BUILD_WORD = 300.0
 # Row blocks of the dense scans, with their buffers, stay in the 2 MiB
 # per-core L2 while every plane or query row is applied to them.
 _BLOCK_BYTES = 1 << 19
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block when each row takes `row_bytes` of buffers: as many
+    as fit in `_BLOCK_BYTES`, and at least one."""
+    return max(1, _BLOCK_BYTES // max(1, row_bytes))
 
 
 def indices_from_mask(mask: int) -> np.ndarray:
@@ -110,7 +115,7 @@ def distinct_rows(packed: np.ndarray, labels: bool = False):
     rows = np.ascontiguousarray(packed).view(np.dtype((np.void, 8 * packed.shape[1])))[:, 0]
     order = np.argsort(rows, kind="stable")  # equal rows side by side, in index order
     new = np.ones(len(rows), dtype=bool)  # the rows that differ from the one before
-    step = max(1, _BLOCK_BYTES // rows.itemsize)
+    step = block_rows(rows.itemsize)
     for s in range(0, len(rows), step):
         ordered = rows[order[s : s + step + 1]]
         new[s + 1 : s + len(ordered)] = ordered[1:] != ordered[:-1]
@@ -128,40 +133,53 @@ def rows_outside(packed: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(packed[:, -1] & ~pack_flags(np.ones((1, n), dtype=bool))[0, -1])
 
 
-def popcount_words(a: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array."""
-    return np.bitwise_count(a)
+def row_sizes(packed: np.ndarray) -> np.ndarray:
+    """The number of members of every row of a packed matrix, as int64."""
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
-def _bulk_op_sizes(packed: np.ndarray, planes: np.ndarray, op) -> np.ndarray:
-    """sum_k 2^k |op(S_i, planes[k])| for every row S_i, in one pass over
-    `packed`: each L2-sized row block meets every plane before the next."""
+def intersection_sizes(packed: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """sum_k 2^k |S_i & planes[k]| for every row S_i of a packed matrix, as
+    int64: |S_i & row| for a single packed row, the weighted count for the
+    (planes, words) binary planes of a weight.  One pass over `packed`: each
+    row block meets every plane before the next."""
     planes = np.atleast_2d(planes)
     n, w = packed.shape
     out = np.zeros(n, dtype=np.int64)
-    step = max(1, _BLOCK_BYTES // (8 * w))
+    step = block_rows(8 * w)
     buf = np.empty((min(step, n), w), dtype=np.uint64)
     cnt = np.empty((min(step, n), w), dtype=np.uint8)
     for s in range(0, n, step):
         e = min(s + step, n)
         b, c, acc = buf[: e - s], cnt[: e - s], out[s:e]
         for k, plane in enumerate(planes):
-            op(packed[s:e], plane, out=b)
+            np.bitwise_and(packed[s:e], plane, out=b)
             np.bitwise_count(b, out=c)
             acc += c.sum(axis=1, dtype=np.int64) << k
     return out
 
 
-def intersection_sizes(packed: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """sum_k 2^k |S_i & planes[k]| for every row S_i of a packed matrix, as
-    int64: |S_i & row| for a single packed row, the weighted count for the
-    (planes, words) binary planes of a weight."""
-    return _bulk_op_sizes(packed, planes, np.bitwise_and)
+def symdiff_sizes(
+    a: np.ndarray, b: np.ndarray, b_rows: np.ndarray | None = None
+) -> np.ndarray:
+    """|a ^ b| for word-major packed rows (axis 0 the word), as int64.
 
-
-def xor_sizes(packed: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """|S_i ^ row| (symmetric-difference sizes) for every row, as int64."""
-    return _bulk_op_sizes(packed, row, np.bitwise_xor)
+    Each row of `a` meets one row of `b`, (words, 1), or each of its rows
+    in a table ((words, k, 1) against (words, 1, l)); with `b_rows`, the
+    rows of `a` pair with b[:, b_rows], gathered a word at a time.  The
+    result is made a block of a's rows at a time and a word at a time,
+    reading a word of many rows without a stride; a block's xor and
+    popcount take 9 B an entry.
+    """
+    rows = b.shape[1:] if b_rows is None else b_rows.shape
+    out = np.zeros(np.broadcast_shapes(a.shape[1:], rows), dtype=np.int64)
+    step = block_rows(9 * math.prod(out.shape[1:]))
+    for s in range(0, len(out), step):
+        cut = slice(s, s + step)
+        acc, pick = out[cut], slice(None) if b_rows is None else b_rows[cut]
+        for word_a, word_b in zip(a[:, cut], b):
+            acc += np.bitwise_count(word_a ^ word_b[pick])
+    return out
 
 
 def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -173,7 +191,7 @@ def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """
     m, w = packed.shape
     out = np.empty((m, words_needed(len(columns))), dtype="<u8")
-    step = max(1, _BLOCK_BYTES // (64 * w))
+    step = block_rows(64 * w)
     for s in range(0, m, step):
         bits = np.unpackbits(packed[s : s + step].view(np.uint8), axis=1, bitorder="little")
         out[s : s + step] = pack_flags(bits.view(bool)[:, columns])
@@ -197,7 +215,7 @@ def build_incidence(packed: np.ndarray, n: int) -> Incidence:
     column's bits, 64 B per set.
     """
     m, w = packed.shape
-    nnz = int(popcount_words(packed).sum(dtype=np.int64))
+    nnz = int(row_sizes(packed).sum())
     ids = np.empty(nnz, dtype=np.uint16 if m <= 1 << 16 else np.int32)
     indptr = np.zeros(64 * w + 1, dtype=np.int32 if nnz < 2**31 else np.int64)
     ends_of = np.arange(1, 65) * m

@@ -29,7 +29,6 @@ from .sampling import (
     Sample,
     error_numerators,
     exact_dtype,
-    intersection_counts,
     relative_error,
 )
 from .set_system import SetSystem
@@ -82,8 +81,7 @@ def _level_parts(system: SetSystem, packings: list[Packing], i: int):
     fine[coarse] = False
     sets = np.flatnonzero(fine)
     rows = _part_rows(system.packed, sets, packings[i].cover_array[sets])
-    sizes = _bitops.popcount_words(rows).sum(axis=1, dtype=np.int64)
-    return sets, rows, sizes.reshape(2, -1).sum(axis=0)
+    return sets, rows, _bitops.row_sizes(rows).reshape(2, -1).sum(axis=0)
 
 
 def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecomposition:
@@ -257,7 +255,7 @@ def telescoping_audit_all(
     fam = len(system)
     dtype = exact_dtype(max(n, 16), t)  # the final bound reaches 32 n t
     sizes_all = system.sizes_array
-    cnt_all = intersection_counts(system, sample)
+    cnt_all = system.counts(sample)
     err_all = error_numerators(n, t, sizes_all, cnt_all, dtype)
 
     def floor_nt(x: Fraction) -> int:
@@ -342,12 +340,12 @@ def _part_rows(packed: np.ndarray, sets: np.ndarray, parents: np.ndarray) -> np.
 
 def _parts(packed: np.ndarray, planes: np.ndarray, sets: np.ndarray, parents: np.ndarray):
     """Rows |S \\ P|, |P \\ S| and their sample counts for each pair (S, P) of
-    family indices, in row blocks of about `_bitops._BLOCK_BYTES`."""
+    family indices, in blocks of `_bitops.block_rows` pairs."""
     out = np.empty((4, len(sets)), dtype=np.int64)
-    step = max(1, _bitops._BLOCK_BYTES // (16 * packed.shape[1]))
+    step = _bitops.block_rows(16 * packed.shape[1])
     for s in range(0, len(sets), step):
         rows = _part_rows(packed, sets[s : s + step], parents[s : s + step])
-        out[:2, s : s + step] = _bitops.popcount_words(rows).sum(axis=1).reshape(2, -1)
+        out[:2, s : s + step] = _bitops.row_sizes(rows).reshape(2, -1)
         out[2:, s : s + step] = _bitops.intersection_sizes(rows, planes).reshape(2, -1)
     return out
 

@@ -25,6 +25,7 @@ from .sampling import (
     ApproxParams,
     Constants,
     _read_json_object,
+    _require_keys,
     chaining_sample_size,
     formula_sample_size,
     halving_sample_size,
@@ -331,6 +332,8 @@ def write_sweep_csv(rows: list[CellResult], path) -> None:
 
 # --- constant calibration -------------------------------------------------------
 
+_CASE_KEYS = ("name", "system", "eps", "delta", "gamma", "d")
+
 
 @dataclass(frozen=True)
 class CalibrationCase:
@@ -372,6 +375,9 @@ class _CaseRuntime:
 
 def load_suite(path) -> tuple[list[CalibrationCase], int, int]:
     doc = _read_json_object(path, ("cases", "trials", "master_seed"))
+    for k, c in enumerate(doc["cases"]):
+        name = c.get("name") if isinstance(c, dict) else None
+        _require_keys(c, _CASE_KEYS, f"{path}: case #{k} ({name})")
     cases = [
         CalibrationCase(
             name=c["name"],

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -64,20 +63,10 @@ class Packing:
         }
 
 
-def _distance_table(packed: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (len(a), len(b)) int64 table of |packed[a_i] ^ packed[b_j]|.
-
-    Built a row block at a time, word by word, so the transients (the
-    block's xor and popcount, 9 B per pair) stay near `_bitops._BLOCK_BYTES`.
-    """
-    words_a, words_b = packed[a].T, np.ascontiguousarray(packed[b].T)
-    out = np.zeros((len(a), len(b)), dtype=np.int64)
-    step = max(1, _bitops._BLOCK_BYTES // (9 * max(1, len(b))))
-    for s in range(0, len(a), step):
-        acc = out[s : s + step]
-        for word_a, word_b in zip(words_a, words_b):
-            acc += np.bitwise_count(word_a[s : s + step, None] ^ word_b)
-    return out
+def _distances(packed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), len(rows)) int64 table of |packed[rows_i] ^ packed[rows_j]|."""
+    words = np.ascontiguousarray(packed[rows].T)
+    return _bitops.symdiff_sizes(words[:, :, None], words[:, None])
 
 
 def _nearest_member(
@@ -102,12 +91,10 @@ def _nearest_member(
         return np.full(fam, _BIG, dtype=np.int64), np.full(fam, -1, dtype=np.int64)
     member_words = np.ascontiguousarray(packed[order].T)
     rank = np.searchsorted(order, hint)  # -1 sorts first, to the lowest member
-    reach = np.zeros(fam, dtype=np.int64)  # d(S, hint), a word column at a time
-    for col, member_col in zip(packed.T, member_words):
-        reach += np.bitwise_count(col ^ member_col[rank])
+    reach = _bitops.symdiff_sizes(packed.T, member_words, rank)  # d(S, hint)
     hinted = np.bincount(rank, minlength=k) > 0
     row = np.cumsum(hinted)[rank] - 1  # the row of the set's hint in the table
-    table = _distance_table(packed, order[hinted], order)
+    table = _bitops.symdiff_sizes(member_words[:, hinted, None], member_words[:, None])
     near = np.argsort(table, axis=1, kind="stable")
     # one searchsorted over the sorted rows laid end to end, row r shifted
     # by r * span (a distance is at most n, a bound 2 d(S, h) at most 2n)
@@ -120,7 +107,7 @@ def _nearest_member(
     best = reach[by] * k + rank[by]
     count, row, near = count[by], row[by], np.ascontiguousarray(near.T)
     # a block's words and per-set buffers stay in L2
-    step = max(1, _bitops._BLOCK_BYTES // (8 * len(member_words) + 32))
+    step = _bitops.block_rows(8 * len(member_words) + 32)
     for s in range(0, fam, step):
         if count[s] < 2:
             break
@@ -129,9 +116,7 @@ def _nearest_member(
         block_best, block_row = best[s : s + step], row[s : s + step]
         for j, p in enumerate(serves.tolist(), start=1):
             cand = near[j][block_row[:p]]
-            apart = np.zeros(p, dtype=np.int64)
-            for word, member_col in zip(words, member_words):
-                apart += np.bitwise_count(word[:p] ^ member_col[cand])
+            apart = _bitops.symdiff_sizes(words[:, :p], member_words, cand)
             np.minimum(block_best[:p], apart * k + cand, out=block_best[:p])
     dist, arg = np.empty(fam, dtype=np.int64), np.empty(fam, dtype=np.int64)
     dist[by], arg[by] = best // k, order[best % k]
@@ -174,7 +159,7 @@ def greedy_maximal_packing(
 
     need = math.ceil(alpha)  # an integer distance d is >= alpha iff d >= need
     seeds = np.array(seed_members, dtype=np.int64)
-    close = _distance_table(system.packed, seeds, seeds)
+    close = _distances(system.packed, seeds)
     close[np.triu_indices(len(seeds))] = _BIG  # each seed against the earlier ones
     early = np.flatnonzero(close.min(axis=1, initial=_BIG) < need)
     if len(early):
@@ -189,14 +174,14 @@ def greedy_maximal_packing(
     seed_dist, hint = _nearest_member(system, seeds, seed_hint)
     members = [int(k) for k in seed_members]
     far = np.flatnonzero(seed_dist >= need)
-    rows = system.packed[far]
+    words = np.ascontiguousarray(system.packed[far].T)
     while len(far):
         k = int(far[0])
         members.append(k)
-        keep = _bitops.xor_sizes(rows[1:], rows[0]) >= need
+        keep = _bitops.symdiff_sizes(words[:, 1:], words[:, :1]) >= need
         hint[k] = k
         hint[far[1:][~keep]] = k
-        far, rows = far[1:][keep], rows[1:][keep]
+        far, words = far[1:][keep], words[:, 1:][:, keep]
     _, cover = _nearest_member(system, np.array(members), hint)
     return Packing(alpha, tuple(members), cover)
 
@@ -212,7 +197,7 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
         raise AuditFailure("duplicate member indices")
     mem_arr = np.array(mem, dtype=np.int64)
     need = math.ceil(alpha)
-    apart = _distance_table(system.packed, mem_arr, mem_arr)
+    apart = _distances(system.packed, mem_arr)
     np.fill_diagonal(apart, _BIG)
     close = np.flatnonzero(apart.min(axis=1, initial=_BIG) < need)
     if len(close):
@@ -259,8 +244,7 @@ def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) 
     if len(deltas) > 0:
         eps = packing.alpha / system.n
         report = relative_error(deltas, sample, eps)
-        half = Fraction(1, 2) if isinstance(eps, Fraction) else 0.5
-        if not report.passes(half):
+        if not report.passes(0.5):
             raise PreconditionFailed(
                 "sample is not a relative (alpha/n, 1/2)-approximation of the "
                 f"delta system (worst ratio {float(report.worst_ratio):.6g})"

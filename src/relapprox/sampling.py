@@ -23,10 +23,13 @@ over [0, n), `error_report(sample, eps)` (the report above),
 sample's support A, over [0, |A|), the j-th support element becoming
 element j.  A trace answers at least `n`, `len` (the number of distinct
 traces) and `error_report`, the worst set indexed in the trace's order.
-`set_system.SetSystem` answers the protocol from its packed rows, its
-trace a `set_system.Trace` whose rows are never gathered, and
-`generators.ImplicitIntervals` from prefix sums and closed forms, its
-trace `ImplicitIntervals(m)`; no function here looks at the family's type.
+`set_system.SetSystem` answers the protocol from its packed rows and its
+own count policy (`SetSystem.counts`), its trace a `set_system.Trace`
+whose rows are never gathered, and `generators.ImplicitIntervals` from
+prefix sums and closed forms, its trace `ImplicitIntervals(m)`.  No
+function here counts |A & S| or looks at the family's type: they take a
+family's exact sizes and counts (`worst_of_counts`, `error_numerators`)
+or its reports.
 """
 
 from __future__ import annotations
@@ -37,15 +40,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import _bitops
 from .errors import ConstructionError
-
-if TYPE_CHECKING:
-    from .set_system import SetSystem
 
 WITHOUT = "without"
 WITH = "with"
@@ -87,13 +86,22 @@ DEFAULT_CONSTANTS = Constants(c=8.0, c1=8.0, c2=8.0, c3=4.0 * math.sqrt(8.0))
 
 def _read_json_object(path, keys) -> dict:
     """The JSON object in the file at `path`; ConstructionError names the
-    first of `keys` that it lacks."""
+    path when the file is not JSON, and the first of `keys` that it lacks."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConstructionError(f"{path}: not valid JSON ({exc})") from None
+    _require_keys(doc, keys, str(path))
+    return doc
+
+
+def _require_keys(doc, keys, where: str) -> None:
+    """ConstructionError naming `where` and the first of `keys` that `doc`
+    lacks, or that it is not an object."""
     missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
     if missing:
-        raise ConstructionError(f"{path}: expected a JSON object with key {missing[0]!r}")
-    return doc
+        raise ConstructionError(f"{where}: expected a JSON object with key {missing[0]!r}")
 
 
 def load_constants(path) -> Constants:
@@ -292,45 +300,6 @@ class ApproximationReport:
             "t": self.t,
             "eps": float(self.eps),
         }
-
-
-class CountCosts(NamedTuple):
-    """Model nanoseconds of one `intersection_counts` query by each strategy."""
-
-    incidence_ns: float
-    dense_ns: float
-
-
-def count_costs(system: SetSystem, sample: Sample) -> CountCosts:
-    """Price the counts of `sample` over `system` both ways: the expected
-    incidence entries touched, t * nnz / n, against the packed words
-    scanned, m * words * planes."""
-    nnz = int(system.sizes_array.sum())
-    return CountCosts(
-        _bitops.NS_PER_ENTRY * sample.t * nnz / system.n,
-        _bitops.NS_PER_WORD * system.packed.size * len(sample.planes),
-    )
-
-
-def intersection_counts(system: SetSystem, sample: Sample) -> np.ndarray:
-    """|A & S| for every S in the family (multiplicity-weighted in WITH mode),
-    as exact int64.
-
-    Two strategies, chosen per query by `count_costs`: a popcount scan of the
-    packed family against the sample's binary planes, or a bincount over the
-    family's incidence index, where each sampled element counts once per
-    draw.  The index is built only once the family's queries have paid for
-    it (`SetSystem.incidence_when_paid`).
-    """
-    cost = count_costs(system, sample)
-    index = None
-    if cost.incidence_ns < cost.dense_ns:
-        index = system.incidence_when_paid(cost.dense_ns)
-    if index is None:
-        return _bitops.intersection_sizes(system.packed, sample.planes)
-    return _bitops.incidence_counts(
-        index, sample.support_array, len(system), sample.multiplicity_array
-    )
 
 
 def _check_ground_set(system, sample) -> None:

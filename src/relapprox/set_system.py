@@ -3,9 +3,12 @@
 The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
 order-preserving family of subsets as one packed matrix (`_bitops`) and
 answers the family protocol of `sampling` from it; its trace on a sample is
-a `Trace`, which never gathers the rows (only `restrict` does).  Subsets
-are bitmasks (Python ints) in the functions below.  All operations are
-pure; SetSystem and Trace are immutable and safe to share.
+a `Trace`, which never gathers the rows (only `restrict` does).  Every
+count |A & S| behind a verifier, a trace or the chain's telescoping audit
+comes from `SetSystem.counts`, which owns the choice of kernel and the
+purchase of the incidence index.  Subsets are bitmasks (Python ints) in the
+functions below.  All operations are pure; SetSystem and Trace are
+immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .sampling import (
     _read_json_object,
     big_size_limit,
     error_numerators,
-    intersection_counts,
     make_rng,
     uniform_sample,
     worst_of_counts,
@@ -38,6 +40,13 @@ from .sampling import (
 # Guards every family's index purchase: the rent ledger's read-modify-write
 # and the build, so concurrent queries build an index at most once.
 _INCIDENCE_LOCK = threading.Lock()
+
+
+class CountCosts(NamedTuple):
+    """Model nanoseconds of one `SetSystem.counts` query by each strategy."""
+
+    incidence_ns: float
+    dense_ns: float
 
 
 class SetSystem:
@@ -108,42 +117,59 @@ class SetSystem:
 
     @cached_property
     def sizes_array(self) -> np.ndarray:
-        return _bitops.popcount_words(self.packed).sum(axis=1, dtype=np.int64)
+        return _bitops.row_sizes(self.packed)
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(self.sizes_array.tolist())
 
     @cached_property
+    def _nnz(self) -> int:
+        return int(self.sizes_array.sum())
+
+    @cached_property
     def incidence(self) -> _bitops.Incidence:
         """CSR element -> ascending indices of the sets containing it."""
         return _bitops.build_incidence(self.packed, self.n)
 
-    def incidence_when_paid(self, rent_ns: float) -> _bitops.Incidence | None:
-        """The incidence index once the dense work spent without it pays for
-        building it, else None.
+    def count_costs(self, sample: Sample) -> CountCosts:
+        """Price the counts of `sample` both ways: the expected incidence
+        entries touched, t * nnz / n, against the packed words scanned,
+        m * words * planes."""
+        return CountCosts(
+            _bitops.NS_PER_ENTRY * sample.t * self._nnz / self.n,
+            _bitops.NS_PER_WORD * self.packed.size * len(sample.planes),
+        )
 
-        Ski rental: a count query that the index would serve more cheaply
-        pays its dense-scan cost `rent_ns` into this family's ledger, and the
-        index is built when the ledger reaches the build cost, m * words *
-        `_bitops.NS_PER_BUILD_WORD` (about 85 dense scans).  A family queried
-        once or twice never builds it; one queried without end spends at most
-        about twice what knowing its number of queries in advance would.
-        """
-        with _INCIDENCE_LOCK:
-            if "incidence" not in self.__dict__:
-                spent = self.__dict__.get("_rent_ns", 0.0) + rent_ns
+    def counts(self, sample: Sample) -> np.ndarray:
+        """|A & S| for every set S (multiplicity-weighted in WITH mode), as
+        exact int64: a popcount scan of the packed rows, or a bincount over
+        the incidence index when that is cheaper (`count_costs`) and bought.
+
+        Ski rental: a query that the index would serve more cheaply pays its
+        dense-scan cost into this family's ledger, and the index is built
+        when the ledger reaches m * words * `_bitops.NS_PER_BUILD_WORD`
+        (about 85 dense scans), so a family queried once or twice never
+        builds it and one queried without end spends at most about twice
+        what knowing its number of queries in advance would."""
+        cost = self.count_costs(sample)
+        if cost.incidence_ns < cost.dense_ns:
+            with _INCIDENCE_LOCK:
+                spent = self.__dict__.get("_rent_ns", 0.0) + cost.dense_ns
                 self.__dict__["_rent_ns"] = spent
-                if spent < _bitops.NS_PER_BUILD_WORD * self.packed.size:
-                    return None
-            return self.incidence
+                paid = spent >= _bitops.NS_PER_BUILD_WORD * self.packed.size
+                index = self.incidence if paid or "incidence" in self.__dict__ else None
+            if index is not None:
+                return _bitops.incidence_counts(
+                    index, sample.support_array, len(self), sample.multiplicity_array
+                )
+        return _bitops.intersection_sizes(self.packed, sample.planes)
 
     # -- the family protocol (see `sampling`) --------------------------------
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
         _check_verifier_inputs(self, sample)
-        counts = intersection_counts(self, sample)
-        return worst_of_counts(self.n, sample.t, eps, self.sizes_array, counts)
+        return worst_of_counts(self.n, sample.t, eps, self.sizes_array, self.counts(sample))
 
     def max_additive_numerator(self, sample: Sample) -> int:
         """max over S of |s t - c n|, the largest additive error scaled by
@@ -151,7 +177,7 @@ class SetSystem:
         _check_verifier_inputs(self, sample)
         if len(self) == 0:
             return 0
-        counts = intersection_counts(self, sample)
+        counts = self.counts(sample)
         return int(error_numerators(self.n, sample.t, self.sizes_array, counts).max())
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
@@ -159,8 +185,7 @@ class SetSystem:
         big = self.sizes_array >= big_size_limit(self.n, eps)
         if not big.any():
             return True
-        counts = intersection_counts(self, sample)
-        return bool((counts[big] > 0).all())
+        return bool((self.counts(sample)[big] > 0).all())
 
     def trace_on(self, sample: Sample) -> "Trace":
         """The trace F|_A on the sample's support A, over [0, |A|)."""
@@ -189,13 +214,13 @@ class Trace:
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return intersection_counts(self.family, Sample(self.family.n, self.columns))[self.rows]
+        return self.family.counts(Sample(self.family.n, self.columns))[self.rows]
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
         _check_verifier_inputs(self, sample)
         elements = self.columns[sample.support_array]
         lifted = Sample(self.family.n, elements, sample.multiplicity_array)
-        counts = intersection_counts(self.family, lifted)[self.rows]
+        counts = self.family.counts(lifted)[self.rows]
         return worst_of_counts(self.n, sample.t, eps, self.sizes, counts)
 
 

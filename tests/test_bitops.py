@@ -8,8 +8,6 @@ from relapprox.sampling import (
     WITH,
     WITHOUT,
     Sample,
-    count_costs,
-    intersection_counts,
     make_rng,
     uniform_sample,
 )
@@ -82,13 +80,13 @@ def test_incidence_dense_and_oracle_counts_agree(n, m, p, mode, scale, heavy, se
     for got in (
         dense_counts(system, sample),
         incidence_counts(system, sample),
-        intersection_counts(system, sample),
+        system.counts(sample),
     ):
         assert got.dtype == np.int64
         assert got.tolist() == want
     planes = len(sample.planes)
     assert planes == max(1, max(sample.multiplicity or (1,)).bit_length())
-    costs = count_costs(system, sample)
+    costs = system.count_costs(sample)
     assert costs.dense_ns == _bitops.NS_PER_WORD * system.packed.size * planes
 
 
@@ -174,3 +172,30 @@ def test_distinct_rows_first_occurrences_and_labels(values, n):
             assert np.array_equal(_bitops.distinct_rows(packed), first)
         assert first.tolist() == want
         assert np.array_equal(packed[first][label], packed)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130])
+@pytest.mark.parametrize("block", [1 << 19, 1])  # then one row a block
+def test_row_and_symdiff_sizes_match_int_bit_count(monkeypatch, n, block):
+    masks = [0, (1 << n) - 1] + random_masks(n, 21, 0.4, make_rng(n))
+    packed = _bitops.pack_masks(masks, n)
+    words = packed.T  # word-major
+    monkeypatch.setattr(_bitops, "_BLOCK_BYTES", block)
+
+    sizes = _bitops.row_sizes(packed)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [m.bit_count() for m in masks]
+
+    one = _bitops.symdiff_sizes(words[:, 1:], words[:, 1:2])
+    assert one.dtype == np.int64
+    assert one.tolist() == [(m ^ masks[1]).bit_count() for m in masks[1:]]
+
+    flipped = np.arange(len(masks))[::-1]
+    paired = _bitops.symdiff_sizes(words, words, flipped)
+    assert paired.tolist() == [(a ^ b).bit_count() for a, b in zip(masks, masks[::-1])]
+
+    table = _bitops.symdiff_sizes(words[:, :9, None], packed[::-1].T[:, None])
+    assert table.shape == (9, len(masks))
+    assert table.tolist() == [[(a ^ b).bit_count() for b in masks[::-1]] for a in masks[:9]]
+
+    assert _bitops.symdiff_sizes(words[:, :0], words[:, :1]).shape == (0,)

@@ -242,6 +242,20 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, system_doc, sample_doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("broken", ["system", "sample"])
+def test_truncated_json_input_exits_2_naming_the_file(tmp_path, capsys, broken):
+    paths = {"system": tmp_path / "sys.json", "sample": tmp_path / "s.json"}
+    paths["system"].write_text('{"n": 3, "sets": [[0, 1]]}')
+    paths["sample"].write_text('{"n": 3, "members": [0, 2]}')
+    paths[broken].write_text('{"n": 3, "sets": [[0]')
+    code = run("verify", "--system", paths["system"], "--sample", paths["sample"],
+               "--eps", 0.2, "--delta", 0.3)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[broken]}: not valid JSON")
+    assert "Traceback" not in err
+
+
 def test_halve_rejects_fewer_than_one_retry(interval_file, capsys):
     code = run("halve", "--system", interval_file, "--eps", 0.2, "--delta", 0.4,
                "--gamma", 0.2, "--seed", 1, "--max-retries", 0)

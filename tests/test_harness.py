@@ -229,6 +229,17 @@ def test_calibration_requires_cases_per_kind():
         )  # no c2 case
 
 
+@pytest.mark.parametrize("key", ["name", "system", "eps", "delta", "gamma", "d"])
+def test_suite_case_without_a_key_names_the_case_and_the_key(tmp_path, key):
+    cases = [c.descriptor() for c in tiny_suite()]
+    del cases[1][key]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"trials": 40, "master_seed": 17, "cases": cases}))
+    name = cases[1].get("name")
+    with pytest.raises(ConstructionError, match=rf"case #1 \({name}\).* key '{key}'"):
+        load_suite(path)
+
+
 def test_suite_roundtrip(tmp_path):
     cases = tiny_suite()
     doc = {

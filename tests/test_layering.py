@@ -1,0 +1,56 @@
+"""Each module owns its decisions: the packed-word layout stays in `_bitops`,
+and `sampling` never reaches for a concrete family type."""
+
+import ast
+from pathlib import Path
+
+import relapprox
+
+SOURCES = sorted(Path(relapprox.__file__).parent.glob("*.py"))
+LAYOUT_NAMES = {"bitwise_count", "_BLOCK_BYTES"}
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every bare name and attribute name that the module mentions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def modules_imported(tree: ast.AST) -> set[str]:
+    """The relapprox modules a module imports from, by bare name, wherever
+    the import stands (a TYPE_CHECKING block included)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module.rsplit(".", 1)[-1])
+            if node.module in (None, "relapprox"):  # from . import set_system
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return found
+
+
+def test_sources_are_found():
+    assert {"_bitops", "sampling", "set_system", "packing"} <= {p.stem for p in SOURCES}
+
+
+def test_only_bitops_popcounts_packed_words_or_sizes_its_blocks():
+    offenders = {
+        path.stem: sorted(LAYOUT_NAMES & names_used(ast.parse(path.read_text())))
+        for path in SOURCES
+        if path.stem != "_bitops"
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_sampling_does_not_import_set_system():
+    tree = ast.parse(Path(relapprox.__file__).with_name("sampling.py").read_text())
+    assert "set_system" not in modules_imported(tree)

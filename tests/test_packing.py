@@ -13,7 +13,6 @@ from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
 from relapprox.generators import intervals, random_system
 from relapprox.packing import (
     Packing,
-    _distance_table,
     _nearest_member,
     delta_system,
     greedy_maximal_packing,
@@ -320,9 +319,14 @@ def test_distance_table_in_small_row_blocks(monkeypatch):
     system = random_system(130, 60, 0.3, 8)
     a, b = np.arange(0, 60, 2), np.arange(59, -1, -3)
     want = [[(system.masks[i] ^ system.masks[j]).bit_count() for j in b] for i in a]
-    assert _distance_table(system.packed, a, b).tolist() == want
+    words_a, words_b = system.packed[a].T, system.packed[b].T
+
+    def table():
+        return _bitops.symdiff_sizes(words_a[:, :, None], words_b[:, None]).tolist()
+
+    assert table() == want
     monkeypatch.setattr(_bitops, "_BLOCK_BYTES", 64)  # one or two rows a block
-    assert _distance_table(system.packed, a, b).tolist() == want
+    assert table() == want
 
 
 # --- corrupted certificates ---------------------------------------------------------

@@ -20,10 +20,8 @@ from relapprox.sampling import (
     basic_sample_size,
     chaining_sample_size,
     chernoff_bound,
-    count_costs,
     exact_dtype,
     halving_sample_size,
-    intersection_counts,
     is_eps_approximation,
     is_eps_net,
     is_relative_approx,
@@ -294,7 +292,7 @@ def test_equivalent_displayed_form(sys_sample, eps, delta):
     n, t, e, d = system.n, sample.t, Fraction(eps), Fraction(delta)
     second_form = all(
         abs(cnt - Fraction(size * t, n)) <= d * t * max(Fraction(size, n), e)
-        for cnt, size in zip(intersection_counts(system, sample), system.sizes)
+        for cnt, size in zip(system.counts(sample), system.sizes)
     )
     assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == second_form
 
@@ -394,7 +392,7 @@ def test_verifier_products_beyond_int64():
 def test_with_replacement_counts_use_multiplicity():
     system = new_set_system(3, [[0], [0, 1]])
     sample = Sample(3, (0, 2), (3, 1))  # 3 copies of element 0, 1 of element 2
-    counts = intersection_counts(system, sample)
+    counts = system.counts(sample)
     assert counts.tolist() == [3, 3]
     report = relative_error(system, sample, 0.1)
     # S={0}: |1/3 - 3/4| = 5/12; denominator max(1/3, .1) = 1/3 -> 5/4
@@ -413,7 +411,7 @@ def test_large_multiplicities_count_in_one_dense_pass(monkeypatch):
     monkeypatch.setattr(_bitops, "intersection_sizes", recording)
     system = intervals(200)
     sample = Sample(200, (0, 5), (10**5, 1))
-    counts = intersection_counts(system, sample)
+    counts = system.counts(sample)
     assert shapes == [(17, 4)]
     assert counts.tolist() == [oracle_count(mask, sample) for mask in system.masks]
 
@@ -435,7 +433,7 @@ def test_index_is_built_once_queries_have_paid_for_it(monkeypatch):
     builds = counting_builds(monkeypatch)
     system = random_system(512, 2000, 0.02, seed=4)
     sample = uniform_sample(512, 20, seed=1)
-    costs = count_costs(system, sample)
+    costs = system.count_costs(sample)
     assert costs.incidence_ns < costs.dense_ns  # the index would serve it better
     relative_error(system, sample, 0.1)
     assert builds == [] and "incidence" not in system.__dict__
@@ -548,7 +546,7 @@ def test_per_set_failure_dominated_by_specialized_bound():
     fails = np.zeros(len(system), dtype=np.int64)
     for i in range(trials):
         sample = uniform_sample(n, t, seed=(99, i))
-        counts = intersection_counts(system, sample)
+        counts = system.counts(sample)
         for k, (cnt, size) in enumerate(zip(counts, system.sizes)):
             eta = delta * t * max(size / n, eps)
             if abs(cnt - size * t / n) > eta:
