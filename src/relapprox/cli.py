@@ -12,16 +12,13 @@ import sys
 
 from . import harness
 from .chaining import build_chain, write_chain_summary
-from .errors import ConstructionError, RelApproxError
-from .halving import iterated_halving, write_trace_json
+from .errors import RelApproxError, RetriesExhausted
+from .halving import _certify, write_trace_json
 from .packing import greedy_maximal_packing
 from .sampling import (
-    WITHOUT,
     ApproxParams,
     find_constants,
-    formula_sample_size,
     relative_error,
-    seed_sequence,
     uniform_sample,
     write_sample_json,
     read_sample_json,
@@ -52,9 +49,7 @@ def _cmd_sample(args) -> int:
     system = read_json(args.system).system
     params = ApproxParams(args.eps, args.delta, args.gamma)
     constants = find_constants(args.constants)
-    t = formula_sample_size(args.formula, params, args.d, len(system), constants)
-    if args.mode == WITHOUT:
-        t = min(t, system.n)
+    t = harness.formula_size(args.formula, params, args.d, system, constants, args.mode)
     sample = uniform_sample(system.n, t, args.seed, mode=args.mode)
     write_sample_json(sample, args.out)
     print(f"wrote {args.formula}-sized sample: t={sample.t} -> {args.out}")
@@ -64,34 +59,25 @@ def _cmd_sample(args) -> int:
 def _cmd_halve(args) -> int:
     system = read_json(args.system).system
     params = ApproxParams(args.eps, args.delta, args.gamma)
-    if args.max_retries < 1:
-        raise ConstructionError(f"max_retries must be >= 1, got {args.max_retries}")
-    best = None
-    for attempt in range(args.max_retries):
-        sample, trace = iterated_halving(
-            system, params, seed_sequence(args.seed, attempt), mode=args.mode
+    try:
+        attempts, sample, trace, report = _certify(
+            system, params, args.seed, args.max_retries, args.mode
         )
-        report = relative_error(system, sample, params.eps)
-        if report.passes(params.delta):
-            if args.trace:
-                write_trace_json(trace, args.trace)
-            doc = {"t": sample.t, "attempts": attempt + 1, "worst_ratio": report.worst_ratio}
-            if args.out:
-                write_sample_json(sample, args.out)
-                doc["out"] = args.out
-            else:
-                doc["members"] = list(sample.support)
-                if sample.multiplicity is not None:
-                    doc["counts"] = list(sample.multiplicity)
-            print(json.dumps(doc))
-            return 0
-        best = min(best, report.worst_ratio) if best is not None else report.worst_ratio
-    print(
-        f"no verified sample in {args.max_retries} attempts "
-        f"(best worst_ratio {best:.6g})",
-        file=sys.stderr,
-    )
-    return 1
+    except RetriesExhausted as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    if args.trace:
+        write_trace_json(trace, args.trace)
+    doc = {"t": sample.t, "attempts": attempts, "worst_ratio": report.worst_ratio}
+    if args.out:
+        write_sample_json(sample, args.out)
+        doc["out"] = args.out
+    else:
+        doc["members"] = list(sample.support)
+        if sample.multiplicity is not None:
+            doc["counts"] = list(sample.multiplicity)
+    print(json.dumps(doc))
+    return 0
 
 
 def _cmd_packing(args) -> int:

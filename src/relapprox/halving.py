@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,17 +69,7 @@ class HalvingTrace:
 
     def to_json_dict(self) -> dict:
         return {
-            "levels": [
-                {
-                    "delta_level": lv.delta_level,
-                    "gamma_level": lv.gamma_level,
-                    "set_size_before": lv.set_size_before,
-                    "sample_size_requested": lv.sample_size_requested,
-                    "set_size_after": lv.set_size_after,
-                    "seed_used": lv.seed_used,
-                }
-                for lv in self.levels
-            ],
+            "levels": [asdict(lv) for lv in self.levels],
             "final_size": self.final_sample.t,
             "mode": self.final_sample.mode,
         }
@@ -159,6 +149,30 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
     return current, HalvingTrace(tuple(levels), current)
 
 
+def _certify(system, params: ApproxParams, seed, max_retries: int = 5, mode: str = WITHOUT):
+    """The Las Vegas loop: rerun the construction until the exact verifier
+    certifies its output.  Returns (attempts taken, sample, trace, report);
+    raises RetriesExhausted with the best worst ratio seen."""
+    if max_retries < 1:
+        raise ConstructionError(f"max_retries must be >= 1, got {max_retries}")
+    best = math.inf
+    for attempt in range(max_retries):
+        sample, trace = iterated_halving(system, params, seed_sequence(seed, attempt), mode=mode)
+        report = relative_error(system, sample, params.eps)
+        if report.passes(params.delta):
+            return attempt + 1, sample, trace, report
+        best = min(best, report.worst_ratio)
+    raise _exhausted("sample", max_retries, best)
+
+
+def _exhausted(what: str, max_retries: int, best) -> RetriesExhausted:
+    return RetriesExhausted(
+        f"no verified {what} in {max_retries} attempts "
+        f"(best worst_ratio observed: {float(best):.6g})",
+        best,
+    )
+
+
 def certified_halving(
     system,
     params: ApproxParams,
@@ -168,20 +182,7 @@ def certified_halving(
 ) -> Sample:
     """Las Vegas wrapper: retry the construction until the exact verifier
     certifies the output."""
-    if max_retries < 1:
-        raise ConstructionError(f"max_retries must be >= 1, got {max_retries}")
-    best = math.inf
-    for attempt in range(max_retries):
-        sample, _ = iterated_halving(system, params, seed_sequence(seed, attempt), mode=mode)
-        report = relative_error(system, sample, params.eps)
-        if report.passes(params.delta):
-            return sample
-        best = min(best, report.worst_ratio)
-    raise RetriesExhausted(
-        f"no verified sample in {max_retries} attempts "
-        f"(best worst_ratio observed: {float(best):.6g})",
-        best,
-    )
+    return _certify(system, params, seed, max_retries, mode)[1]
 
 
 def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bool:
@@ -228,9 +229,11 @@ def combined_construction(
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
     trace = system.trace_on(a1)
     t2 = min(trace.n, chaining_sample_size(stage, d, len(trace), constants))
+    best = math.inf
     for attempt in range(max_retries):
         cand = uniform_sample(trace.n, t2, seed_sequence(seed, 1, attempt))
-        if trace.error_report(cand, params.eps).passes(stage.delta):
+        report = trace.error_report(cand, params.eps)
+        if report.passes(stage.delta):
             final = Sample(system.n, a1.support_array[cand.support_array])
             if not relative_error(system, final, params.eps).passes(params.delta):
                 raise AuditFailure(
@@ -238,9 +241,8 @@ def combined_construction(
                     "combined sample fails at the combined delta"
                 )
             return final
-    raise RetriesExhausted(
-        f"no verified stage-2 sample in {max_retries} attempts", math.nan
-    )
+        best = min(best, report.worst_ratio)
+    raise _exhausted("stage-2 sample", max_retries, best)
 
 
 def write_trace_json(trace: HalvingTrace, path) -> None:

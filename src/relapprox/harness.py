@@ -1,20 +1,22 @@
 """Monte Carlo harness: failure-rate estimation, size search, calibration.
 
-Every trial's seed is derived from (master_seed, cell index, trial index),
-so results are independent of worker count and execution order; aggregation
-is a deterministic fold over trial indices.  Failure rates carry Wilson
-score intervals, which stay honest at zero or few failures.
+One trial loop draws every trial's uniform sample from the seed path
+(master_seed, cell, trial index) and hands it to the caller's judgement, so
+results are independent of worker count and execution order; aggregation is
+a deterministic fold over trial indices.  Every formula-sized cell, CLI
+sample and calibration size comes from `formula_size`.  Failure rates carry
+Wilson score intervals, which stay honest at zero or few failures.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 from . import generators
 from .chaining import build_chain, claim7_check
@@ -26,10 +28,8 @@ from .sampling import (
     Constants,
     _read_json_object,
     _require_keys,
-    chaining_sample_size,
+    find_constants,
     formula_sample_size,
-    halving_sample_size,
-    main_sample_size,
     relative_error,
     seed_sequence,
     uniform_sample,
@@ -77,13 +77,19 @@ class CellResult:
         return wilson_interval(self.failures, self.trials)
 
 
-def _run_trials(trial_fn: Callable[[int], object], trials: int, workers: int) -> list:
-    """Evaluate trial_fn on 0..trials-1, results in trial order regardless of
-    scheduling (per-trial seeds are pre-assigned, so order cannot matter)."""
+def _run_trials(judge, n: int, t: int, mode: str, seed_path, trials: int, workers: int) -> list:
+    """judge(sample) for trials 0..trials-1, trial i judging
+    uniform_sample(n, t, seed_sequence(seed_path, i), mode).  Results are in
+    trial order regardless of scheduling (per-trial seeds are pre-assigned,
+    so order cannot matter)."""
+
+    def one_trial(i: int):
+        return judge(uniform_sample(n, t, seed_sequence(seed_path, i), mode=mode))
+
     if workers <= 1:
-        return [trial_fn(i) for i in range(trials)]
+        return [one_trial(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, range(trials)))
+        return list(pool.map(one_trial, range(trials)))
 
 
 @dataclass(frozen=True)
@@ -112,14 +118,14 @@ def monte_carlo_rows(
     if trials < 1:
         raise ConstructionError("trials must be >= 1")
 
-    def one_trial(i: int) -> TrialRow:
-        sample = uniform_sample(
-            system.n, t, seed_sequence(master_seed, cell_index, i), mode=mode
-        )
-        report = relative_error(system, sample, params.eps)
-        return TrialRow(i, t, not report.passes(params.delta), float(report.worst_ratio))
-
-    return _run_trials(one_trial, trials, workers)
+    reports = _run_trials(
+        lambda sample: relative_error(system, sample, params.eps),
+        system.n, t, mode, (master_seed, cell_index), trials, workers,
+    )
+    return [
+        TrialRow(i, t, not r.passes(params.delta), float(r.worst_ratio))
+        for i, r in enumerate(reports)
+    ]
 
 
 def monte_carlo_failure(
@@ -161,11 +167,10 @@ def minimal_sample_size_search(
     """
 
     def rate(t: int) -> float:
-        def one_trial(i: int) -> bool:
-            sample = uniform_sample(system.n, t, seed_sequence(master_seed, i), mode=mode)
-            return not relative_error(system, sample, params.eps).passes(params.delta)
-
-        fails = _run_trials(one_trial, trials, workers)
+        fails = _run_trials(
+            lambda sample: not relative_error(system, sample, params.eps).passes(params.delta),
+            system.n, t, mode, (master_seed,), trials, workers,
+        )
         return sum(fails) / trials
 
     lo, hi = 1, system.n
@@ -257,9 +262,17 @@ class ExperimentSpec:
         )
 
 
-def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
-    from .sampling import find_constants
+def formula_size(
+    formula: str, params: ApproxParams, d: int | None, system, constants: Constants,
+    mode: str = WITHOUT,
+) -> int:
+    """The named formula's sample size for the family, capped at n without
+    replacement (the whole ground set is a zero-error sample)."""
+    t = formula_sample_size(formula, params, d, len(system), constants)
+    return min(t, system.n) if mode == WITHOUT else t
 
+
+def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
     system = system_from_descriptor(spec.system)
     constants = find_constants(spec.constants_path)
     rows = []
@@ -268,7 +281,12 @@ def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
         for delta in spec.delta:
             for gamma in spec.gamma:
                 params = ApproxParams(eps, delta, gamma)
-                for t in _cell_sizes(spec, params, system, constants):
+                sizes = spec.t_values or [
+                    formula_size(
+                        spec.formula, params, spec.d, system, constants, spec.replacement_mode
+                    )
+                ]
+                for t in sizes:
                     rows.append(
                         monte_carlo_failure(
                             system,
@@ -283,15 +301,6 @@ def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
                     )
                     cell_index += 1
     return rows
-
-
-def _cell_sizes(spec, params, system, constants) -> list[int]:
-    if spec.t_values:
-        return list(spec.t_values)
-    t = formula_sample_size(spec.formula, params, spec.d, len(system), constants)
-    if spec.replacement_mode == WITHOUT:
-        t = min(t, system.n)
-    return [t]
 
 
 CSV_COLUMNS = [
@@ -355,24 +364,6 @@ class CalibrationCase:
         }
 
 
-@dataclass
-class _CaseRuntime:
-    case: CalibrationCase
-    system: object = None
-    chain: object = None
-
-    def get_system(self):
-        if self.system is None:
-            self.system = system_from_descriptor(self.case.system_desc)
-        return self.system
-
-    def get_chain(self):
-        if self.chain is None:
-            sys_ = self.get_system()
-            self.chain = build_chain(sys_, self.case.params.eps, self.case.params.delta)
-        return self.chain
-
-
 def load_suite(path) -> tuple[list[CalibrationCase], int, int]:
     doc = _read_json_object(path, ("cases", "trials", "master_seed"))
     for k, c in enumerate(doc["cases"]):
@@ -410,37 +401,41 @@ def calibrate_constants(
     """Smallest grid values making each size formula meet its gamma target
     across the suite (c2 against the simultaneous chain check, the strictest
     downstream use), and c3 covering every observed greedy packing size."""
-    runtimes = {c.name: _CaseRuntime(c) for c in cases}
+    by_name = {c.name: c for c in cases}
+
+    @functools.cache
+    def system_of(name: str):
+        return system_from_descriptor(by_name[name].system_desc)
+
+    @functools.cache
+    def chain_of(name: str):
+        params = by_name[name].params
+        return build_chain(system_of(name), params.eps, params.delta)
 
     def formula_rate(case: CalibrationCase, t: int, cell: int) -> float:
-        system = runtimes[case.name].get_system()
-        t = min(t, system.n)
-        res = monte_carlo_failure(
-            system, case.params, t, trials, master_seed, workers=workers, cell_index=cell
-        )
-        return res.failure_rate
+        return monte_carlo_failure(
+            system_of(case.name), case.params, t, trials, master_seed, workers=workers,
+            cell_index=cell,
+        ).failure_rate
 
     def chain_rate(case: CalibrationCase, t: int, cell: int) -> float:
-        system = runtimes[case.name].get_system()
-        chain = runtimes[case.name].get_chain()
-        t = min(t, system.n)
-
-        def one_trial(i: int) -> bool:
-            sample = uniform_sample(system.n, t, seed_sequence(master_seed, cell, i))
-            return not claim7_check(chain, sample).ok
-
-        fails = _run_trials(one_trial, trials, workers)
+        chain = chain_of(case.name)
+        fails = _run_trials(
+            lambda sample: not claim7_check(chain, sample).ok,
+            system_of(case.name).n, t, WITHOUT, (master_seed, cell), trials, workers,
+        )
         return sum(fails) / trials
 
-    def smallest_passing(kind: str, size_fn, rate_fn) -> float:
+    def smallest_passing(kind: str, formula: str, rate_fn) -> float:
         relevant = [c for c in cases if kind in c.use_for]
         if not relevant:
             raise CalibrationError(f"no calibration cases for {kind}")
         failures_log = []
         for value in grid:
             ok = True
+            constants = Constants(c=value, c1=value, c2=value, c3=value)
             for ci, case in enumerate(relevant):
-                t = size_fn(case, value)
+                t = formula_size(formula, case.params, case.d, system_of(case.name), constants)
                 rate = rate_fn(case, t, _cell_id(kind, ci, value))
                 if rate > case.params.gamma:
                     ok = False
@@ -450,24 +445,9 @@ def calibrate_constants(
                 return value
         raise CalibrationError(f"no grid value satisfied {kind}: {failures_log}")
 
-    trial_consts = {v: Constants(c=v, c1=v, c2=v, c3=v) for v in grid}
-    c = smallest_passing(
-        "c",
-        lambda case, v: main_sample_size(case.params, case.d, trial_consts[v]),
-        formula_rate,
-    )
-    c1 = smallest_passing(
-        "c1",
-        lambda case, v: halving_sample_size(case.params, case.d, trial_consts[v]),
-        formula_rate,
-    )
-    c2 = smallest_passing(
-        "c2",
-        lambda case, v: chaining_sample_size(
-            case.params, case.d, len(runtimes[case.name].get_system()), trial_consts[v]
-        ),
-        chain_rate,
-    )
+    c = smallest_passing("c", "main", formula_rate)
+    c1 = smallest_passing("c1", "halving", formula_rate)
+    c2 = smallest_passing("c2", "chaining", chain_rate)
 
     # c3: every observed greedy packing must satisfy |P| <= (c3 n / alpha)^(2d)
     c3_floor = 1.0
@@ -475,9 +455,9 @@ def calibrate_constants(
     for case in cases:
         if "c3" not in case.use_for and "c2" not in case.use_for:
             continue
-        system = runtimes[case.name].get_system()
+        system = system_of(case.name)
         packings = (
-            [(lv.alpha, lv.packing) for lv in runtimes[case.name].get_chain().levels]
+            [(lv.alpha, lv.packing) for lv in chain_of(case.name).levels]
             if "c2" in case.use_for
             else [
                 (a, greedy_maximal_packing(system, a))

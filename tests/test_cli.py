@@ -4,8 +4,15 @@ import pytest
 
 from relapprox.cli import main
 from relapprox.halving import certified_halving
-from relapprox.sampling import WITH, ApproxParams, Sample, read_sample_json, write_sample_json
-from relapprox.set_system import read_json
+from relapprox.sampling import (
+    WITH,
+    ApproxParams,
+    ApproximationReport,
+    Sample,
+    read_sample_json,
+    write_sample_json,
+)
+from relapprox.set_system import SetSystem, read_json
 
 
 def run(*argv):
@@ -261,6 +268,21 @@ def test_halve_rejects_fewer_than_one_retry(interval_file, capsys):
                "--gamma", 0.2, "--seed", 1, "--max-retries", 0)
     assert code == 2
     assert capsys.readouterr().err == "error: max_retries must be >= 1, got 0\n"
+
+
+def test_halve_exits_1_when_no_attempt_verifies(interval_file, capsys, monkeypatch):
+    # a verifier that rejects every attempt, the second least badly
+    ratios = iter([3.0, 2.5, 4.0])
+    monkeypatch.setattr(
+        SetSystem, "error_report",
+        lambda self, sample, eps: ApproximationReport(next(ratios), 0, sample.t, eps),
+    )
+    code = run("halve", "--system", interval_file, "--eps", 0.4, "--delta", 0.5,
+               "--gamma", 0.5, "--seed", 3, "--max-retries", 3)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "no verified sample in 3 attempts (best worst_ratio observed: 2.5)\n"
 
 
 def test_montecarlo_spec_missing_a_key_exits_2(tmp_path, interval_file, capsys):

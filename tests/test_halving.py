@@ -149,6 +149,37 @@ def test_certified_retries_exhausted_surfaces_worst_ratio():
         assert err.value.best_worst_ratio == 1
 
 
+def test_stage_two_retries_exhausted_surfaces_its_best_ratio():
+    # stage 1 always certifies; every stage-2 attempt fails, the second least badly
+    stage2_ratios = iter([0.9, 0.7, 0.8])
+
+    class BadTrace:
+        def __init__(self, m):
+            self.n = m
+
+        def __len__(self):
+            return self.n + 1
+
+        def error_report(self, sample, eps):
+            return ApproximationReport(next(stage2_ratios), 0, sample.t, eps)
+
+    class GoodFamilyBadTraces:
+        n = 50
+
+        def trace_on(self, sample):
+            return BadTrace(len(sample.support_array))
+
+        def error_report(self, sample, eps):
+            return ApproximationReport(0.0, 0, sample.t, eps)
+
+    with pytest.raises(RetriesExhausted, match=r"stage-2 .* observed: 0\.7[)]") as err:
+        combined_construction(
+            GoodFamilyBadTraces(), ApproxParams(0.3, 0.6, 0.5), 2, Constants(1, 1, 1, 1),
+            seed=0, max_retries=3,
+        )
+    assert err.value.best_worst_ratio == 0.7
+
+
 def test_certified_requires_positive_retries():
     with pytest.raises(ConstructionError):
         certified_halving(intervals(4), ApproxParams(0.3, 0.5, 0.5), 0, max_retries=0)

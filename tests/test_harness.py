@@ -2,15 +2,18 @@ import json
 
 import pytest
 
+from relapprox import harness
 from relapprox.errors import CalibrationError, ConstructionError
 from relapprox.generators import intervals
 from relapprox.harness import (
     CalibrationCase,
     ExperimentSpec,
     calibrate_constants,
+    formula_size,
     load_suite,
     minimal_sample_size_search,
     monte_carlo_failure,
+    monte_carlo_rows,
     run_sweep,
     suite_sha256,
     system_from_descriptor,
@@ -19,7 +22,15 @@ from relapprox.harness import (
     write_constants_json,
     write_sweep_csv,
 )
-from relapprox.sampling import ApproxParams, basic_sample_size, load_constants
+from relapprox.sampling import (
+    WITH,
+    WITHOUT,
+    ApproxParams,
+    Constants,
+    basic_sample_size,
+    formula_sample_size,
+    load_constants,
+)
 from relapprox.set_system import write_json
 
 
@@ -74,8 +85,6 @@ def test_worker_count_does_not_change_results():
 
 
 def test_aggregates_recomputable_from_rows():
-    from relapprox.harness import monte_carlo_rows
-
     system = intervals(60)
     params = ApproxParams(0.15, 0.3, 0.2)
     rows = monte_carlo_rows(system, params, 25, 40, master_seed=9, workers=4)
@@ -252,3 +261,89 @@ def test_suite_roundtrip(tmp_path):
     loaded, trials, seed = load_suite(path)
     assert trials == 40 and seed == 17
     assert loaded == cases
+
+
+# --- pinned streams ---------------------------------------------------------------------
+# Each harness run's random stream is pinned: changing a seed path, the draw
+# or the trial order moves these values.
+
+
+@pytest.fixture()
+def judged(monkeypatch):
+    """Record each sample the harness judges; the returned function folds the
+    record into {judgement: (samples, total t, total of support elements)}."""
+    record = []
+
+    def recording(kind, judge):
+        def wrapped(target, sample, *args):
+            record.append((kind, sample.t, int(sample.support_array.sum())))
+            return judge(target, sample, *args)
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "relative_error", recording("verify", harness.relative_error))
+    monkeypatch.setattr(harness, "claim7_check", recording("claim7", harness.claim7_check))
+
+    def fold():
+        out = {}
+        for kind, t, total in record:
+            calls, ts, totals = out.get(kind, (0, 0, 0))
+            out[kind] = (calls + 1, ts + t, totals + total)
+        record.clear()
+        return out
+
+    return fold
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_minimal_size_search_stream_is_pinned(judged, workers):
+    params = ApproxParams(0.2, 0.4, 0.3)
+    assert minimal_sample_size_search(intervals(80), params, 40, 7, workers=workers) == 55
+    assert judged() == {"verify": (280, 15680, 615795)}
+
+
+@pytest.mark.parametrize(
+    "mode, ratios, total",
+    [
+        (WITHOUT, [0.7916666666666666, 1.0416666666666665, 1.0, 0.8518518518518519, 1.0,
+                   1.4999999999999998], 1405),
+        (WITH, [1.125, 1.3333333333333335, 1.0, 1.3333333333333335, 1.0, 1.1666666666666665],
+         1206),
+    ],
+)
+def test_monte_carlo_rows_stream_is_pinned(judged, mode, ratios, total):
+    rows = monte_carlo_rows(
+        intervals(40), ApproxParams(0.2, 0.4, 0.3), 12, 6, 5, mode=mode, workers=2, cell_index=3
+    )
+    assert [r.worst_ratio for r in rows] == ratios
+    assert all(r.failed and r.t == 12 for r in rows)
+    assert judged() == {"verify": (6, 72, total)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibration_stream_is_pinned(judged, workers):
+    # A fine grid, so c and c1 rest on the observed failure rates.  Claim 7
+    # never fails on intervals(60), so c2's samples are pinned by the record.
+    suite = [
+        CalibrationCase("c", {"family": "intervals", "n": 60}, ApproxParams(0.4, 0.9, 0.2), 1,
+                        ("c", "c1")),
+        CalibrationCase("chain", {"family": "intervals", "n": 60},
+                        ApproxParams(0.6, 0.95, 0.02), 1, ("c2", "c3")),
+    ]
+    grid = tuple(round(1 + 0.1 * i, 1) for i in range(31))
+    constants, provenance = calibrate_constants(suite, 40, 4, grid=grid, workers=workers)
+    assert constants == Constants(c=1.4, c1=1.3, c2=1.0, c3=1.1)
+    assert provenance["c3_floor"] == 1.0392304845413263
+    assert judged() == {"verify": (360, 3520, 102389), "claim7": (40, 840, 25445)}
+
+
+def test_formula_size_caps_at_n_without_replacement_only():
+    system, params, constants = intervals(40), ApproxParams(0.2, 0.4, 0.2), Constants(1, 1, 1, 1)
+    uncapped = formula_sample_size("main", params, 2, len(system), constants)
+    assert uncapped > system.n
+    assert formula_size("main", params, 2, system, constants) == system.n
+    assert formula_size("main", params, 2, system, constants, WITH) == uncapped
+    small = ApproxParams(0.9, 0.9, 0.9)
+    assert formula_size("main", small, 1, system, constants) == formula_sample_size(
+        "main", small, 1, len(system), constants
+    ) < system.n

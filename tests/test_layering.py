@@ -1,5 +1,6 @@
 """Each module owns its decisions: the packed-word layout stays in `_bitops`,
-and `sampling` never reaches for a concrete family type."""
+`sampling` never reaches for a concrete family type, and the CLI and the
+harness call the library's own certification loop and size formulas."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,15 @@ def test_only_bitops_popcounts_packed_words_or_sizes_its_blocks():
 def test_sampling_does_not_import_set_system():
     tree = ast.parse(Path(relapprox.__file__).with_name("sampling.py").read_text())
     assert "set_system" not in modules_imported(tree)
+
+
+def test_cli_runs_no_construction_loop_or_size_formula_of_its_own():
+    tree = ast.parse(Path(relapprox.__file__).with_name("cli.py").read_text())
+    copied = {"iterated_halving", "seed_sequence", "formula_sample_size"}
+    assert copied & names_used(tree) == set()
+
+
+def test_harness_sizes_every_sample_through_formula_size():
+    tree = ast.parse(Path(relapprox.__file__).with_name("harness.py").read_text())
+    formulas = {"main_sample_size", "halving_sample_size", "chaining_sample_size"}
+    assert formulas & names_used(tree) == set()
