@@ -2,9 +2,12 @@
 """Size sweep of the iterated-halving construction on interval families.
 
 Prints, per ground-set size, the construction's output size and success rate
-in both sampling modes; the i.i.d. column shows the ground-set-independent
-behaviour of the size recursion (the without-replacement column caps at n
-whenever the requested size exceeds what a subset can hold).  The `combined`
+in both sampling modes.  The without-replacement column caps at n whenever
+the requested size exceeds what a subset can hold, and at (eps, delta,
+gamma) = (0.1, 0.25, 0.1) it reads n at every size.  The i.i.d. column is
+not capped, and it shows the sizes growing with n and staying above it
+(72,629, 92,520 and 112,413 at n = 10^3, 10^4 and 10^5): the construction
+does not yet reach the paper's size (ROADMAP item 1).  The `combined`
 rows run the two-stage construction (halving, then a chaining-sized verified
 subsample of the trace, d = 2, constants from constants.json), each stage
 with one attempt.  The last column is the CPU seconds of the cell (process

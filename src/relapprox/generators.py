@@ -1,16 +1,16 @@
 """Range spaces of known VC dimension, used as ground truth everywhere.
 
 `intervals`, `halfplanes`, `axis_rectangles`, `random_system`, `power_set`
-return materialized SetSystems.  `ImplicitIntervals` is the same interval
-family without materialization: the family of all intervals on n points has
-n(n+1)/2 + 1 sets, so at n = 10^5 it can only be handled through its
-structure.  It answers the same family protocol as SetSystem (see
-`sampling`): its verifiers work from prefix sums, exactly in integer
-arithmetic, accept float or Fraction eps like the materialized ones and
-agree with them; and since intervals on any m points trace to all intervals
-on m points, its trace on a sample is `ImplicitIntervals(m)`, whose length
-is the closed form m(m+1)/2 + 1.  So every construction, the two-stage one
-included, runs on it unmaterialized.
+return materialized SetSystems, each built from packed flag rows.
+`ImplicitIntervals` is the same interval family without materialization: the
+family of all intervals on n points has n(n+1)/2 + 1 sets, so at n = 10^5 it
+can only be handled through its structure.  It answers the same family
+protocol as SetSystem (see `sampling`): its verifiers work from prefix sums,
+exactly in integer arithmetic, accept float or Fraction eps like the
+materialized ones and agree with them; and since intervals on any m points
+trace to all intervals on m points, its trace on a sample is
+`ImplicitIntervals(m)`, whose length is the closed form m(m+1)/2 + 1.  So
+every construction, the two-stage one included, runs on it unmaterialized.
 """
 
 from __future__ import annotations
@@ -194,8 +194,10 @@ class PointSet2D:
 
 
 def random_points(m: int, seed: int, box: int = 10**6) -> PointSet2D:
-    """m distinct lattice points in [0, box)^2; lattice coords keep the
-    halfplane sweep exact."""
+    """m distinct lattice points in [0, box)^2; at the default box the keys
+    of `halfplanes` stay in int64."""
+    if box < 1 or m > box * box:
+        raise ConstructionError(f"[0, {box})^2 has no {m} distinct lattice points")
     rng = make_rng(seed)
     seen: set[tuple[int, int]] = set()
     pts = []
@@ -207,54 +209,45 @@ def random_points(m: int, seed: int, box: int = 10**6) -> PointSet2D:
     return PointSet2D(tuple(pts))
 
 
-def _integer_coords(pts: PointSet2D) -> list[tuple[int, int]]:
-    fracs = [(Fraction(x), Fraction(y)) for x, y in pts.points]
-    denom = 1
-    for fx, fy in fracs:
-        denom = denom * fx.denominator // math.gcd(denom, fx.denominator)
-        denom = denom * fy.denominator // math.gcd(denom, fy.denominator)
-    return [(int(fx * denom), int(fy * denom)) for fx, fy in fracs]
+def _integer_coords(pts: PointSet2D) -> np.ndarray:
+    """The points scaled to exact integers, as an (m, 2) array: int64 when
+    every key v.p of `halfplanes` (at most 4 C^2 for coordinates up to C in
+    absolute value) fits in it, else Python ints in an object array."""
+    fracs = [Fraction(c) for point in pts.points for c in point]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    dtype = np.int64 if 4 * max(map(abs, ints)) ** 2 < 2**63 else object
+    return np.array(ints, dtype=dtype).reshape(-1, 2)
 
 
 def halfplanes(pts: PointSet2D) -> SetSystem:
     """Distinct traces of closed halfplanes on the points; VC dimension <= 3.
 
     A trace is realizable iff it is strictly linearly separable from its
-    complement, so it survives an infinitesimal rotation.  It therefore
-    appears as a prefix of the projection order just after some critical
-    direction (one perpendicular to a pair difference); ties in the primary
-    projection break by the perpendicular key, which realizes that
-    infinitesimal rotation exactly.
+    complement.  The separating line can then be moved and turned, keeping
+    the trace, to within an infinitesimal rotation of a line through a point
+    p_i of the trace and another point p_j.  So the trace is the prefix
+    {k : (v.p_k, w.p_k) <= (v.p_i, w.p_i)} of a critical direction
+    v = +-(p_j - p_i)^perp, compared lexicographically: w, v's CCW
+    perpendicular, realizes that rotation exactly and keeps duplicates of
+    p_i on its side.
     """
     coords = _integer_coords(pts)
     m = len(coords)
-    full = (1 << m) - 1
-    traces = {0, full}
-    directions: set[tuple[int, int]] = set()
+    x, y = coords.T
+    blocks = [_bitops.pack_flags(np.repeat([[False], [True]], m, axis=1))]  # the empty set and X
     for i in range(m):
-        xi, yi = coords[i]
-        for j in range(m):
-            if i == j:
-                continue
-            dx, dy = coords[j][0] - xi, coords[j][1] - yi
-            if dx == 0 and dy == 0:
-                continue
-            for vx, vy in ((-dy, dx), (dy, -dx)):
-                g = math.gcd(abs(vx), abs(vy))
-                directions.add((vx // g, vy // g))
-    for vx, vy in directions:
-        wx, wy = -vy, vx  # CCW perpendicular: the tie-break key
-        keyed = sorted(
-            ((vx * coords[k][0] + vy * coords[k][1],
-              wx * coords[k][0] + wy * coords[k][1]), k)
-            for k in range(m)
-        )
-        mask = 0
-        for (key, k), (nxt_key, _) in zip(keyed, keyed[1:]):
-            mask |= 1 << k
-            if key != nxt_key:  # equal keys = duplicate points; never split them
-                traces.add(mask)
-    return SetSystem.from_masks(m, sorted(traces))
+        dx, dy = x - x[i], y - y[i]
+        pair = (dx != 0) | (dy != 0)  # every p_j != p_i
+        dx, dy = dx[pair, None], dy[pair, None]
+        across = dx * y - dy * x  # v.p_k for v = (-dy, dx), whose w is (-dx, -dy)
+        along = dx * x + dy * y  # -w.p_k; the keys of -v are (-across, along)
+        a, b = across[:, i : i + 1], along[:, i : i + 1]
+        below = (across < a) | ((across == a) & (along >= b))
+        above = (across > a) | ((across == a) & (along <= b))
+        blocks.append(_bitops.pack_flags(np.concatenate((below, above))))
+    rows = np.concatenate(blocks)
+    return SetSystem.from_packed(m, rows[_bitops.int_order(rows)])
 
 
 def axis_rectangles(pts: PointSet2D) -> SetSystem:

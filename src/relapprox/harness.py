@@ -400,8 +400,13 @@ def calibrate_constants(
 ) -> tuple[Constants, dict]:
     """Smallest grid values making each size formula meet its gamma target
     across the suite (c2 against the simultaneous chain check, the strictest
-    downstream use), and c3 covering every observed greedy packing size."""
-    by_name = {c.name: c for c in cases}
+    downstream use), and c3 covering every observed greedy packing size.
+    Families are keyed by case name, so the names must be distinct."""
+    names = [c.name for c in cases]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ConstructionError(f"calibration case name {name!r} is used more than once")
+    by_name = dict(zip(names, cases))
 
     @functools.cache
     def system_of(name: str):

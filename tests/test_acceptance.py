@@ -198,6 +198,7 @@ def chain_1000():
     return system, build_chain(system, 0.2, 0.3)
 
 
+@pytest.mark.slow
 def test_c5_claim7_and_audit(chain_1000, calibrated_constants):
     system, chain = chain_1000
     params = ApproxParams(0.2, 0.3, 0.2)

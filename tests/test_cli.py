@@ -205,6 +205,19 @@ def test_calibrate_subcommand(tmp_path):
     assert {"c", "c1", "c2", "c3"} <= set(doc)
 
 
+def test_calibrate_rejects_duplicate_case_names(tmp_path, capsys):
+    case = {"system": {"family": "intervals", "n": 30}, "eps": 0.2, "delta": 0.5,
+            "gamma": 0.25, "d": 2}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"trials": 10, "master_seed": 1, "cases": [
+        {"name": "a", **case}, {"name": "b", **case}, {"name": "a", **case, "d": 3},
+    ]}))
+    out = tmp_path / "constants.json"
+    assert run("calibrate", "--suite", suite, "--out", out) == 2
+    assert "'a' is used more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("generate", "--family", "unknown", "--out", tmp_path / "x.json")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from relapprox.generators import (
     random_points,
     random_system,
 )
-from relapprox.generators import _max_slope_at_least, _window_max_diff
+from relapprox.generators import _integer_coords, _max_slope_at_least, _window_max_diff
 from relapprox.halving import composition_check
 from relapprox.sampling import (
     WITH,
@@ -439,16 +440,37 @@ def test_halfplanes_duplicate_points_never_split():
         assert ((mask >> 0) & 1) == ((mask >> 1) & 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 7), st.integers(0, 10**6), st.integers(2, 8))
-def test_halfplanes_match_exact_oracle(m, seed, box):
-    # small coordinate boxes force collinear and duplicate-free degeneracies
+@settings(max_examples=45, deadline=None)
+@given(
+    st.integers(2, 7), st.integers(0, 10**6), st.integers(2, 8),
+    st.sampled_from([1.0, 0.1, 1 / 3]),
+)
+def test_halfplanes_match_exact_oracle(m, seed, box, unit):
+    # small coordinate boxes force collinear and duplicate-free degeneracies;
+    # units of 0.1 and 1/3 give non-lattice floats, whose exact keys need
+    # Python ints
     rng = np.random.default_rng(seed)
     pts = tuple(
-        (float(x), float(y)) for x, y in {tuple(rng.integers(0, box, 2)) for _ in range(m)}
+        (float(x) * unit, float(y) * unit)
+        for x, y in {tuple(rng.integers(0, box, 2)) for _ in range(m)}
     )
     system = halfplanes(PointSet2D(pts))
-    assert set(system.masks) == oracle_halfplane_traces(pts)
+    assert system.masks == tuple(sorted(oracle_halfplane_traces(pts)))
+
+
+def test_halfplanes_keys_past_int64_stay_exact():
+    pts = ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (2.0, 0.0), (1.0, 1.0), (0.0, 3.0))
+    far = PointSet2D(tuple((x * 2.0**40 - 7.0, y * 2.0**40 + 5.0) for x, y in pts))
+    assert _integer_coords(far).dtype == object
+    assert halfplanes(far) == halfplanes(PointSet2D(pts))
+
+
+def test_halfplanes_rows_are_pinned():
+    # any change to the family or to its order shows in the digest
+    system = halfplanes(random_points(120, 77))
+    assert len(system) == 14282
+    digest = hashlib.sha256(system.packed.astype("<u8").tobytes()).hexdigest()
+    assert digest == "3a7570b7836ab3c5d057a0e643eeb623d9393fb30e04ddcaf8fbaf2a61932e7f"
 
 
 def test_halfplane_family_size_quadratic():
@@ -540,3 +562,10 @@ def test_random_points_are_distinct():
     pts = random_points(50, seed=0)
     assert not pts.has_duplicates
     assert len(pts) == 50
+
+
+def test_random_points_needs_room_in_the_box():
+    assert not random_points(4, seed=0, box=2).has_duplicates
+    for m, box in ((5, 2), (1, 0)):
+        with pytest.raises(ConstructionError, match="distinct lattice points"):
+            random_points(m, seed=0, box=box)

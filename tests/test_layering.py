@@ -1,6 +1,7 @@
 """Each module owns its decisions: the packed-word layout stays in `_bitops`,
-`sampling` never reaches for a concrete family type, and the CLI and the
-harness call the library's own certification loop and size formulas."""
+`sampling` never reaches for a concrete family type, families are built as
+packed rows, and the CLI and the harness call the library's own
+certification loop and size formulas."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,17 @@ def test_only_bitops_popcounts_packed_words_or_sizes_its_blocks():
         path.stem: sorted(LAYOUT_NAMES & names_used(ast.parse(path.read_text())))
         for path in SOURCES
         if path.stem != "_bitops"
+    }
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_only_set_system_packs_python_int_masks():
+    # every generator builds packed rows; from_masks is the tests' constructor
+    int_masks = {"from_masks", "pack_masks"}
+    offenders = {
+        path.stem: sorted(int_masks & names_used(ast.parse(path.read_text())))
+        for path in SOURCES
+        if path.stem != "set_system"
     }
     assert {k: v for k, v in offenders.items() if v} == {}
 
