@@ -13,6 +13,11 @@ repeats:
   (`_bitops.NS_PER_WORD`);
 - `ns_per_entry`: `incidence_counts` for t = 200 distinct elements, per
   incidence entry gathered (`_bitops.NS_PER_ENTRY`);
+- `ns_per_entry_two_threads`: the same counts made by two threads at once
+  (each makes `THREAD_CALLS` calls), as the CPU of both threads per entry.
+  It stays near `ns_per_entry` while the kernel holds the GIL between its
+  few numpy calls; a kernel that drops and retakes the GIL many times per
+  call (once per sampled element, say) costs more CPU here than alone;
 - `ns_per_build_word`: `build_incidence`, per packed word
   (`_bitops.NS_PER_BUILD_WORD`).
 
@@ -23,11 +28,13 @@ them changes which kernel runs.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
 import statistics
 import sys
+import threading
 import time
 
 import numpy as np
@@ -39,6 +46,7 @@ from relapprox import _bitops  # noqa: E402
 WIDTHS = (7, 64, 128)
 MATRIX_BYTES = 4 << 20
 SAMPLE_T = 200
+THREAD_CALLS = 4
 
 
 def cpu_seconds(fn, repeats: int) -> float:
@@ -47,6 +55,28 @@ def cpu_seconds(fn, repeats: int) -> float:
         t0 = time.process_time()
         fn()
         times.append(time.process_time() - t0)
+    return statistics.median(times)
+
+
+def cpu_seconds_two_threads(fn, repeats: int) -> float:
+    """Median process-CPU time per call of fn while two threads make
+    `THREAD_CALLS` calls each, released together."""
+    times = []
+    for _ in range(repeats):
+        start = threading.Barrier(2)
+
+        def calls():
+            start.wait()
+            for _ in range(THREAD_CALLS):
+                fn()
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        t0 = time.process_time()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        times.append((time.process_time() - t0) / (2 * THREAD_CALLS))
     return statistics.median(times)
 
 
@@ -71,11 +101,9 @@ def measure(w: int, repeats: int, rng) -> dict:
     index = _bitops.build_incidence(packed, n)
     elements = np.sort(rng.choice(n, size=SAMPLE_T, replace=False))
     entries = int((index.indptr[elements + 1] - index.indptr[elements]).sum())
-    out["ns_per_entry"] = (
-        cpu_seconds(lambda: _bitops.incidence_counts(index, elements, m), repeats)
-        / entries
-        * 1e9
-    )
+    counts = functools.partial(_bitops.incidence_counts, index, elements, m)
+    out["ns_per_entry"] = cpu_seconds(counts, repeats) / entries * 1e9
+    out["ns_per_entry_two_threads"] = cpu_seconds_two_threads(counts, repeats) / entries * 1e9
     return out
 
 

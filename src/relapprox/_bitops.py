@@ -21,7 +21,10 @@ one of two layouts:
   Counts are exact integer bincounts over the ids of the sampled elements,
   one per binary plane of their weights: `incidence_counts`, at most about
   t * nnz / n entries for t draws from n elements when the family has nnz
-  incidences (an element drawn r times is read popcount(r) times).
+  incidences (an element drawn r times is read popcount(r) times).  Each
+  plane's id lists are gathered in one copy that holds the GIL, not one
+  numpy copy per element, each of which can hand the GIL to another
+  counting thread.
 
 `gather_columns` reads the packed matrix in row blocks: the trace of every
 row on a set of columns (`set_system.restrict`, its only caller).  Each row
@@ -236,15 +239,25 @@ def incidence_counts(
 ) -> np.ndarray:
     """|S_i & elements| for every set S_i of an m-set family, each element
     counted `repeats` times (parallel to `elements`) when given, as int64:
-    per binary plane k of the counts, one bincount over the concatenated id
-    lists of the elements whose count has bit k set, weighted by 2^k."""
+    per binary plane k of the counts, one bincount over the joined id lists
+    of the elements whose count has bit k set, weighted by 2^k.
+
+    A plane's id lists are gathered by one copy that keeps the GIL:
+    `bytes.join` of memoryview slices of `ids` (a join of buffers other than
+    bytes never releases it).  `np.concatenate` copies each list in its own
+    loop, which drops and retakes the GIL when the list has more than 500
+    ids (numpy's NPY_BEGIN_THREADS_THRESHOLDED rule, one PyEval_SaveThread
+    per list on numpy 2.4), so with worker threads counting at once a
+    sample of t elements made up to t GIL handoffs."""
     indptr, ids = index
     lo, hi = indptr[elements].tolist(), indptr[elements + 1].tolist()
-    parts = [ids[a:b] for a, b in zip(lo, hi)]
+    items = ids.data  # sliced in ids, not bytes; a read-only `ids` works too
+    parts = [items[a:b] for a, b in zip(lo, hi)]
     weights = [1] * len(parts) if repeats is None else repeats.tolist()
     out = np.zeros(m, dtype=np.int64)
     for k in range(max(weights, default=0).bit_length()):
         plane = [part for part, w in zip(parts, weights) if w >> k & 1]
         if plane:
-            out += np.bincount(np.concatenate(plane), minlength=m) << k
+            gathered = np.frombuffer(b"".join(plane), dtype=ids.dtype)
+            out += np.bincount(gathered, minlength=m) << k
     return out

@@ -77,16 +77,24 @@ class CellResult:
         return wilson_interval(self.failures, self.trials)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a run-loop integer that is not an int (bools included) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConstructionError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _run_trials(judge, n: int, t: int, mode: str, seed_path, trials: int, workers: int) -> list:
     """judge(sample) for trials 0..trials-1, trial i judging
     uniform_sample(n, t, seed_sequence(seed_path, i), mode).  Results are in
     trial order regardless of scheduling (per-trial seeds are pre-assigned,
     so order cannot matter)."""
+    _check_count("trials", trials, 1)
+    _check_count("workers", workers, 1)
 
     def one_trial(i: int):
         return judge(uniform_sample(n, t, seed_sequence(seed_path, i), mode=mode))
 
-    if workers <= 1:
+    if workers == 1:
         return [one_trial(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one_trial, range(trials)))
@@ -115,8 +123,6 @@ def monte_carlo_rows(
         raise ConstructionError(
             f"t={t} exceeds n={system.n}; cap the size or use with-replacement mode"
         )
-    if trials < 1:
-        raise ConstructionError("trials must be >= 1")
 
     reports = _run_trials(
         lambda sample: relative_error(system, sample, params.eps),
@@ -238,8 +244,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (self.eps and self.delta and self.gamma):
             raise ConstructionError("parameter grids must be nonempty")
-        if self.trials < 1:
-            raise ConstructionError("trials must be >= 1")
+        _check_count("trials", self.trials, 1)
+        _check_count("workers", self.workers, 1)
+        _check_count("master_seed", self.master_seed, 0)
         if bool(self.t_values) == (self.formula is not None):
             raise ConstructionError("give exactly one of t_values or formula")
 
@@ -402,6 +409,9 @@ def calibrate_constants(
     across the suite (c2 against the simultaneous chain check, the strictest
     downstream use), and c3 covering every observed greedy packing size.
     Families are keyed by case name, so the names must be distinct."""
+    _check_count("trials", trials, 1)
+    _check_count("workers", workers, 1)
+    _check_count("master_seed", master_seed, 0)
     names = [c.name for c in cases]
     for k, name in enumerate(names):
         if name in names[:k]:

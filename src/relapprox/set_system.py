@@ -86,9 +86,8 @@ class SetSystem:
         bad = _bitops.rows_outside(packed, n)
         if len(bad):
             raise ConstructionError(f"set #{bad[0]} has members outside [0, {n})")
-        packed.flags.writeable = False
         system = cls.__new__(cls)
-        vars(system).update(n=n, packed=packed)
+        vars(system).update(n=n, packed=_read_only(packed))
         return system
 
     def __setattr__(self, name, value):
@@ -117,7 +116,7 @@ class SetSystem:
 
     @cached_property
     def sizes_array(self) -> np.ndarray:
-        return _bitops.row_sizes(self.packed)
+        return _read_only(_bitops.row_sizes(self.packed))
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -130,7 +129,7 @@ class SetSystem:
     @cached_property
     def incidence(self) -> _bitops.Incidence:
         """CSR element -> ascending indices of the sets containing it."""
-        return _bitops.build_incidence(self.packed, self.n)
+        return _bitops.Incidence(*map(_read_only, _bitops.build_incidence(self.packed, self.n)))
 
     def count_costs(self, sample: Sample) -> CountCosts:
         """Price the counts of `sample` both ways: the expected incidence
@@ -191,7 +190,8 @@ class SetSystem:
         """The trace F|_A on the sample's support A, over [0, |A|)."""
         _check_ground_set(self, sample)
         support = np.bitwise_or.reduce(sample.planes, axis=0)
-        return Trace(self, sample.support_array, _bitops.distinct_rows(self.packed & support))
+        rows = _bitops.distinct_rows(self.packed & support)
+        return Trace(self, sample.support_array, _read_only(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +214,7 @@ class Trace:
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return self.family.counts(Sample(self.family.n, self.columns))[self.rows]
+        return _read_only(self.family.counts(Sample(self.family.n, self.columns))[self.rows])
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
         _check_verifier_inputs(self, sample)
@@ -222,6 +222,12 @@ class Trace:
         lifted = Sample(self.family.n, elements, sample.multiplicity_array)
         counts = self.family.counts(lifted)[self.rows]
         return worst_of_counts(self.n, sample.t, eps, self.sizes, counts)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: a cached array of a shared family stays as built."""
+    array.flags.writeable = False
+    return array
 
 
 def _pack(n: int, masks, dedup: bool) -> np.ndarray:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,10 +45,30 @@ def dense_counts(system: SetSystem, sample: Sample) -> np.ndarray:
 
 
 def incidence_counts(system: SetSystem, sample: Sample) -> np.ndarray:
+    return index_counts(system.incidence, len(system), sample)
+
+
+def index_counts(index: _bitops.Incidence, m: int, sample: Sample) -> np.ndarray:
     repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
-    return _bitops.incidence_counts(
-        system.incidence, np.array(sample.support), len(system), repeats
-    )
+    return _bitops.incidence_counts(index, np.array(sample.support), m, repeats)
+
+
+def assert_threads_count_like_one(index: _bitops.Incidence, packed: np.ndarray, samples) -> None:
+    """Counts made by two threads at once, the interpreter offering a thread
+    switch every microsecond, equal the serial ones, which equal the dense
+    popcount scan."""
+    m = len(packed)
+    serial = [index_counts(index, m, sample) for sample in samples]
+    for sample, counts in zip(samples, serial):
+        assert np.array_equal(counts, _bitops.intersection_sizes(packed, sample.planes))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda sample: index_counts(index, m, sample), samples))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,14 +124,8 @@ def test_incidence_uses_int32_ids_past_65536_sets():
     assert index.ids.dtype == np.int32
     assert len(index.indptr) == n + 1 and index.indptr[-1] == len(index.ids)
     assert index.ids[index.indptr[n - 1] : index.indptr[n]][-1] == m - 1
-    for mode in (WITHOUT, WITH):
-        sample = uniform_sample(n, 40, 9, mode=mode)
-        repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
-        planes = sample.planes
-        assert np.array_equal(
-            _bitops.incidence_counts(index, np.array(sample.support), m, repeats),
-            _bitops.intersection_sizes(packed, planes),
-        )
+    samples = [uniform_sample(n, 40, seed, mode) for seed in (9, 10) for mode in (WITHOUT, WITH)]
+    assert_threads_count_like_one(index, packed, samples)
 
 
 def test_incidence_uses_uint16_ids_up_to_65536_sets():
@@ -118,6 +135,8 @@ def test_incidence_uses_uint16_ids_up_to_65536_sets():
     # element e lies in the 2^15 sets whose index has bit e set
     members = index.ids[index.indptr[3] : index.indptr[4]]
     assert members.tolist() == [k for k in range(1 << 16) if k >> 3 & 1]
+    samples = [uniform_sample(20, 8, seed, mode) for seed in (1, 2, 3) for mode in (WITHOUT, WITH)]
+    assert_threads_count_like_one(index, system.packed, samples)
 
 
 def reference_pack_flags(flags: np.ndarray) -> np.ndarray:

@@ -308,6 +308,45 @@ def test_montecarlo_spec_missing_a_key_exits_2(tmp_path, interval_file, capsys):
     assert capsys.readouterr().err == f"error: {spec}: expected a JSON object with key 'trials'\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("workers", "2", "workers must be an integer >= 1, got '2'"),
+        ("workers", 0, "workers must be an integer >= 1, got 0"),
+        ("workers", 2.5, "workers must be an integer >= 1, got 2.5"),
+        ("trials", "4", "trials must be an integer >= 1, got '4'"),
+        ("trials", True, "trials must be an integer >= 1, got True"),
+        ("master_seed", -1, "master_seed must be an integer >= 0, got -1"),
+        ("master_seed", 1.5, "master_seed must be an integer >= 0, got 1.5"),
+    ],
+)
+def test_montecarlo_spec_bad_run_integer_exits_2(
+    tmp_path, interval_file, capsys, key, value, message
+):
+    doc = {
+        "system": {"path": str(interval_file)}, "eps": [0.2], "delta": [0.4],
+        "gamma": [0.2], "t": [15], "trials": 4, "master_seed": 2, key: value,
+    }
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "mc.csv"
+    assert run("montecarlo", "--spec", spec, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_calibrate_rejects_zero_workers(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"trials": 10, "master_seed": 1, "cases": [
+        {"name": "a", "system": {"family": "intervals", "n": 30}, "eps": 0.2,
+         "delta": 0.5, "gamma": 0.25, "d": 2},
+    ]}))
+    out = tmp_path / "constants.json"
+    assert run("calibrate", "--suite", suite, "--out", out, "--workers", 0) == 2
+    assert capsys.readouterr().err == "error: workers must be an integer >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_sample_constants_missing_a_key_exits_2(tmp_path, interval_file, capsys):
     constants = tmp_path / "constants.json"
     constants.write_text('{"c": 8.0, "c2": 8.0, "c3": 12.0}')

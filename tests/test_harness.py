@@ -84,6 +84,16 @@ def test_worker_count_does_not_change_results():
     assert one == eight
 
 
+@pytest.mark.parametrize("trials, workers", [(40, 0), (40, -1), (40, 2.0), (0, 1), ("40", 1)])
+def test_run_loop_rejects_bad_trial_and_worker_counts(trials, workers):
+    system = intervals(20)
+    params = ApproxParams(0.15, 0.3, 0.2)
+    with pytest.raises(ConstructionError, match="must be an integer >= 1"):
+        monte_carlo_rows(system, params, 5, trials, master_seed=9, workers=workers)
+    with pytest.raises(ConstructionError, match="must be an integer >= 1"):
+        minimal_sample_size_search(system, params, trials, master_seed=9, workers=workers)
+
+
 def test_aggregates_recomputable_from_rows():
     system = intervals(60)
     params = ApproxParams(0.15, 0.3, 0.2)

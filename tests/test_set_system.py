@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox.errors import ConstructionError, GuardExceeded
-from relapprox.sampling import WITH, WITHOUT, Sample
+from relapprox.generators import random_system
+from relapprox.sampling import WITH, WITHOUT, Sample, relative_error, uniform_sample
 from relapprox.set_system import (
     SetSystem,
     growth_bound_check,
@@ -448,6 +449,20 @@ def test_packed_is_read_only():
     assert not system.packed.flags.writeable
     with pytest.raises(ValueError):
         system.packed[0, 0] = 5
+
+
+def test_cached_arrays_are_read_only():
+    # a write through a cached array would change every later verdict on the family
+    system = random_system(64, 50, 0.2, 1)
+    sample = uniform_sample(64, 10, 3)
+    before = relative_error(system, sample, 0.1)
+    trace = system.trace_on(sample)
+    arrays = [system.sizes_array, *system.incidence, trace.sizes, trace.rows]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[:] = 0
+    assert relative_error(system, sample, 0.1) == before
 
 
 def test_from_packed_matches_the_int_constructors():
