@@ -11,8 +11,8 @@ repeats:
 
 - `ns_per_word`: `intersection_sizes` against one plane, per packed word
   (`_bitops.NS_PER_WORD`);
-- `ns_per_entry`: `incidence_counts` for t = 200 distinct elements, per
-  incidence entry gathered (`_bitops.NS_PER_ENTRY`);
+- `ns_per_entry`: `incidence_counts` for t = 200 distinct elements (one
+  binary plane), per incidence entry gathered (`_bitops.NS_PER_ENTRY`);
 - `ns_per_entry_two_threads`: the same counts made by two threads at once
   (each makes `THREAD_CALLS` calls), as the CPU of both threads per entry.
   It stays near `ns_per_entry` while the kernel holds the GIL between its
@@ -101,7 +101,7 @@ def measure(w: int, repeats: int, rng) -> dict:
     index = _bitops.build_incidence(packed, n)
     elements = np.sort(rng.choice(n, size=SAMPLE_T, replace=False))
     entries = int((index.indptr[elements + 1] - index.indptr[elements]).sum())
-    counts = functools.partial(_bitops.incidence_counts, index, elements, m)
+    counts = functools.partial(_bitops.incidence_counts, index, [elements], m)
     out["ns_per_entry"] = cpu_seconds(counts, repeats) / entries * 1e9
     out["ns_per_entry_two_threads"] = cpu_seconds_two_threads(counts, repeats) / entries * 1e9
     return out

@@ -18,18 +18,19 @@ one of two layouts:
   `intersection_sizes`, m * words * planes words.
 - the incidence index, CSR element -> ascending ids of the sets containing
   it: 2 B per incidence while m <= 65,536, else 4 B, plus 4 B per element.
-  Counts are exact integer bincounts over the ids of the sampled elements,
-  one per binary plane of their weights: `incidence_counts`, at most about
-  t * nnz / n entries for t draws from n elements when the family has nnz
-  incidences (an element drawn r times is read popcount(r) times).  Each
-  plane's id lists are gathered in one copy that holds the GIL, not one
-  numpy copy per element, each of which can hand the GIL to another
-  counting thread.
+  Counts are exact integer bincounts over the ids of the elements of each
+  binary plane of the weights (`Sample.plane_members`): `incidence_counts`,
+  at most about t * nnz / n entries for t draws from n elements when the
+  family has nnz incidences (an element drawn r times is read popcount(r)
+  times).  Each plane's id lists are gathered in one copy that holds the
+  GIL, not one numpy copy per element, each of which can hand the GIL to
+  another counting thread.
 
-`gather_columns` reads the packed matrix in row blocks: the trace of every
-row on a set of columns (`set_system.restrict`, its only caller).  Each row
-block is unpacked to one byte per bit (64 B per word), its columns gathered
-and packed again.  Packing (`pack_flags`) pads the rows to whole words and
+`gather_columns` reads the packed matrix in row blocks: the given rows
+restricted to a set of columns (a trace's distinct rows, for
+`set_system.Trace.materialize`, its only caller).  Each row block is
+unpacked to one byte per bit (64 B per word), its columns gathered and
+packed again.  Packing (`pack_flags`) pads the rows to whole words and
 packs the flat array in one `packbits`, a third of the cost of packing row
 by row.
 """
@@ -234,13 +235,10 @@ def build_incidence(packed: np.ndarray, n: int) -> Incidence:
     return Incidence(indptr[: n + 1], ids)
 
 
-def incidence_counts(
-    index: Incidence, elements: np.ndarray, m: int, repeats: np.ndarray | None = None
-) -> np.ndarray:
-    """|S_i & elements| for every set S_i of an m-set family, each element
-    counted `repeats` times (parallel to `elements`) when given, as int64:
-    per binary plane k of the counts, one bincount over the joined id lists
-    of the elements whose count has bit k set, weighted by 2^k.
+def incidence_counts(index: Incidence, planes, m: int) -> np.ndarray:
+    """sum_k 2^k |S_i & planes[k]| for every set S_i of an m-set family, as
+    int64, `planes` the ascending element arrays of a weight's binary planes
+    (`Sample.plane_members`): per plane, one bincount over its id lists.
 
     A plane's id lists are gathered by one copy that keeps the GIL:
     `bytes.join` of memoryview slices of `ids` (a join of buffers other than
@@ -250,14 +248,11 @@ def incidence_counts(
     per list on numpy 2.4), so with worker threads counting at once a
     sample of t elements made up to t GIL handoffs."""
     indptr, ids = index
-    lo, hi = indptr[elements].tolist(), indptr[elements + 1].tolist()
     items = ids.data  # sliced in ids, not bytes; a read-only `ids` works too
-    parts = [items[a:b] for a, b in zip(lo, hi)]
-    weights = [1] * len(parts) if repeats is None else repeats.tolist()
     out = np.zeros(m, dtype=np.int64)
-    for k in range(max(weights, default=0).bit_length()):
-        plane = [part for part, w in zip(parts, weights) if w >> k & 1]
-        if plane:
-            gathered = np.frombuffer(b"".join(plane), dtype=ids.dtype)
-            out += np.bincount(gathered, minlength=m) << k
+    for k, elements in enumerate(planes):
+        if len(elements):
+            lo, hi = indptr[elements].tolist(), indptr[elements + 1].tolist()
+            joined = b"".join([items[a:b] for a, b in zip(lo, hi)])
+            out += np.bincount(np.frombuffer(joined, dtype=ids.dtype), minlength=m) << k
     return out

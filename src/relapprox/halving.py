@@ -149,27 +149,32 @@ def iterated_halving(system, params: ApproxParams, seed, mode: str = WITHOUT):
     return current, HalvingTrace(tuple(levels), current)
 
 
-def _certify(system, params: ApproxParams, seed, max_retries: int = 5, mode: str = WITHOUT):
-    """The Las Vegas loop: rerun the construction until the exact verifier
-    certifies its output.  Returns (attempts taken, sample, trace, report);
-    raises RetriesExhausted with the best worst ratio seen."""
+def _las_vegas(draw, family, params: ApproxParams, seed, max_retries: int, what: str):
+    """The Las Vegas loop: (sample, record) = draw(seed_sequence(seed, attempt))
+    until the exact verifier certifies the sample on `family` at (eps,
+    delta).  Returns (attempts taken, sample, record, report); raises
+    RetriesExhausted with the best worst ratio seen."""
     if max_retries < 1:
         raise ConstructionError(f"max_retries must be >= 1, got {max_retries}")
     best = math.inf
     for attempt in range(max_retries):
-        sample, trace = iterated_halving(system, params, seed_sequence(seed, attempt), mode=mode)
-        report = relative_error(system, sample, params.eps)
+        sample, record = draw(seed_sequence(seed, attempt))
+        report = relative_error(family, sample, params.eps)
         if report.passes(params.delta):
-            return attempt + 1, sample, trace, report
+            return attempt + 1, sample, record, report
         best = min(best, report.worst_ratio)
-    raise _exhausted("sample", max_retries, best)
-
-
-def _exhausted(what: str, max_retries: int, best) -> RetriesExhausted:
-    return RetriesExhausted(
+    raise RetriesExhausted(
         f"no verified {what} in {max_retries} attempts "
         f"(best worst_ratio observed: {float(best):.6g})",
         best,
+    )
+
+
+def _certify(system, params: ApproxParams, seed, max_retries: int = 5, mode: str = WITHOUT):
+    """`_las_vegas` over the construction: (attempts, sample, trace, report)."""
+    return _las_vegas(
+        lambda s: iterated_halving(system, params, s, mode=mode),
+        system, params, seed, max_retries, "sample",
     )
 
 
@@ -221,28 +226,26 @@ def combined_construction(
     """Two-stage construction: certified halving at (eps, delta/3), then a
     chaining-sized verified subsample of the trace at (eps, delta/3).  The
     composition rule makes the result a relative (eps, delta)-approximation.
-    Both stages run on the family's own protocol (`sampling`): stage 2
-    samples the trace `system.trace_on(a1)`, found once, is sized by its
-    length and checks each attempt with its `error_report`.
+    Both stages run on the family's own protocol (`sampling`) and retry
+    through one Las Vegas loop: stage 2 samples the trace
+    `system.trace_on(a1)`, found once, is sized by its length and checks
+    each attempt against it with `relative_error`.
     """
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
     trace = system.trace_on(a1)
     t2 = min(trace.n, chaining_sample_size(stage, d, len(trace), constants))
-    best = math.inf
-    for attempt in range(max_retries):
-        cand = uniform_sample(trace.n, t2, seed_sequence(seed, 1, attempt))
-        report = trace.error_report(cand, params.eps)
-        if report.passes(stage.delta):
-            final = Sample(system.n, a1.support_array[cand.support_array])
-            if not relative_error(system, final, params.eps).passes(params.delta):
-                raise AuditFailure(
-                    "composition violated: both stages verified but the "
-                    "combined sample fails at the combined delta"
-                )
-            return final
-        best = min(best, report.worst_ratio)
-    raise _exhausted("stage-2 sample", max_retries, best)
+    cand = _las_vegas(
+        lambda s: (uniform_sample(trace.n, t2, s), None),
+        trace, stage, seed_sequence(seed, 1), max_retries, "stage-2 sample",
+    )[1]
+    final = Sample(system.n, a1.support_array[cand.support_array])
+    if not relative_error(system, final, params.eps).passes(params.delta):
+        raise AuditFailure(
+            "composition violated: both stages verified but the "
+            "combined sample fails at the combined delta"
+        )
+    return final
 
 
 def write_trace_json(trace: HalvingTrace, path) -> None:

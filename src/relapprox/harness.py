@@ -253,6 +253,8 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
         doc = _read_json_object(path, ("system", "eps", "delta", "gamma", "trials", "master_seed"))
+        if not all(isinstance(doc.get(k, []), list) for k in ("eps", "delta", "gamma", "t")):
+            raise ConstructionError(f"{path}: 'eps', 'delta', 'gamma' and 't' must be lists")
         return cls(
             system=doc["system"],
             eps=tuple(doc["eps"]),
@@ -373,6 +375,8 @@ class CalibrationCase:
 
 def load_suite(path) -> tuple[list[CalibrationCase], int, int]:
     doc = _read_json_object(path, ("cases", "trials", "master_seed"))
+    if not isinstance(doc["cases"], list):
+        raise ConstructionError(f"{path}: 'cases' must be a list")
     for k, c in enumerate(doc["cases"]):
         name = c.get("name") if isinstance(c, dict) else None
         _require_keys(c, _CASE_KEYS, f"{path}: case #{k} ({name})")

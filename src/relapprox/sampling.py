@@ -22,20 +22,22 @@ over [0, n), `error_report(sample, eps)` (the report above),
 `is_eps_net(sample, eps)` and `trace_on(sample)`: the trace F|_A on the
 sample's support A, over [0, |A|), the j-th support element becoming
 element j.  A trace answers at least `n`, `len` (the number of distinct
-traces) and `error_report`, the worst set indexed in the trace's order.
+traces), `error_report`, the worst set indexed in the trace's order, and
+`materialize()`, the trace as a `SetSystem` over [0, |A|) in that order.
 `set_system.SetSystem` answers the protocol from its packed rows and its
 own count policy (`SetSystem.counts`), its trace a `set_system.Trace`
-whose rows are never gathered, and `generators.ImplicitIntervals` from
-prefix sums and closed forms, its trace `ImplicitIntervals(m)`.  No
-function here counts |A & S| or looks at the family's type: they take a
-family's exact sizes and counts (`worst_of_counts`, `error_numerators`)
-or its reports.
+whose rows are gathered only by `materialize`, and
+`generators.ImplicitIntervals` from prefix sums and closed forms, its
+trace `ImplicitIntervals(m)`.  No function here counts |A & S| or looks
+at the family's type: they take a family's exact sizes and counts
+(`worst_of_counts`, `error_numerators`) or its reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,8 +61,8 @@ class ApproxParams:
     def __post_init__(self):
         for name in ("eps", "delta", "gamma"):
             v = getattr(self, name)
-            if not 0 < v < 1:
-                raise ConstructionError(f"{name} must lie strictly in (0, 1), got {v}")
+            if not isinstance(v, numbers.Real) or not 0 < v < 1:
+                raise ConstructionError(f"{name} must lie strictly in (0, 1), got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,12 @@ def find_constants(path=None) -> Constants:
     return DEFAULT_CONSTANTS
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: a cached array of a shared object stays as built."""
+    array.flags.writeable = False
+    return array
+
+
 def _int64_vector(values, overflow: str) -> np.ndarray:
     """A read-only int64 copy of a 1-D integer sequence or array; raises
     ConstructionError(`overflow`) when a value is not an int64."""
@@ -131,8 +139,7 @@ def _int64_vector(values, overflow: str) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype != np.int64:
         if not np.array_equal(arr, values):  # wrapped uint64 or truncated floats
             raise ConstructionError(overflow)
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 class Sample:
@@ -209,15 +216,23 @@ class Sample:
         return WITHOUT if self.multiplicity_array is None else WITH
 
     @cached_property
+    def plane_members(self) -> tuple[np.ndarray, ...]:
+        """Read-only ascending arrays, plane k the elements whose multiplicity
+        has bit k set: |A & S| = sum_k 2^k |plane_k & S|.  Without replacement
+        the one plane is the support."""
+        sup, mult = self.support_array, self.multiplicity_array
+        if mult is None:
+            return (sup,)
+        levels = int(mult.max(initial=0)).bit_length()
+        return tuple(_read_only(sup[(mult >> k) & 1 == 1]) for k in range(levels))
+
+    @cached_property
     def planes(self) -> np.ndarray:
-        """Binary planes of the multiplicity as read-only packed rows: plane k
-        holds the elements whose multiplicity has bit k set, so |A & S| is
-        sum_k 2^k |plane_k & S| over ceil(log2(max multiplicity + 1)) planes."""
-        counts = self.counts_array()
-        levels = 1 if self.multiplicity_array is None else int(counts.max(initial=0)).bit_length()
-        planes = _bitops.pack_flags((counts >> np.arange(levels)[:, None]) & 1)
-        planes.flags.writeable = False
-        return planes
+        """`plane_members` as read-only packed rows over [0, n)."""
+        flags = np.zeros((len(self.plane_members), self.n), dtype=bool)
+        for k, members in enumerate(self.plane_members):
+            flags[k, members] = True
+        return _read_only(_bitops.pack_flags(flags))
 
     def counts_array(self) -> np.ndarray:
         dense = np.zeros(self.n, dtype=np.int64)
@@ -227,6 +242,8 @@ class Sample:
 
     @classmethod
     def from_mask(cls, n: int, bits: int) -> "Sample":
+        if bits < 0:
+            raise ConstructionError("sample members outside the ground set")
         return cls(n, _bitops.indices_from_mask(bits))
 
     @classmethod
@@ -511,5 +528,14 @@ def write_sample_json(sample: Sample, path) -> None:
 
 
 def read_sample_json(path) -> Sample:
+    """A `write_sample_json` file; its `t` and `mode` must match, if present."""
     doc = _read_json_object(path, ("n", "members"))
-    return Sample(doc["n"], doc["members"], doc.get("counts"), seed=doc.get("seed"))
+    n, members, counts = doc["n"], doc["members"], doc.get("counts")
+    for key, value in (("n", [n]), ("members", members), ("counts", counts or [])):
+        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+            raise ConstructionError(f"{path}: {key!r} must be an integer or a list of them")
+    sample = Sample(n, members, counts, seed=doc.get("seed"))
+    for key in ("t", "mode"):
+        if key in doc and doc[key] != getattr(sample, key):
+            raise ConstructionError(f"{path}: {key!r} does not match the members and counts")
+    return sample

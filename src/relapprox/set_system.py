@@ -3,10 +3,11 @@
 The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
 order-preserving family of subsets as one packed matrix (`_bitops`) and
 answers the family protocol of `sampling` from it; its trace on a sample is
-a `Trace`, which never gathers the rows (only `restrict` does).  Every
-count |A & S| behind a verifier, a trace or the chain's telescoping audit
-comes from `SetSystem.counts`, which owns the choice of kernel and the
-purchase of the incidence index.  Subsets are bitmasks (Python ints) in the
+a `Trace`, which gathers only its distinct rows and only in `materialize`
+(`restrict` materializes the trace on a mask).  Every count |A & S| behind
+a verifier, a trace or the chain's telescoping audit comes from
+`SetSystem.counts`, which owns the choice of kernel and the purchase of the
+incidence index.  Subsets are bitmasks (Python ints) in the
 functions below.  All operations are pure; SetSystem and Trace are
 immutable and safe to share.
 """
@@ -30,6 +31,7 @@ from .sampling import (
     _check_ground_set,
     _check_verifier_inputs,
     _read_json_object,
+    _read_only,
     big_size_limit,
     error_numerators,
     make_rng,
@@ -73,8 +75,6 @@ class SetSystem:
     @classmethod
     def from_packed(cls, n: int, rows) -> "SetSystem":
         """Build from (m, words) uint64 packed rows, collapsing duplicates (first wins)."""
-        if n < 1:
-            raise ConstructionError(f"ground set must be nonempty, got n={n}")
         rows, w = np.asarray(rows), _bitops.words_needed(n)
         if rows.dtype != np.uint64 or rows.ndim != 2 or rows.shape[1] != w:
             raise ConstructionError(f"packed rows must be a uint64 array of {w} words per set")
@@ -83,6 +83,8 @@ class SetSystem:
     @classmethod
     def _of_distinct(cls, n: int, packed: np.ndarray) -> "SetSystem":
         """The family of packed rows known to be distinct, taking over the array."""
+        if n < 1:
+            raise ConstructionError(f"ground set must be nonempty, got n={n}")
         bad = _bitops.rows_outside(packed, n)
         if len(bad):
             raise ConstructionError(f"set #{bad[0]} has members outside [0, {n})")
@@ -137,7 +139,7 @@ class SetSystem:
         m * words * planes."""
         return CountCosts(
             _bitops.NS_PER_ENTRY * sample.t * self._nnz / self.n,
-            _bitops.NS_PER_WORD * self.packed.size * len(sample.planes),
+            _bitops.NS_PER_WORD * self.packed.size * len(sample.plane_members),
         )
 
     def counts(self, sample: Sample) -> np.ndarray:
@@ -159,9 +161,7 @@ class SetSystem:
                 paid = spent >= _bitops.NS_PER_BUILD_WORD * self.packed.size
                 index = self.incidence if paid or "incidence" in self.__dict__ else None
             if index is not None:
-                return _bitops.incidence_counts(
-                    index, sample.support_array, len(self), sample.multiplicity_array
-                )
+                return _bitops.incidence_counts(index, sample.plane_members, len(self))
         return _bitops.intersection_sizes(self.packed, sample.planes)
 
     # -- the family protocol (see `sampling`) --------------------------------
@@ -198,7 +198,7 @@ class SetSystem:
 class Trace:
     """F|_A over [0, |A|), family element `columns[j]` becoming element j:
     the traces of the family's `rows`, the first of each distinct row ANDed
-    with A.  They are never gathered: a set's size and count are the
+    with A.  Only `materialize` gathers them: a set's size and count are the
     family's exact counts of A and of the sample lifted through `columns`."""
 
     family: SetSystem
@@ -223,11 +223,10 @@ class Trace:
         counts = self.family.counts(lifted)[self.rows]
         return worst_of_counts(self.n, sample.t, eps, self.sizes, counts)
 
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """The array, made read-only: a cached array of a shared family stays as built."""
-    array.flags.writeable = False
-    return array
+    def materialize(self) -> SetSystem:
+        """The trace as a SetSystem over [0, |A|): its distinct rows, gathered."""
+        gathered = _bitops.gather_columns(self.family.packed[self.rows], self.columns)
+        return SetSystem._of_distinct(self.n, gathered)
 
 
 def _pack(n: int, masks, dedup: bool) -> np.ndarray:
@@ -263,14 +262,11 @@ class RestrictResult(NamedTuple):
 
 def restrict(system: SetSystem, y: int) -> RestrictResult:
     """Trace F|_Y as a SetSystem over Y re-indexed densely in ascending order."""
-    if y < 0 or y >> system.n:
-        raise ConstructionError("restriction set has members outside the ground set")
     sample = Sample.from_mask(system.n, y)
     if not sample.t:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(sample.support)}
-    gathered = _bitops.gather_columns(system.packed, sample.support_array)
-    return RestrictResult(SetSystem.from_packed(sample.t, gathered), index_map)
+    return RestrictResult(system.trace_on(sample).materialize(), index_map)
 
 
 def trace_count(system: SetSystem, y_bits: int) -> int:
@@ -280,13 +276,13 @@ def trace_count(system: SetSystem, y_bits: int) -> int:
 
 def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
     """Whether the trace on Y realizes all 2^|Y| subsets of Y."""
-    k = y.bit_count()
-    if k > guard:
+    sample = Sample.from_mask(system.n, y)
+    if sample.t > guard:
         raise GuardExceeded(
-            f"|Y| = {k} exceeds the shatter guard of {guard}; "
+            f"|Y| = {sample.t} exceeds the shatter guard of {guard}; "
             "pass a larger guard= to search sets this big"
         )
-    return trace_count(system, y) == 1 << k
+    return len(system.trace_on(sample)) == 1 << sample.t
 
 
 class VcResult(NamedTuple):

@@ -1,3 +1,6 @@
+import importlib.util
+import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -49,8 +52,14 @@ def incidence_counts(system: SetSystem, sample: Sample) -> np.ndarray:
 
 
 def index_counts(index: _bitops.Incidence, m: int, sample: Sample) -> np.ndarray:
-    repeats = None if sample.multiplicity is None else np.array(sample.multiplicity)
-    return _bitops.incidence_counts(index, np.array(sample.support), m, repeats)
+    """The kernel's counts over the sample's binary planes, split here
+    element by element: plane k lists the elements whose count has bit k set."""
+    mult = sample.multiplicity or (1,) * len(sample.support)
+    planes = [
+        np.array([e for e, c in zip(sample.support, mult) if c >> k & 1], dtype=np.int64)
+        for k in range(max(mult, default=0).bit_length())
+    ]
+    return _bitops.incidence_counts(index, planes, m)
 
 
 def assert_threads_count_like_one(index: _bitops.Incidence, packed: np.ndarray, samples) -> None:
@@ -126,6 +135,19 @@ def test_incidence_uses_int32_ids_past_65536_sets():
     assert index.ids[index.indptr[n - 1] : index.indptr[n]][-1] == m - 1
     samples = [uniform_sample(n, 40, seed, mode) for seed in (9, 10) for mode in (WITHOUT, WITH)]
     assert_threads_count_like_one(index, packed, samples)
+
+
+@pytest.mark.parametrize("mode", [WITHOUT, WITH])
+def test_incidence_counts_never_pack_the_sample(mode):
+    # the incidence kernel and its cost model read the planes' element
+    # arrays; only the dense scan packs them
+    system = SetSystem.from_masks(64, range(1, 1 << 12))
+    system.incidence  # bought up front, so every cheaper query uses it
+    sample = uniform_sample(64, 3, 4, mode)
+    costs = system.count_costs(sample)
+    assert costs.incidence_ns < costs.dense_ns
+    assert system.counts(sample).tolist() == oracle_counts(system.masks, sample)
+    assert "planes" not in sample.__dict__
 
 
 def test_incidence_uses_uint16_ids_up_to_65536_sets():
@@ -218,3 +240,16 @@ def test_row_and_symdiff_sizes_match_int_bit_count(monkeypatch, n, block):
     assert table.tolist() == [[(a ^ b).bit_count() for b in masks[::-1]] for a in masks[:9]]
 
     assert _bitops.symdiff_sizes(words[:, :0], words[:, :1]).shape == (0,)
+
+
+def test_kernel_timings_script_measures_one_width(monkeypatch):
+    # the script calls the kernels directly, so a signature change shows here
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "kernel_timings.py")
+    spec = importlib.util.spec_from_file_location("kernel_timings", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "MATRIX_BYTES", 1 << 16)
+    out = script.measure(7, 1, np.random.default_rng(0))
+    assert (out["rows"], out["words"]) == ((1 << 16) // 56, 7)
+    for key in ("ns_per_word", "ns_per_build_word", "ns_per_entry", "ns_per_entry_two_threads"):
+        assert math.isfinite(out[key]) and out[key] >= 0

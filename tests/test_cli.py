@@ -355,3 +355,70 @@ def test_sample_constants_missing_a_key_exits_2(tmp_path, interval_file, capsys)
                "--constants", constants, "--out", tmp_path / "s.json")
     assert code == 2
     assert capsys.readouterr().err == f"error: {constants}: expected a JSON object with key 'c1'\n"
+
+
+@pytest.mark.parametrize(
+    "sample_doc, key",
+    [
+        ({"n": 40, "t": 99, "mode": "with", "members": [1, 2]}, "'t'"),
+        ({"n": 40, "t": 2, "mode": "with", "members": [1, 2]}, "'mode'"),
+        ({"n": 40, "t": 3, "members": [1, 2], "counts": [1, 1]}, "'t'"),
+        ({"n": 40, "mode": "without", "members": [1, 2], "counts": [1, 3]}, "'mode'"),
+    ],
+)
+def test_verify_rejects_a_sample_whose_t_or_mode_disagrees(
+    tmp_path, interval_file, capsys, sample_doc, key
+):
+    sample = tmp_path / "s.json"
+    sample.write_text(json.dumps(sample_doc))
+    code = run("verify", "--system", interval_file, "--sample", sample,
+               "--eps", 0.2, "--delta", 0.3)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {sample}: {key} does not match the members and counts\n"
+    )
+
+
+def assert_input_error(capsys, code: int, message: str) -> None:
+    """Exit 2 with one `error:` line naming the problem, not a traceback."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_sample_with_a_non_integer_member_exits_2(tmp_path, interval_file, capsys):
+    sample = tmp_path / "s.json"
+    sample.write_text('{"n": 40, "members": ["a"]}')
+    code = run("verify", "--system", interval_file, "--sample", sample,
+               "--eps", 0.2, "--delta", 0.3)
+    assert_input_error(capsys, code, "'members' must be an integer or a list of them")
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (0.1, "'eps', 'delta', 'gamma' and 't' must be lists"),
+        (["x"], "eps must lie strictly in (0, 1), got 'x'"),
+    ],
+)
+def test_montecarlo_spec_with_a_mistyped_grid_exits_2(
+    tmp_path, interval_file, capsys, eps, message
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "system": {"path": str(interval_file)}, "eps": eps, "delta": [0.4],
+        "gamma": [0.2], "t": [15], "trials": 4, "master_seed": 2,
+    }))
+    out = tmp_path / "mc.csv"
+    assert_input_error(capsys, run("montecarlo", "--spec", spec, "--out", out), message)
+    assert not out.exists()
+
+
+def test_calibrate_suite_whose_cases_are_not_a_list_exits_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('{"trials": 10, "master_seed": 1, "cases": 5}')
+    out = tmp_path / "constants.json"
+    code = run("calibrate", "--suite", suite, "--out", out)
+    assert_input_error(capsys, code, "'cases' must be a list")
+    assert not out.exists()

@@ -207,7 +207,7 @@ def test_both_interval_forms_answer_the_family_protocol_alike(built_trace, n, mo
         t = int(rng.integers(1, 2 * n + 1)) if mode == WITH else int(rng.integers(1, n + 1))
         a1 = uniform_sample(n, t, seed, mode=mode)
         trace = built_trace(mat, a1)
-        assert imp.trace_on(a1).materialize() == trace
+        assert imp.trace_on(a1).materialize() == mat.trace_on(a1).materialize() == trace
         assert len(imp.trace_on(a1)) == len(mat.trace_on(a1)) == len(trace)
         s2 = uniform_sample(trace.n, 1 + seed % trace.n, seed, mode=mode)
         want = trace.error_report(s2, eps)

@@ -79,3 +79,17 @@ def test_harness_sizes_every_sample_through_formula_size():
     tree = ast.parse(Path(relapprox.__file__).with_name("harness.py").read_text())
     formulas = {"main_sample_size", "halving_sample_size", "chaining_sample_size"}
     assert formulas & names_used(tree) == set()
+
+
+
+
+def test_one_las_vegas_loop():
+    # certified halving and stage 2 of the combined construction retry
+    # through one loop over max_retries
+    loops = [
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.For) and "max_retries" in names_used(node.iter)
+    ]
+    assert loops == ["halving"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox.errors import ConstructionError, GuardExceeded
-from relapprox.generators import random_system
+from relapprox.generators import halfplanes, intervals, random_points, random_system
 from relapprox.sampling import WITH, WITHOUT, Sample, relative_error, uniform_sample
 from relapprox.set_system import (
     SetSystem,
@@ -142,10 +142,19 @@ def oracle_restrict(system: SetSystem, y_bits: int):
 @st.composite
 def restrictions(draw):
     n = draw(st.sampled_from([1, 2, 63, 65, 100, 130, 191]))
-    p = draw(st.sampled_from([0.05, 0.3, 0.5, 0.9]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    rows = rng.random((draw(st.integers(0, 40)), n)) < p
-    masks = [sum(1 << int(e) for e in np.flatnonzero(row)) for row in rows]
+    family = draw(st.sampled_from(["random", "intervals", "halfplanes"]))
+    seed = draw(st.integers(0, 2**32))
+    # intervals and halfplanes: many sets share each trace on Y
+    if family == "intervals":
+        n = min(n, 65)
+        system = intervals(n)
+    elif family == "halfplanes":
+        n = min(n, 40)
+        system = halfplanes(random_points(n, seed))
+    else:
+        p = draw(st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+        rows = np.random.default_rng(seed).random((draw(st.integers(0, 40)), n)) < p
+        system = SetSystem.from_masks(n, [sum(1 << int(e) for e in np.flatnonzero(r)) for r in rows])
     full = (1 << n) - 1
     kind = draw(st.sampled_from(["ground", "single", "last-word", "any"]))
     if kind == "ground":
@@ -156,7 +165,7 @@ def restrictions(draw):
         y = draw(st.integers(1, full))
         if kind == "last-word":
             y |= 1 << (n - 1)
-    return SetSystem.from_masks(n, masks), y
+    return system, y
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,6 +215,13 @@ def test_intervals_do_not_shatter_three_points():
 def test_empty_set_is_shattered_by_nonempty_family():
     system = new_set_system(2, [[0]])
     assert is_shattered(system, 0)
+
+
+def test_shatter_rejects_members_outside_the_ground_set():
+    system = SetSystem.from_masks(5, interval_masks(5))
+    for y in (1 << 5, 0b11 | 1 << 7, -1):
+        with pytest.raises(ConstructionError, match="outside the ground set"):
+            is_shattered(system, y)
 
 
 def test_shatter_guard():
@@ -324,6 +340,7 @@ def test_trace_error_report_equals_the_built_trace(built_trace, n, data):
     )
     trace, built = system.trace_on(within), built_trace(system, within)
     assert (trace.n, len(trace)) == (built.n, len(built))
+    assert trace.materialize() == built
     got = trace.error_report(sample, eps)
     want = built.error_report(sample, eps)
     assert (got, type(got.worst_ratio), got.exact_ratio) == (
