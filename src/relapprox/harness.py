@@ -17,6 +17,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import generators
 from .chaining import build_chain, claim7_check
@@ -26,6 +27,8 @@ from .sampling import (
     WITHOUT,
     ApproxParams,
     Constants,
+    _check_dim,
+    _is_int,
     _read_json_object,
     _require_keys,
     find_constants,
@@ -79,7 +82,7 @@ class CellResult:
 
 def _check_count(name: str, value, least: int) -> None:
     """Reject a run-loop integer that is not an int (bools included) >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         raise ConstructionError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -194,7 +197,7 @@ def minimal_sample_size_search(
 # --- experiment sweeps --------------------------------------------------------
 
 
-# The keys each generated family needs in its descriptor.
+# The keys each generated family needs in its descriptor ("seed" is optional).
 _FAMILY_KEYS = dict(
     intervals=("n",), implicit_intervals=("n",), power_set=("n",),
     random=("n", "m", "p"), halfplanes=("points",), rectangles=("points",),
@@ -203,12 +206,21 @@ _FAMILY_KEYS = dict(
 
 def system_from_descriptor(desc: dict):
     """Build a system from a JSON-able descriptor (generator or file path)."""
+    if not isinstance(desc, dict):
+        raise ConstructionError(f"a system descriptor must be a JSON object, got {desc!r}")
     if "path" in desc:
+        if not isinstance(desc["path"], str):
+            raise ConstructionError(f"'path' must be a string, got {desc['path']!r}")
         return read_json(desc["path"]).system
     family = desc.get("family")
-    for key in _FAMILY_KEYS.get(family, ()):
+    needed = _FAMILY_KEYS.get(family, ())
+    for key in needed:
         if desc.get(key) is None:
             raise ConstructionError(f"family {family!r} needs {key!r}")
+    for key in (*needed, "seed"):
+        value = desc.get(key, 0)
+        if not (_is_int(value) or key == "p" and isinstance(value, float)):
+            raise ConstructionError(f"family {family!r}: {key!r} has the wrong type: {value!r}")
     if family == "intervals":
         return generators.intervals(desc["n"])
     if family == "implicit_intervals":
@@ -361,6 +373,15 @@ class CalibrationCase:
     d: int
     use_for: tuple[str, ...] = ("c", "c1")  # subset of {"c", "c1", "c2", "c3"}
 
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConstructionError(f"a calibration case name must be a string, got {self.name!r}")
+        if not isinstance(self.system_desc, dict):
+            raise ConstructionError(f"case {self.name!r}: 'system' must be a JSON object")
+        _check_dim(self.d)
+        if not set(self.use_for) <= {"c", "c1", "c2", "c3"}:
+            raise ConstructionError(f"case {self.name!r}: unknown kind in {self.use_for!r}")
+
     def descriptor(self) -> dict:
         return {
             "name": self.name,
@@ -380,6 +401,8 @@ def load_suite(path) -> tuple[list[CalibrationCase], int, int]:
     for k, c in enumerate(doc["cases"]):
         name = c.get("name") if isinstance(c, dict) else None
         _require_keys(c, _CASE_KEYS, f"{path}: case #{k} ({name})")
+        if not isinstance(c.get("use_for", []), list):
+            raise ConstructionError(f"{path}: case #{k} ({name}): 'use_for' must be a list")
     cases = [
         CalibrationCase(
             name=c["name"],
@@ -431,42 +454,37 @@ def calibrate_constants(
         params = by_name[name].params
         return build_chain(system_of(name), params.eps, params.delta)
 
-    def formula_rate(case: CalibrationCase, t: int, cell: int) -> float:
-        return monte_carlo_failure(
-            system_of(case.name), case.params, t, trials, master_seed, workers=workers,
-            cell_index=cell,
-        ).failure_rate
+    def fails_delta(case: CalibrationCase):
+        system, params = system_of(case.name), case.params
+        return lambda sample: not relative_error(system, sample, params.eps).passes(params.delta)
 
-    def chain_rate(case: CalibrationCase, t: int, cell: int) -> float:
+    def fails_claim7(case: CalibrationCase):
         chain = chain_of(case.name)
-        fails = _run_trials(
-            lambda sample: not claim7_check(chain, sample).ok,
-            system_of(case.name).n, t, WITHOUT, (master_seed, cell), trials, workers,
-        )
-        return sum(fails) / trials
+        return lambda sample: not claim7_check(chain, sample).ok
 
-    def smallest_passing(kind: str, formula: str, rate_fn) -> float:
-        relevant = [c for c in cases if kind in c.use_for]
+    def smallest_passing(kind: str, formula: str, judgement) -> float:
+        relevant = [(k, c) for k, c in enumerate(cases) if kind in c.use_for]
         if not relevant:
             raise CalibrationError(f"no calibration cases for {kind}")
         failures_log = []
         for value in grid:
-            ok = True
             constants = Constants(c=value, c1=value, c2=value, c3=value)
-            for ci, case in enumerate(relevant):
-                t = formula_size(formula, case.params, case.d, system_of(case.name), constants)
-                rate = rate_fn(case, t, _cell_id(kind, ci, value))
+            for position, case in relevant:
+                system = system_of(case.name)
+                t = formula_size(formula, case.params, case.d, system, constants)
+                path = _cell_path(master_seed, kind, position, value)
+                fails = _run_trials(judgement(case), system.n, t, WITHOUT, path, trials, workers)
+                rate = sum(fails) / trials
                 if rate > case.params.gamma:
-                    ok = False
                     failures_log.append((kind, value, case.name, rate))
                     break
-            if ok:
+            else:
                 return value
         raise CalibrationError(f"no grid value satisfied {kind}: {failures_log}")
 
-    c = smallest_passing("c", "main", formula_rate)
-    c1 = smallest_passing("c1", "halving", formula_rate)
-    c2 = smallest_passing("c2", "chaining", chain_rate)
+    c = smallest_passing("c", "main", fails_delta)
+    c1 = smallest_passing("c1", "halving", fails_delta)
+    c2 = smallest_passing("c2", "chaining", fails_claim7)
 
     # c3: every observed greedy packing must satisfy |P| <= (c3 n / alpha)^(2d)
     c3_floor = 1.0
@@ -511,10 +529,13 @@ def _c3_alphas(eps: float, n: int) -> list[float]:
     return [max(2.0, eps * n / 2.0**i) for i in range(4)]
 
 
-def _cell_id(kind: str, case_index: int, grid_value: float) -> int:
-    # distinct deterministic cell index per (kind, case, grid value)
-    base = {"c": 1, "c1": 2, "c2": 3}[kind]
-    return base * 1_000_000 + case_index * 1_000 + int(round(grid_value * 10))
+def _cell_path(master_seed: int, kind: str, position: int, grid_value) -> tuple[int, ...]:
+    """Calibration cell (kind, suite position, grid value) as a fixed-length
+    seed path holding the value exactly.  numpy reads each entry as 32-bit
+    words; a float's power-of-two denominator has low words 0 where a
+    numerator's top word is not, so distinct cells give distinct words."""
+    kind_index = ("c", "c1", "c2").index(kind)
+    return (master_seed, kind_index, position, *Fraction(grid_value).as_integer_ratio())
 
 
 def write_constants_json(constants: Constants, provenance: dict, path) -> None:

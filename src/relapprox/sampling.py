@@ -77,12 +77,12 @@ class Constants:
     def __post_init__(self):
         for name in ("c", "c1", "c2", "c3"):
             v = getattr(self, name)
-            if v < 1:
-                raise ConstructionError(f"constant {name} must be >= 1, got {v}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
+                raise ConstructionError(f"constant {name} must be a finite number >= 1, got {v!r}")
 
 
-# Placeholders only; a calibration run (see harness.calibrate_constants and
-# scripts/calibrate.py) writes constants.json, which find_constants prefers.
+# Placeholders only; `relapprox calibrate --suite calibration_suite.json
+# --out constants.json` writes constants.json, which find_constants prefers.
 DEFAULT_CONSTANTS = Constants(c=8.0, c1=8.0, c2=8.0, c3=4.0 * math.sqrt(8.0))
 
 
@@ -121,6 +121,11 @@ def find_constants(path=None) -> Constants:
     return DEFAULT_CONSTANTS
 
 
+def _is_int(value) -> bool:
+    """Whether a value is an integer: a bool is not one, whatever its value."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only: a cached array of a shared object stays as built."""
     array.flags.writeable = False
@@ -128,17 +133,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _int64_vector(values, overflow: str) -> np.ndarray:
-    """A read-only int64 copy of a 1-D integer sequence or array; raises
-    ConstructionError(`overflow`) when a value is not an int64."""
+    """A read-only int64 copy of a 1-D sequence of integers or array of an
+    integer dtype.  A bool or a float is refused whatever its value, as an
+    element or as an array's dtype; ConstructionError(`overflow`) when a
+    value does not fit in int64."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        integers = values.dtype.kind in "iu" or values.size == 0
+    else:
+        values = np.array(values, dtype=object)
+        integers = all(map(_is_int, values.flat))
+    if not integers:
+        raise ConstructionError("sample members and multiplicities must be integers")
     try:
         arr = np.array(values, dtype=np.int64)
     except OverflowError:
         raise ConstructionError(overflow) from None
     if arr.ndim != 1:
         raise ConstructionError("sample vectors must be one-dimensional")
-    if isinstance(values, np.ndarray) and values.dtype != np.int64:
-        if not np.array_equal(arr, values):  # wrapped uint64 or truncated floats
-            raise ConstructionError(overflow)
+    if values.dtype == np.uint64 and not np.array_equal(arr, values):  # wrapped
+        raise ConstructionError(overflow)
     return _read_only(arr)
 
 
@@ -148,9 +161,10 @@ class Sample:
     `support_array` holds the distinct sampled elements, strictly ascending;
     `multiplicity_array` is parallel to it in with-replacement mode and None
     otherwise.  Both are read-only int64 copies of the constructor's
-    arguments (any integer sequence or array), and the total t must be below
-    2^63.  `support` and `multiplicity` are the same values as tuples of
-    Python ints, built on first access.  `seed` records provenance (None for
+    arguments (a sequence of integers or an integer array; bools and floats
+    are refused), and the total t must be below 2^63.  `support` and
+    `multiplicity` are the same values as tuples of Python ints, built on
+    first access.  `seed` records provenance (None for
     external samples).  Samples are immutable and compare and hash by value.
     """
 
@@ -505,8 +519,8 @@ def formula_sample_size(
 
 
 def _check_dim(d: int) -> None:
-    if d < 1:
-        raise ConstructionError(f"dimension parameter d must be >= 1, got {d}")
+    if not _is_int(d) or d < 1:
+        raise ConstructionError(f"dimension parameter d must be an integer >= 1, got {d!r}")
 
 
 # --- sample JSON format ------------------------------------------------------
@@ -532,7 +546,7 @@ def read_sample_json(path) -> Sample:
     doc = _read_json_object(path, ("n", "members"))
     n, members, counts = doc["n"], doc["members"], doc.get("counts")
     for key, value in (("n", [n]), ("members", members), ("counts", counts or [])):
-        if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
+        if not isinstance(value, list) or not all(_is_int(v) for v in value):
             raise ConstructionError(f"{path}: {key!r} must be an integer or a list of them")
     sample = Sample(n, members, counts, seed=doc.get("seed"))
     for key in ("t", "mode"):

@@ -4,12 +4,14 @@ The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
 order-preserving family of subsets as one packed matrix (`_bitops`) and
 answers the family protocol of `sampling` from it; its trace on a sample is
 a `Trace`, which gathers only its distinct rows and only in `materialize`
-(`restrict` materializes the trace on a mask).  Every count |A & S| behind
-a verifier, a trace or the chain's telescoping audit comes from
-`SetSystem.counts`, which owns the choice of kernel and the purchase of the
-incidence index.  Subsets are bitmasks (Python ints) in the
-functions below.  All operations are pure; SetSystem and Trace are
-immutable and safe to share.
+(`restrict` materializes the trace on a mask).  Every count |A & S| of a
+family's own sets, behind a verifier, a trace or the chain's telescoping
+audit, comes from `SetSystem.counts`, which owns the choice of kernel and
+the purchase of the incidence index.  The audit's part rows S \\ P and
+P \\ S are not sets of the family: `chaining._parts` counts them with
+`_bitops.intersection_sizes` against the sample's packed planes.  Subsets
+are bitmasks (Python ints) in the functions below.  All operations are
+pure; SetSystem and Trace are immutable and safe to share.
 """
 
 from __future__ import annotations

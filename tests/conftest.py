@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from relapprox import _bitops
+from relapprox import _bitops, cli
 from relapprox.sampling import Constants, Sample, _check_ground_set, load_constants
 from relapprox.set_system import SetSystem
 
@@ -14,16 +14,9 @@ CONSTANTS_PATH = os.path.join(REPO_ROOT, "constants.json")
 def calibrated_constants() -> Constants:
     """Calibrated constants from the committed config; recalibrate if absent."""
     if not os.path.exists(CONSTANTS_PATH):
-        from relapprox.harness import (
-            calibrate_constants,
-            load_suite,
-            write_constants_json,
-        )
-
         suite_path = os.path.join(REPO_ROOT, "calibration_suite.json")
-        cases, trials, master_seed = load_suite(suite_path)
-        constants, provenance = calibrate_constants(cases, trials, master_seed, workers=2)
-        write_constants_json(constants, provenance, CONSTANTS_PATH)
+        argv = ["calibrate", "--suite", suite_path, "--out", CONSTANTS_PATH, "--workers", "2"]
+        assert cli.main(argv) == 0
     return load_constants(CONSTANTS_PATH)
 
 

@@ -2,8 +2,9 @@
 
 Each test prints a PASS line with its measured quantities (visible with
 pytest -s); tolerances and trial counts are fixed here, not tuned at runtime.
-Criteria that need calibrated size-formula constants load constants.json
-(see scripts/calibrate.py).
+Criteria that need calibrated size-formula constants load constants.json,
+written by `relapprox calibrate --suite calibration_suite.json --out
+constants.json --workers 2`.
 """
 
 import math

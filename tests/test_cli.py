@@ -422,3 +422,78 @@ def test_calibrate_suite_whose_cases_are_not_a_list_exits_2(tmp_path, capsys):
     code = run("calibrate", "--suite", suite, "--out", out)
     assert_input_error(capsys, code, "'cases' must be a list")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"system": 5}, "a system descriptor must be a JSON object, got 5"),
+        ({"system": {"path": 5}}, "'path' must be a string, got 5"),
+        ({"system": {"family": "intervals", "n": "40"}},
+         "family 'intervals': 'n' has the wrong type: '40'"),
+        ({"t": [], "formula": "main", "d": "x"}, "d must be an integer >= 1, got 'x'"),
+        ({"t": [], "formula": "main", "d": True}, "d must be an integer >= 1, got True"),
+        ({"t": [], "formula": "main", "d": 2, "constants": "bad-constants.json"},
+         "constant c must be a finite number >= 1, got '2'"),
+    ],
+)
+def test_montecarlo_spec_with_a_mistyped_value_exits_2(
+    tmp_path, interval_file, capsys, fields, message
+):
+    (tmp_path / "bad-constants.json").write_text('{"c": "2", "c1": 2, "c2": 2, "c3": 2}')
+    doc = {"system": {"path": str(interval_file)}, "eps": [0.2], "delta": [0.4],
+           "gamma": [0.2], "t": [15], "trials": 4, "master_seed": 2, **fields}
+    if "constants" in doc:
+        doc["constants"] = str(tmp_path / doc["constants"])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "mc.csv"
+    assert_input_error(capsys, run("montecarlo", "--spec", spec, "--out", out), message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"d": "2"}, "d must be an integer >= 1, got '2'"),
+        ({"d": False}, "d must be an integer >= 1, got False"),
+        ({"use_for": "c1"}, "case #0 (a): 'use_for' must be a list"),
+        ({"use_for": 5}, "case #0 (a): 'use_for' must be a list"),
+        ({"use_for": ["c", "c4"]}, "case 'a': unknown kind in ('c', 'c4')"),
+        ({"system": 5}, "case 'a': 'system' must be a JSON object"),
+        ({"system": ["intervals"]}, "case 'a': 'system' must be a JSON object"),
+        ({"name": 7}, "a calibration case name must be a string, got 7"),
+    ],
+)
+def test_calibrate_suite_case_with_a_mistyped_value_exits_2(tmp_path, capsys, fields, message):
+    case = {"name": "a", "system": {"family": "intervals", "n": 30}, "eps": 0.2,
+            "delta": 0.5, "gamma": 0.25, "d": 2, **fields}
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"trials": 10, "master_seed": 1, "cases": [case]}))
+    out = tmp_path / "constants.json"
+    assert_input_error(capsys, run("calibrate", "--suite", suite, "--out", out), message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ['"2"', "true", "NaN", "Infinity"])
+def test_sample_with_mistyped_constants_exits_2(tmp_path, interval_file, capsys, value):
+    constants = tmp_path / "constants.json"
+    constants.write_text(f'{{"c": {value}, "c1": 2, "c2": 2, "c3": 2}}')
+    code = run("sample", "--system", interval_file, "--formula", "main", "--d", 2,
+               "--eps", 0.2, "--delta", 0.4, "--gamma", 0.2, "--seed", 5,
+               "--constants", constants, "--out", tmp_path / "s.json")
+    assert_input_error(capsys, code, "constant c must be a finite number >= 1")
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("key, doc", [
+    ("members", '{"n": 40, "members": [true, 3]}'),
+    ("counts", '{"n": 40, "members": [1, 3], "counts": [1, false]}'),
+    ("n", '{"n": true, "members": [0]}'),
+])
+def test_sample_with_a_bool_member_or_count_exits_2(tmp_path, interval_file, capsys, key, doc):
+    sample = tmp_path / "s.json"
+    sample.write_text(doc)
+    code = run("verify", "--system", interval_file, "--sample", sample,
+               "--eps", 0.2, "--delta", 0.3)
+    assert_input_error(capsys, code, f"'{key}' must be an integer or a list of them")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from relapprox import harness
 from relapprox.errors import CalibrationError, ConstructionError
 from relapprox.generators import intervals
 from relapprox.harness import (
+    CALIBRATION_GRID,
     CalibrationCase,
     ExperimentSpec,
     calibrate_constants,
@@ -30,6 +32,7 @@ from relapprox.sampling import (
     basic_sample_size,
     formula_sample_size,
     load_constants,
+    seed_sequence,
 )
 from relapprox.set_system import write_json
 
@@ -342,9 +345,30 @@ def test_calibration_stream_is_pinned(judged, workers):
     ]
     grid = tuple(round(1 + 0.1 * i, 1) for i in range(31))
     constants, provenance = calibrate_constants(suite, 40, 4, grid=grid, workers=workers)
-    assert constants == Constants(c=1.4, c1=1.3, c2=1.0, c3=1.1)
+    assert constants == Constants(c=1.1, c1=1.0, c2=1.0, c3=1.1)
     assert provenance["c3_floor"] == 1.0392304845413263
-    assert judged() == {"verify": (360, 3520, 102389), "claim7": (40, 840, 25445)}
+    assert judged() == {"verify": (120, 1040, 30960), "claim7": (40, 840, 24950)}
+
+
+def test_calibration_cells_never_share_a_stream():
+    # A grid finer than 0.1 and more than 1,000 positions: a decimal packing collides there.
+    grid = (*CALIBRATION_GRID, 1.04, 1.05, 0.1 + 0.2, 0.3)
+    paths = [
+        harness._cell_path(20260810, kind, position, value)
+        for kind in ("c", "c1", "c2")
+        for position in range(1001)
+        for value in grid
+    ]
+    assert len(set(paths)) == len(paths)
+    # numpy hashes the paths' 32-bit words, so compare the streams themselves
+    states = {seed_sequence(path).generate_state(4).tobytes() for path in paths}
+    assert len(states) == len(paths)
+
+
+def test_committed_suite_is_the_one_the_constants_were_calibrated_on():
+    root = Path(__file__).resolve().parent.parent
+    provenance = json.loads((root / "constants.json").read_text())["provenance"]
+    assert suite_sha256(*load_suite(root / "calibration_suite.json")) == provenance["suite_sha256"]
 
 
 def test_formula_size_caps_at_n_without_replacement_only():

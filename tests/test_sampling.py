@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,47 @@ def test_sample_validation_messages(support, mult, message):
     for form in (tuple, list, np.array):
         with pytest.raises(ConstructionError, match=message):
             Sample(5, form(support), None if mult is None else form(mult))
+
+
+@pytest.mark.parametrize(
+    "support, mult",
+    [
+        ([1.5, 2.7], None),
+        ([1.0, 2.0], None),
+        ([True], None),
+        ([0, True], None),
+        ((0, 2), [1, 2.0]),
+        ((0, 2), [True, 1]),
+        (np.array([1.0, 2.0]), None),
+        (np.array([True, False]), None),
+        ((0, 2), np.array([1.5, 1.0])),
+        ((0, 2), np.array([1, 2.0], dtype=object)),
+        ("ab", None),
+    ],
+)
+def test_sample_members_and_counts_must_be_integers(support, mult):
+    with pytest.raises(ConstructionError, match="must be integers"):
+        Sample(10, support, mult)
+    assert Sample(10, np.array([1, 2], dtype=object), [np.int32(1), 3]).multiplicity == (1, 3)
+    for shape in (5, [[1, 2]]):
+        with pytest.raises(ConstructionError, match="one-dimensional"):
+            Sample(10, np.array(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32, np.uint64])
+def test_sample_takes_any_integer_array_in_one_copy(dtype):
+    members = np.arange(0, 2 * 10**5, 2, dtype=dtype)
+    tracemalloc.start()
+    try:
+        s = Sample(2 * 10**5, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.support == tuple(range(0, 2 * 10**5, 2)) and s.support_array.dtype == np.int64
+    assert not np.shares_memory(s.support_array, members)
+    # one int64 copy plus the ascending check's bools, no second copy
+    assert peak < 1.5 * 8 * len(members)
+    assert Sample(10, np.array([], dtype=float)) == Sample(10, [])
 
 
 def test_totals_beyond_int64_are_rejected_up_front():
