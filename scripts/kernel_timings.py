@@ -25,11 +25,19 @@ The report repeats the constants stated in `_bitops` beside the measured
 figures.  `SetSystem.count_costs` prices each count query with those
 constants and `SetSystem.counts` runs the cheaper kernel, so a change to
 them changes which kernel runs.
+
+A second section, `chain_stages`, times the stages of one chain pass on
+intervals(400) at eps = 0.25, delta = 0.4, as medians of process-CPU
+milliseconds: each level's admit loop and final nearest-member search (a
+level's seed map is the previous level's final search, so there is no
+seeded search to time), `verify_packing` on each level, and the
+telescoping audit on a sample of n / 2 elements that passes claim7_check.
 """
 
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import statistics
@@ -41,7 +49,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from relapprox import _bitops  # noqa: E402
+from relapprox import _bitops, chaining, generators, packing, sampling  # noqa: E402
 
 WIDTHS = (7, 64, 128)
 MATRIX_BYTES = 4 << 20
@@ -107,6 +115,53 @@ def measure(w: int, repeats: int, rng) -> dict:
     return out
 
 
+def chain_stages(system, eps: float, delta: float, repeats: int) -> dict:
+    """Median process-CPU milliseconds of each stage of one chain pass."""
+
+    def ms(fn) -> float:
+        return round(cpu_seconds(fn, repeats) * 1e3, 2)
+
+    chain = chaining.build_chain(system, eps, delta)
+    fam = len(system)
+    members, dist, cover = [], np.full(fam, packing._BIG), np.full(fam, -1)
+    levels = []
+    for level in chain.levels:
+        need = math.ceil(level.alpha)
+        seeds, seed_dist, seed_arg = members, dist, cover
+
+        def admit():
+            return packing._admit(system, need, seeds, seed_dist, seed_arg)
+
+        def final():
+            return packing._cover(system, members, hint, reach)
+
+        members, hint, reach = admit()
+        levels.append(
+            {
+                "level": level.index,
+                "members": level.packing.size,
+                "admit_ms": ms(admit),
+                "final_search_ms": ms(final),
+                "verify_ms": ms(lambda: packing.verify_packing(system, level.packing)),
+            }
+        )
+        dist, cover = final()
+    for attempt in range(50):
+        sample = sampling.uniform_sample(system.n, max(1, system.n // 2), (attempt,))
+        claim7 = chaining.claim7_check(chain, sample)
+        if claim7.ok:
+            break
+    audit = ms(lambda: chaining.telescoping_audit_all(chain, sample, claim7)) if claim7.ok else None
+    return {
+        "family_sets": fam,
+        "eps": eps,
+        "delta": delta,
+        "build_chain_ms": ms(lambda: chaining.build_chain(system, eps, delta)),
+        "levels": levels,
+        "audit_ms": audit,
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -123,6 +178,7 @@ def main() -> None:
             "NS_PER_BUILD_WORD": _bitops.NS_PER_BUILD_WORD,
         },
         "measured": [measure(w, args.repeats, rng) for w in WIDTHS],
+        "chain_stages": chain_stages(generators.intervals(400), 0.25, 0.4, args.repeats),
     }
     print(json.dumps(report, indent=2))
 

@@ -47,8 +47,9 @@ import numpy as np
 # numpy 2.4 (medians over random families of 3,000-20,000 sets, t = 50-400;
 # `python scripts/kernel_timings.py` measures them again):
 # a packed word ANDed and popcounted by `intersection_sizes`, 3.3-4.1 ns on
-# rows of 16-128 words (9 ns on 7-word rows, where the per-row sum
-# dominates); an incidence entry gathered and counted by `incidence_counts`,
+# rows of 16-128 words (7-9 ns on 7-word rows while their popcounts were
+# summed a row at a time, 3.1-3.5 ns since `_row_sums` sums them a column at
+# a time); an incidence entry gathered and counted by `incidence_counts`,
 # 4-9 ns; and a packed word turned into index entries by `build_incidence`,
 # 250-470 ns.
 NS_PER_WORD = 3.5
@@ -137,9 +138,27 @@ def rows_outside(packed: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(packed[:, -1] & ~pack_flags(np.ones((1, n), dtype=bool))[0, -1])
 
 
+# Rows narrower than this many words sum their popcounts a column at a time:
+# a per-row sum (`sum(axis=1)`) took 3.5-4.2 ns a word on 7-word rows and
+# 1.0-1.5 ns on 64-word rows, a column loop 1.0-1.4 ns on 7-word rows but
+# more than the per-row sum from 32-48 words on (65,536 x 7 down to
+# 8,192 x 64 random rows, on the machine of the constants above).
+_NARROW_WORDS = 32
+
+
+def _row_sums(counts: np.ndarray) -> np.ndarray:
+    """The sum of every row of a 2-D popcount array, as int64."""
+    if counts.shape[1] >= _NARROW_WORDS:
+        return counts.sum(axis=1, dtype=np.int64)
+    out = counts[:, 0].astype(np.int64)
+    for column in counts.T[1:]:
+        out += column
+    return out
+
+
 def row_sizes(packed: np.ndarray) -> np.ndarray:
     """The number of members of every row of a packed matrix, as int64."""
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    return _row_sums(np.bitwise_count(packed))
 
 
 def intersection_sizes(packed: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -159,7 +178,7 @@ def intersection_sizes(packed: np.ndarray, planes: np.ndarray) -> np.ndarray:
         for k, plane in enumerate(planes):
             np.bitwise_and(packed[s:e], plane, out=b)
             np.bitwise_count(b, out=c)
-            acc += c.sum(axis=1, dtype=np.int64) << k
+            acc += _row_sums(c) << k
     return out
 
 
@@ -170,19 +189,20 @@ def symdiff_sizes(
 
     Each row of `a` meets one row of `b`, (words, 1), or each of its rows
     in a table ((words, k, 1) against (words, 1, l)); with `b_rows`, the
-    rows of `a` pair with b[:, b_rows], gathered a word at a time.  The
-    result is made a block of a's rows at a time and a word at a time,
-    reading a word of many rows without a stride; a block's xor and
-    popcount take 9 B an entry.
+    rows of `a` pair with b[:, b_rows].  The result is made a block of a's
+    rows at a time, in four array operations: gather, xor, popcount and a
+    sum over the words into 16-bit counts (a row of fewer than 1024 words
+    has at most 65,535 members), reading a word of many rows without a
+    stride; a block takes 9 B a word of each entry.
     """
     rows = b.shape[1:] if b_rows is None else b_rows.shape
     out = np.zeros(np.broadcast_shapes(a.shape[1:], rows), dtype=np.int64)
-    step = block_rows(9 * math.prod(out.shape[1:]))
+    sums = np.uint16 if len(a) < 1024 else np.int64
+    step = block_rows(9 * len(a) * math.prod(out.shape[1:]))
     for s in range(0, len(out), step):
         cut = slice(s, s + step)
-        acc, pick = out[cut], slice(None) if b_rows is None else b_rows[cut]
-        for word_a, word_b in zip(a[:, cut], b):
-            acc += np.bitwise_count(word_a ^ word_b[pick])
+        x = a[:, cut] ^ (b if b_rows is None else b.take(b_rows[cut], axis=1))
+        out[cut] = np.bitwise_count(x).sum(axis=0, dtype=sums)
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _bitops
 from .errors import AuditFailure, ConstructionError, PreconditionFailed
-from .packing import Packing, greedy_maximal_packing
+from .packing import Packing, _nested_packings
 from .sampling import (
     ApproximationReport,
     ApproxParams,
@@ -88,11 +88,12 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
     """Construct nested maximal packings and the per-level difference families.
 
     Nesting is enforced by seeding each finer greedy scan with the coarser
-    packing, which keeps "P_{i+1} minus P_i" well defined (its cover map
-    hints every set's nearest seed); nesting and the parent distances (so
-    the part sizes) are re-verified.  A level's parts are formed at once
-    from the packed rows of its sets and parents, and one sort of them
-    yields the distinct parts of each half and of both.
+    packing, which keeps "P_{i+1} minus P_i" well defined; each level's
+    nearest-member map is the next level's seed map (`_nested_packings`).
+    Nesting and the parent distances (so the part sizes) are re-verified.
+    A level's parts are formed at once from the packed rows of its sets and
+    parents, and one sort of them yields the distinct parts of each half
+    and of both.
     """
     if not (0 < eps < 1 and 0 < delta < 1):
         raise ConstructionError(f"need eps, delta in (0, 1), got {(eps, delta)}")
@@ -101,10 +102,7 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
     # delta), exactly: 2^k >= ceil(1 / delta); k >= 1 as delta < 1
     k = (math.ceil(1 / Fraction(delta)) - 1).bit_length()
 
-    packings: list[Packing] = []
-    for i in range(k + 1):
-        seeds = packings[-1] if packings else ()
-        packings.append(greedy_maximal_packing(system, chain_scale(eps, n, i), seeds))
+    packings = _nested_packings(system, [chain_scale(eps, n, i) for i in range(k + 1)])
 
     levels = []
     for i in range(k + 1):
@@ -238,6 +236,13 @@ def telescoping_audit_all(
     over the sizes [0, n], with eps, delta and each eps_i taken as the exact
     values of their floats (the values claim7_check certified against).
 
+    At level k every set is checked against its parent; below it every
+    check depends only on the pair (ancestor, parent), so it runs once for
+    each distinct ancestor, and a failing ancestor is reported as the
+    lowest set index that descends from it.  Each level's ancestors are the
+    distinct parents of the level above, and each set's position among them
+    is composed level by level.
+
     Requires a sample for which claim7_check passes (pass the report in to
     avoid recomputing it).
     """
@@ -270,53 +275,52 @@ def telescoping_audit_all(
         raise AuditFailure(f"{msg} (first set index {int(np.flatnonzero(bad)[0])})")
 
     part_floor = size_floors(delta)
-    cur = np.arange(fam)
+    # the level's distinct sets, and each set's position among them
+    cur, inverse = np.arange(fam), np.arange(fam)
     sum_b = np.zeros(fam, dtype=np.int64)
     for i in range(chain.k, -1, -1):
         level = chain.levels[i]
-        cover = level.packing.cover_array
-        parent = cover[cur]
-        # below level k the sets share their few ancestors: one row each
-        ancestors, inverse = np.unique(cur, return_inverse=True)
-        parts = _parts(system.packed, sample.planes, ancestors, cover[ancestors])
-        a_sz, b_sz, a_cnt, b_cnt = parts[:, inverse]
-        if not np.array_equal(sizes_all[cur], sizes_all[parent] - b_sz + a_sz):
-            fail(
-                f"size identity broken at level {i}",
-                sizes_all[cur] != sizes_all[parent] - b_sz + a_sz,
-            )
-        if not np.array_equal(cnt_all[cur], cnt_all[parent] - b_cnt + a_cnt):
-            fail(
-                f"count identity broken at level {i}",
-                cnt_all[cur] != cnt_all[parent] - b_cnt + a_cnt,
-            )
+        parent = level.packing.cover_array[cur]
+        a_sz, b_sz, a_cnt, b_cnt = _parts(system.packed, sample.planes, cur, parent)
+        bad = sizes_all[cur] != sizes_all[parent] - b_sz + a_sz
+        if bad.any():
+            fail(f"size identity broken at level {i}", bad[inverse])
+        bad = cnt_all[cur] != cnt_all[parent] - b_cnt + a_cnt
+        if bad.any():
+            fail(f"count identity broken at level {i}", bad[inverse])
         a_err = error_numerators(n, t, a_sz, a_cnt, dtype)
         b_err = error_numerators(n, t, b_sz, b_cnt, dtype)
         bad = err_all[cur] > err_all[parent] + a_err + b_err
         if bad.any():
-            fail(f"triangle step violated at level {i}", bad)
+            fail(f"triangle step violated at level {i}", bad[inverse])
         scale_floor = floor_nt(delta * level_eps[i])
         for name, perr, psize in (("a", a_err, a_sz), ("b", b_err, b_sz)):
             bad = perr > np.maximum(part_floor[psize], scale_floor)
             if bad.any():
-                fail(f"{name}-part error exceeds its claim bound at level {i}", bad)
-            if (psize >= level.alpha).any():
-                fail(f"{name}-part size >= alpha at level {i}", psize >= level.alpha)
-        sum_b += b_sz
-        cur = parent
+                fail(f"{name}-part error exceeds its claim bound at level {i}", bad[inverse])
+            bad = psize >= level.alpha
+            if bad.any():
+                fail(f"{name}-part size >= alpha at level {i}", bad[inverse])
+        sum_b += b_sz[inverse]
+        seen = np.zeros(fam, dtype=bool)
+        seen[parent] = True
+        cur = np.flatnonzero(seen)
+        inverse = (np.cumsum(seen) - 1)[parent][inverse]
 
-    base_err = err_all[cur]
-    bad = base_err > np.maximum(part_floor[sizes_all[cur]], floor_nt(delta * eps))
+    bad = err_all[cur] > np.maximum(part_floor[sizes_all[cur]], floor_nt(delta * eps))
     if bad.any():
-        fail("base-packing error exceeds its claim bound", bad)
+        fail("base-packing error exceeds its claim bound", bad[inverse])
+    base = cur[inverse]  # every set's member of P_0
+    base_err = err_all[base]
     eps_sum = sum(level_eps[:-1])
     if eps_sum > 6 * eps:
         raise AuditFailure(f"sum of level scales {float(eps_sum)} exceeds 6 eps")
     bad = err_all - base_err > floor_nt(2 * delta * (eps_sum + eps))
     if bad.any():
         fail("telescoped error exceeds the chain bound", bad)
-    if (sizes_all[cur] > sizes_all + sum_b).any():
-        fail("base set larger than the set plus removed parts", sizes_all[cur] > sizes_all + sum_b)
+    bad = sizes_all[base] > sizes_all + sum_b
+    if bad.any():
+        fail("base set larger than the set plus removed parts", bad)
     bad = sum_b > math.floor(2 * eps * n)
     if bad.any():
         fail("removed parts exceed 2 eps n", bad)

@@ -119,6 +119,12 @@ class SetSystem:
         return _bitops.unpack_masks(self.packed)
 
     @cached_property
+    def words(self) -> np.ndarray:
+        """The packed matrix word-major, (words, m) and contiguous: the
+        nearest-member searches of `packing` read a word of many sets at once."""
+        return _read_only(np.ascontiguousarray(self.packed.T))
+
+    @cached_property
     def sizes_array(self) -> np.ndarray:
         return _read_only(_bitops.row_sizes(self.packed))
 

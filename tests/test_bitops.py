@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox import _bitops
+from relapprox.chaining import build_chain
+from relapprox.generators import intervals
 from relapprox.sampling import (
     WITH,
     WITHOUT,
@@ -215,7 +217,10 @@ def test_distinct_rows_first_occurrences_and_labels(values, n):
         assert np.array_equal(packed[first][label], packed)
 
 
-@pytest.mark.parametrize("n", [1, 7, 64, 65, 130])
+# 1984 and 2048 bits sit on either side of the narrow-row sum (32 words), and
+# 65,472 and 65,536 on either side of the 16-bit symmetric-difference sums
+# (1,024 words, where a row of 65,536 members no longer fits)
+@pytest.mark.parametrize("n", [1, 7, 64, 65, 130, 1984, 2048, 65472, 65536])
 @pytest.mark.parametrize("block", [1 << 19, 1])  # then one row a block
 def test_row_and_symdiff_sizes_match_int_bit_count(monkeypatch, n, block):
     masks = [0, (1 << n) - 1] + random_masks(n, 21, 0.4, make_rng(n))
@@ -226,6 +231,8 @@ def test_row_and_symdiff_sizes_match_int_bit_count(monkeypatch, n, block):
     sizes = _bitops.row_sizes(packed)
     assert sizes.dtype == np.int64
     assert sizes.tolist() == [m.bit_count() for m in masks]
+    common = _bitops.intersection_sizes(packed, packed[1])
+    assert common.tolist() == [(m & masks[1]).bit_count() for m in masks]
 
     one = _bitops.symdiff_sizes(words[:, 1:], words[:, 1:2])
     assert one.dtype == np.int64
@@ -253,3 +260,10 @@ def test_kernel_timings_script_measures_one_width(monkeypatch):
     assert (out["rows"], out["words"]) == ((1 << 16) // 56, 7)
     for key in ("ns_per_word", "ns_per_build_word", "ns_per_entry", "ns_per_entry_two_threads"):
         assert math.isfinite(out[key]) and out[key] >= 0
+    stages = script.chain_stages(intervals(60), 0.25, 0.4, 1)
+    assert [lv["members"] for lv in stages["levels"]] == [
+        lv.packing.size for lv in build_chain(intervals(60), 0.25, 0.4).levels
+    ]
+    times = [stages["build_chain_ms"], stages["audit_ms"]]
+    times += [lv[k] for lv in stages["levels"] for k in ("admit_ms", "final_search_ms", "verify_ms")]
+    assert all(math.isfinite(x) and x >= 0 for x in times)

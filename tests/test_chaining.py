@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +23,16 @@ from relapprox.chaining import (
     write_chain_summary,
 )
 from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
-from relapprox.generators import halfplanes, intervals, power_set, random_points, random_system
+from relapprox.generators import (
+    axis_rectangles,
+    halfplanes,
+    intervals,
+    power_set,
+    random_points,
+    random_system,
+)
 from relapprox.halving import combined_construction
-from relapprox.packing import verify_packing
+from relapprox.packing import greedy_maximal_packing, verify_packing
 from relapprox.sampling import WITH, ApproxParams, Constants, Sample, relative_error, uniform_sample
 from relapprox.set_system import SetSystem
 
@@ -177,6 +185,72 @@ def test_difference_families_match_the_per_set_loop(name, tmp_path):
         path = tmp_path / f"summary.{ext}"
         write_chain_summary(chain, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of every level's int64 little-endian member indices, then of the
+# cover maps, then of the ab_family rows (little-endian words) followed by
+# the level's a_count, b_count and family size, as the all-pairs greedy scan
+# and the per-level part sort computed them
+PINNED_CHAINS = {
+    "bernoulli-128": (
+        lambda: random_system(128, 2000, 0.08, 5), 0.25, 0.3, [4, 495, 1826],
+        "552fb08af1f5108aa7a7f7d9efa7c3b0ad036baae6ff48e181093c0d5e7e1c28",
+        "1433ffebdd81ed0d9369534af1f4334d1240741404cea0b690c1522ef33742d1",
+        "2a16ce11971e5820d9fb8924a2c69e65a9dae90f49e91a5a16de80638144fc31",
+    ),
+    "rectangles-18": (
+        lambda: axis_rectangles(random_points(18, 7)), 0.25, 0.3, [28, 116, 348],
+        "5b7ab522f004c8096fe63e99cbdb189025eb3db4cf2d0f5add06c4a75c367de9",
+        "6f31eb37b0b03ea4ee1bb51f94c128bb70c650e718d177124c3179c142514631",
+        "93cf5febcedb0e25b7f334366bb5f4a11c86b4b350ae86b9b32a82c3a708421c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_chains_beyond_intervals_match_pinned_digests(name):
+    make, eps, delta, sizes, members_sha, cover_sha, ab_sha = PINNED_CHAINS[name]
+    chain = build_chain(make(), eps, delta)
+    packings = [lv.packing for lv in chain.levels]
+    assert [p.size for p in packings] == sizes
+
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.asarray(a, dtype="<i8").tobytes())
+        return h.hexdigest()
+
+    assert digest(p.member_indices for p in packings) == members_sha
+    assert digest(p.cover_map for p in packings) == cover_sha
+    h = hashlib.sha256()
+    for lv in chain.levels:
+        h.update(np.ascontiguousarray(lv.ab_family.packed, dtype="<u8").tobytes())
+        h.update(np.array([lv.a_count, lv.b_count, len(lv.ab_family)], dtype="<i8").tobytes())
+    assert h.hexdigest() == ab_sha
+
+
+@st.composite
+def small_families(draw, max_n=70, max_sets=40):
+    n = draw(st.integers(1, max_n))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_sets))
+    return SetSystem.from_masks(n, masks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_families(),
+    st.sampled_from([0.05, 0.2, 0.25, 0.5, 0.9]),
+    st.sampled_from([0.1, 0.3, 0.5, 0.75]),
+)
+def test_chain_packings_equal_the_public_greedy_seeded_level_by_level(system, eps, delta):
+    # build_chain hands each level's nearest-member map down to the next;
+    # the public greedy, seeded with the previous Packing, searches afresh
+    chain = build_chain(system, eps, delta)
+    previous = ()
+    for level in chain.levels:
+        want = greedy_maximal_packing(system, level.alpha, previous)
+        assert level.packing == want
+        previous = want
 
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
@@ -460,6 +534,30 @@ def test_audit_rejects_a_part_of_size_alpha(interval_chain):
     forged = dataclasses.replace(chain, levels=tuple(levels))
     outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
     assert "-part size >= alpha at level 1" in outcome
+
+
+def test_audit_names_the_lowest_set_under_a_corrupted_ancestor(interval_chain):
+    # below level k the audit checks each distinct ancestor once; a failure
+    # there is reported for the lowest set index that descends from it
+    system, chain = interval_chain
+    sample = uniform_sample(120, 100, seed=(41, 0))
+    report = claim7_check(chain, sample)
+    assert report.ok
+    fine, coarse = chain.levels[chain.k].packing, chain.levels[chain.k - 1].packing
+    masks = system.masks
+    moved = max(set(fine.member_indices) - set(coarse.member_indices))
+    farthest = max(coarse.member_indices, key=lambda j: (masks[moved] ^ masks[j]).bit_count())
+    cover = list(coarse.cover_map)
+    cover[moved] = farthest
+    levels = list(chain.levels)
+    levels[chain.k - 1] = dataclasses.replace(
+        levels[chain.k - 1], packing=dataclasses.replace(coarse, cover_map=tuple(cover))
+    )
+    forged = dataclasses.replace(chain, levels=tuple(levels))
+    outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
+    lowest = fine.cover_map.index(moved)  # the lowest set whose level-k parent moved
+    assert lowest < moved
+    assert outcome.endswith(f"at level {chain.k - 1} (first set index {lowest})")
 
 
 @pytest.fixture(scope="module")
