@@ -218,7 +218,7 @@ def gather_columns(packed: np.ndarray, columns: np.ndarray) -> np.ndarray:
     step = block_rows(64 * w)
     for s in range(0, m, step):
         bits = np.unpackbits(packed[s : s + step].view(np.uint8), axis=1, bitorder="little")
-        out[s : s + step] = pack_flags(bits.view(bool)[:, columns])
+        out[s : s + step] = pack_flags(bits.view(bool).take(columns, axis=1))
     return out
 
 

@@ -25,7 +25,6 @@ from .errors import AuditFailure, ConstructionError, PreconditionFailed
 from .packing import Packing, _nested_packings
 from .sampling import (
     ApproximationReport,
-    ApproxParams,
     Sample,
     error_numerators,
     exact_dtype,
@@ -119,47 +118,6 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
         ab_family = SetSystem._of_distinct(n, ab_rows[first])
         levels.append(ChainLevel(i, alpha, packings[i], ab_family, a_count, b_count))
     return ChainDecomposition(system, eps, delta, k, tuple(levels))
-
-
-# --- decomposition and reconstruction ---------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainStep:
-    level: int
-    set_before: int  # mask of S_{i+1}
-    set_after: int  # mask of S_i (the parent, possibly equal)
-    a_part: int  # set_before \ set_after
-    b_part: int  # set_after \ set_before
-
-
-@dataclass(frozen=True)
-class ChainRecord:
-    family_index: int
-    steps: tuple[ChainStep, ...]  # level k first, level 0 last
-    base_mask: int  # S_0, a member of P_0
-
-    def reconstruct(self) -> int:
-        """Replay the chain upward; must reproduce the original set exactly."""
-        mask = self.base_mask
-        for step in reversed(self.steps):
-            mask = (mask & ~step.b_part) | step.a_part
-        return mask
-
-
-def decompose(chain: ChainDecomposition, index: int) -> ChainRecord:
-    """Walk parent links from S in F down to its representative in P_0."""
-    if not 0 <= index < len(chain.system):
-        raise ConstructionError(f"family index {index} out of range")
-    path = [index]
-    for i in range(chain.k, -1, -1):
-        path.append(int(chain.levels[i].packing.cover_array[path[-1]]))
-    masks = _bitops.unpack_masks(chain.system.packed[path])
-    steps = tuple(
-        ChainStep(i, s_mask, p_mask, s_mask & ~p_mask, p_mask & ~s_mask)
-        for i, s_mask, p_mask in zip(range(chain.k, -1, -1), masks, masks[1:])
-    )
-    return ChainRecord(index, steps, masks[-1])
 
 
 # --- simultaneous approximation check ---------------------------------------
@@ -354,23 +312,6 @@ def _parts(packed: np.ndarray, planes: np.ndarray, sets: np.ndarray, parents: np
     return out
 
 
-def rescale_and_verify(system: SetSystem, sample: Sample, eps: float, delta: float) -> bool:
-    """Bridge from the audited (16 eps', 2 delta') bound to the plain
-    definition: rebuild the chain at (eps/16, delta/2) and verify directly.
-
-    A claim7 pass at the rescaled parameters must imply the direct check;
-    a mismatch would contradict the audited derivation and raises."""
-    chain = build_chain(system, eps / 16.0, delta / 2.0)
-    rescaled_ok = claim7_check(chain, sample).ok
-    direct = relative_error(system, sample, Fraction(eps)).passes(delta)
-    if rescaled_ok and not direct:
-        raise AuditFailure(
-            "claim7 held at (eps/16, delta/2) but the sample fails the "
-            "direct (eps, delta) check"
-        )
-    return rescaled_ok and direct
-
-
 # --- summaries ----------------------------------------------------------------
 
 
@@ -409,7 +350,3 @@ def write_chain_summary(chain: ChainDecomposition, path) -> None:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
 
-
-def parent_distances(chain: ChainDecomposition, level: int) -> np.ndarray:
-    """|Delta(S, parent)| for each S in P_{level+1} \\ P_level, in index order."""
-    return _level_parts(chain.system, [lv.packing for lv in chain.levels], level)[2]

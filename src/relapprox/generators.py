@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -187,10 +186,6 @@ class PointSet2D:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def has_duplicates(self) -> bool:
-        return len(set(self.points)) != len(self.points)
 
 
 def random_points(m: int, seed: int, box: int = 10**6) -> PointSet2D:

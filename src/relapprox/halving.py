@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AuditFailure, ConstructionError, PreconditionFailed, RetriesExhausted
+from .errors import AuditFailure, ConstructionError, RetriesExhausted
 from .sampling import (
     WITH,
     WITHOUT,
@@ -63,10 +63,6 @@ class HalvingTrace:
     levels: tuple[HalvingLevel, ...]
     final_sample: Sample
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
     def to_json_dict(self) -> dict:
         return {
             "levels": [asdict(lv) for lv in self.levels],
@@ -83,12 +79,6 @@ def _level_schedule(delta: float, gamma: float, n: int) -> list[tuple[float, flo
         out.append((d, g))
         d, g = d / 3.0, g / 2.0
     return out
-
-
-def expected_depth(delta: float, n: int) -> int:
-    """ceil(log3(delta sqrt(n))) for delta > 1/sqrt(n), else 0."""
-    v = delta * math.sqrt(n)
-    return max(0, math.ceil(math.log(v, 3))) if v > 1 else 0
 
 
 def _subsample_without(sample: Sample, t: int, rng: np.random.Generator) -> Sample:
@@ -188,31 +178,6 @@ def certified_halving(
     """Las Vegas wrapper: retry the construction until the exact verifier
     certifies the output."""
     return _certify(system, params, seed, max_retries, mode)[1]
-
-
-def composition_check(system, a1: Sample, a2: Sample, eps, delta1, delta2) -> bool:
-    """Whether a2 is a relative (eps, d1 + d2 + d1 d2)-approximation of F,
-    given (checked here) a2 <= a1 <= X, a1 a relative (eps, d1)-approximation
-    of F and a2 a relative (eps, d2)-approximation of the trace of F on a1
-    (`system.trace_on(a1)`, with a2 carried to the trace's positions).
-
-    The property suite asserts this always returns True.  Fraction arguments
-    make every comparison exact.
-    """
-    if a1.mode != WITHOUT or a2.mode != WITHOUT:
-        raise ConstructionError("composition is defined for without-replacement samples")
-    if not np.isin(a2.support_array, a1.support_array).all():
-        raise PreconditionFailed("a2 is not contained in a1")
-    if not relative_error(system, a1, eps).passes(delta1):
-        raise PreconditionFailed(f"a1 is not a relative ({eps}, {delta1})-approximation")
-    trace = system.trace_on(a1)
-    a2_traced = Sample(trace.n, np.searchsorted(a1.support_array, a2.support_array))
-    if not trace.error_report(a2_traced, eps).passes(delta2):
-        raise PreconditionFailed(
-            f"a2 is not a relative ({eps}, {delta2})-approximation of the trace"
-        )
-    combined = delta1 + delta2 + delta1 * delta2
-    return relative_error(system, a2, eps).passes(combined)
 
 
 def combined_construction(

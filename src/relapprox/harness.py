@@ -1,11 +1,13 @@
-"""Monte Carlo harness: failure-rate estimation, size search, calibration.
+"""Monte Carlo harness: failure-rate estimation, sweeps, calibration.
 
 One trial loop draws every trial's uniform sample from the seed path
 (master_seed, cell, trial index) and hands it to the caller's judgement, so
 results are independent of worker count and execution order; aggregation is
 a deterministic fold over trial indices.  Every formula-sized cell, CLI
-sample and calibration size comes from `formula_size`.  Failure rates carry
-Wilson score intervals, which stay honest at zero or few failures.
+sample and calibration size comes from `formula_size`, and calibration's
+search for the smallest passing grid value is the one size search.
+Failure rates carry Wilson score intervals, which stay honest at zero or
+few failures.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) ->
     lo = 0.0 if failures == 0 else max(0.0, center - half)
     hi = 1.0 if failures == trials else min(1.0, center + half)
     return lo, hi
-
-
-def wilson_width(failures: int, trials: int) -> float:
-    lo, hi = wilson_interval(failures, trials)
-    return hi - lo
 
 
 @dataclass(frozen=True)
@@ -160,40 +157,6 @@ def monte_carlo_failure(
     )
 
 
-def minimal_sample_size_search(
-    system,
-    params: ApproxParams,
-    trials: int,
-    master_seed: int,
-    mode: str = WITHOUT,
-    workers: int = 1,
-) -> int:
-    """Smallest t in [1, n] whose empirical failure rate is <= gamma.
-
-    Per-trial seeds are shared across candidate t values, so the sweep is
-    monotone up to sampling noise; acceptance is by point estimate, with the
-    Wilson interval available from a follow-up monte_carlo_failure call.
-    """
-
-    def rate(t: int) -> float:
-        fails = _run_trials(
-            lambda sample: not relative_error(system, sample, params.eps).passes(params.delta),
-            system.n, t, mode, (master_seed,), trials, workers,
-        )
-        return sum(fails) / trials
-
-    lo, hi = 1, system.n
-    if rate(hi) > params.gamma:
-        raise CalibrationError(f"even t = n = {system.n} fails the gamma target")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rate(mid) <= params.gamma:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 # --- experiment sweeps --------------------------------------------------------
 
 
@@ -259,6 +222,8 @@ class ExperimentSpec:
         _check_count("trials", self.trials, 1)
         _check_count("workers", self.workers, 1)
         _check_count("master_seed", self.master_seed, 0)
+        for t in self.t_values:
+            _check_count("t", t, 1)
         if bool(self.t_values) == (self.formula is not None):
             raise ConstructionError("give exactly one of t_values or formula")
 

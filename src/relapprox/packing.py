@@ -13,14 +13,13 @@ around the pivot, which the triangle inequality proves holds its nearest
 members, ties included, whatever the pivot (pivot-based exact search).  The
 greedy scan starts from every set's nearest seed and its distance: the
 chain builder hands each level's nearest-member map down as the next
-level's, and seeds given as a coarser `Packing` come with their cover map,
-which hints one search for the nearest seeds.  The admit loop scans only
-the sets still >= alpha from every member so far, and records the distance
-from each set it takes out of them to the member that took it; the cover
-map is one search pivoted on each set's nearest seed or that member, at
-the recorded distance.  The verifier pivots each set on its claimed cover
-when that is a member, so a wrong claim only widens the search and its
-verdict never rests on the certificate.
+level's, and seeds given as family indices are searched for once.  The
+admit loop scans only the sets still >= alpha from every member so far,
+and records the distance from each set it takes out of them to the member
+that took it; the cover map is one search pivoted on each set's nearest
+seed or that member, at the recorded distance.  The verifier pivots each
+set on its claimed cover when that is a member, so a wrong claim only
+widens the search and its verdict never rests on the certificate.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _bitops
-from .errors import AuditFailure, ConstructionError, PreconditionFailed
-from .sampling import Sample, relative_error
+from .errors import AuditFailure, ConstructionError
 from .set_system import SetSystem
 
 _BIG = np.iinfo(np.int64).max
@@ -221,29 +219,18 @@ def _nested_packings(system: SetSystem, alphas) -> list[Packing]:
 
 
 def greedy_maximal_packing(
-    system: SetSystem, alpha, seed_members: Sequence[int] | Packing = ()
+    system: SetSystem, alpha, seed_members: Sequence[int] = ()
 ) -> Packing:
     """Scan in family-index order, admitting every set >= alpha from all
     admitted members.
 
     `seed_members` (family indices) are admitted first, in the given order;
-    they must be pairwise >= alpha apart.  Seeding a coarser packing yields
-    a maximal finer packing that contains it (used by the chain builder).
-    Given a `Packing`, its members are the seeds and its cover map hints
-    each set's nearest seed (an entry that is not a seed hints nothing); the
-    result does not depend on the hints.
+    they must be pairwise >= alpha apart.  Seeding a coarser packing's
+    members yields a maximal finer packing that contains it.
     """
     if not alpha > 0:
         raise ConstructionError(f"alpha must be positive, got {alpha}")
     fam = len(system)
-    seed_hint = np.full(fam, -1)
-    if isinstance(seed_members, Packing):
-        seed_hint = seed_members.cover_array
-        if len(seed_hint) != fam:
-            raise ConstructionError(
-                f"seed packing covers {len(seed_hint)} sets, the family has {fam}"
-            )
-        seed_members = seed_members.member_indices
     bad = [k for k in seed_members if not 0 <= k < fam]
     if bad:
         raise ConstructionError(f"seed member {bad[0]} is outside the family's [0, {fam})")
@@ -262,8 +249,7 @@ def greedy_maximal_packing(
         raise ConstructionError(
             f"seed member {seed_members[i]} is within {close[i].min()} < alpha of an earlier seed"
         )
-    seed_hint = np.where(np.isin(seed_hint, seeds), seed_hint, -1)
-    seed_dist, seed_arg = _nearest_member(system, seeds, seed_hint)
+    seed_dist, seed_arg = _nearest_member(system, seeds, np.full(fam, -1))
     members, _, cover = _greedy(system, alpha, [int(k) for k in seed_members], seed_dist, seed_arg)
     return Packing(alpha, tuple(members), cover)
 
@@ -307,36 +293,3 @@ def verify_packing(system: SetSystem, packing: Packing) -> None:
             raise AuditFailure(f"set {i} is {best_dist[i]} >= alpha from every member")
         raise AuditFailure(f"set {i}: cover {c} is not the nearest member")
 
-
-def delta_system(system: SetSystem, packing: Packing) -> SetSystem:
-    """The family of symmetric differences over distinct packing member pairs."""
-    members = np.array(packing.member_indices, dtype=np.int64)
-    a, b = np.triu_indices(len(members), 1)
-    return SetSystem.from_packed(system.n, system.packed[members[a]] ^ system.packed[members[b]])
-
-
-def packing_trace_property(system: SetSystem, packing: Packing, sample: Sample) -> bool:
-    """Whether packing members have pairwise-distinct traces on the sample.
-
-    Requires the sample to verify as a relative (alpha/n, 1/2)-approximation
-    of the members' symmetric-difference system; when that holds the traces
-    are provably distinct, and property tests assert exactly that.
-    """
-    deltas = delta_system(system, packing)
-    if len(deltas) > 0:
-        eps = packing.alpha / system.n
-        report = relative_error(deltas, sample, eps)
-        if not report.passes(0.5):
-            raise PreconditionFailed(
-                "sample is not a relative (alpha/n, 1/2)-approximation of the "
-                f"delta system (worst ratio {float(report.worst_ratio):.6g})"
-            )
-    members = SetSystem._of_distinct(system.n, system.packed[list(packing.member_indices)])
-    return len(members.trace_on(sample)) == len(members)
-
-
-def packing_size_bound(n: int, alpha: float, d: int, c3: float) -> float:
-    """(c3 n / alpha)^(2d); meaningful as a bound for alpha >= 2."""
-    if n < 1 or not alpha > 0 or d < 1:
-        raise ConstructionError(f"bad arguments {(n, alpha, d)}")
-    return (c3 * n / alpha) ** (2 * d)

@@ -272,6 +272,11 @@ def seed_sequence(*entropy) -> np.random.SeedSequence:
     while stack:
         e = stack.pop()
         if isinstance(e, np.random.SeedSequence):
+            if e.spawn_key:
+                # its state depends on the spawn key, which a path cannot hold
+                raise ConstructionError(
+                    f"a spawned SeedSequence (spawn_key {e.spawn_key}) has no seed path"
+                )
             ent = e.entropy if isinstance(e.entropy, (list, tuple)) else [e.entropy]
             flat.extend(int(v) for v in ent)
         elif isinstance(e, (list, tuple)):
@@ -427,11 +432,6 @@ def relative_error(system, sample: Sample, eps) -> ApproximationReport:
 
 def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:
     return relative_error(system, sample, params.eps).passes(params.delta)
-
-
-def max_additive_error(system, sample: Sample) -> float:
-    """max over S of | |S|/n - |A & S|/t |, as the float nearest the exact value."""
-    return system.max_additive_numerator(sample) / (system.n * sample.t)
 
 
 def is_eps_approximation(system, sample: Sample, eps) -> bool:

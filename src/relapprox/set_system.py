@@ -32,6 +32,7 @@ from .sampling import (
     Sample,
     _check_ground_set,
     _check_verifier_inputs,
+    _is_int,
     _read_json_object,
     _read_only,
     big_size_limit,
@@ -256,9 +257,9 @@ def new_set_system(n: int, sets) -> SetSystem:
     sets = [list(s) for s in sets]
     flags = np.zeros((len(sets), n), dtype=bool)
     for k, s in enumerate(sets):
-        bad = [i for i in s if not 0 <= i < n]
+        bad = [i for i in s if not (_is_int(i) and 0 <= i < n)]
         if bad:
-            raise ConstructionError(f"set #{k} contains index {bad[0]} outside [0, {n})")
+            raise ConstructionError(f"set #{k} has index {bad[0]!r}, not an integer in [0, {n})")
         flags[k, s] = True
     return SetSystem.from_packed(n, _bitops.pack_flags(flags))
 
@@ -275,11 +276,6 @@ def restrict(system: SetSystem, y: int) -> RestrictResult:
         raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
     index_map = {orig: new for new, orig in enumerate(sample.support)}
     return RestrictResult(system.trace_on(sample).materialize(), index_map)
-
-
-def trace_count(system: SetSystem, y_bits: int) -> int:
-    """Number of distinct traces |F|_Y|; bits of y_bits at or above n are dropped."""
-    return len(system.trace_on(Sample.from_mask(system.n, y_bits & ((1 << system.n) - 1))))
 
 
 def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
@@ -391,12 +387,12 @@ def read_json(path) -> ReadResult:
     """Read the set-system JSON format, applying constructor dedup."""
     doc = _read_json_object(path, ("n", "sets"))
     n, sets = doc["n"], doc["sets"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ConstructionError(f"{path}: 'n' must be an integer")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise ConstructionError(f"{path}: 'sets' must be a list of lists")
     for k, s in enumerate(sets):
-        if any(not isinstance(i, int) for i in s):
+        if not all(map(_is_int, s)):
             raise ConstructionError(f"{path}: set #{k} has a non-integer member")
         if any(a >= b for a, b in zip(s, s[1:])):
             raise ConstructionError(f"{path}: set #{k} is not strictly ascending")

@@ -14,13 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relapprox.chaining import (
-    build_chain,
-    claim7_check,
-    parent_distances,
-    telescoping_audit_all,
-)
-from relapprox.errors import PreconditionFailed, RetriesExhausted
+from relapprox.chaining import build_chain, claim7_check, telescoping_audit_all
+from relapprox.errors import RetriesExhausted
 from relapprox.generators import (
     ImplicitIntervals,
     halfplanes,
@@ -28,9 +23,9 @@ from relapprox.generators import (
     random_points,
     random_system,
 )
-from relapprox.halving import certified_halving, composition_check
-from relapprox.harness import monte_carlo_failure, run_sweep, wilson_width, write_sweep_csv
-from relapprox.packing import greedy_maximal_packing, packing_trace_property
+from relapprox.halving import certified_halving
+from relapprox.harness import monte_carlo_failure, run_sweep, wilson_interval, write_sweep_csv
+from relapprox.packing import greedy_maximal_packing
 from relapprox.sampling import (
     WITH,
     WITHOUT,
@@ -46,11 +41,18 @@ from relapprox.sampling import (
 )
 from relapprox.set_system import SetSystem, restrict, vc_dimension
 
-from test_chaining import assert_oracle_agrees
+from test_chaining import assert_oracle_agrees, chain_steps, reconstruct
+from test_packing import member_traces_distinct
 
 
 def _report(name: str, detail: str) -> None:
     print(f"[{name}] PASS: {detail}")
+
+
+def three_widths(failures: int, trials: int) -> float:
+    """Three widths of the Wilson interval: the slack on an empirical rate."""
+    lo, hi = wilson_interval(failures, trials)
+    return 3 * (hi - lo)
 
 
 # --- criterion 1: union-bound size formula, quantitative -----------------------
@@ -117,7 +119,7 @@ def test_c2_chernoff_empirical_domination():
         bound = min(1.0, chernoff_bound(n, s, t, eta))
         for mode in (WITHOUT, WITH):
             freq = _tail_frequency(n, member, t, eta, trials, rng, mode)
-            slack = 3 * wilson_width(round(freq * trials), trials)
+            slack = three_widths(round(freq * trials), trials)
             assert freq <= bound + slack, (case, mode, n, s, t, eta, freq, bound)
             checked.append(bound)
     informative = sum(1 for b in checked if b < 1)
@@ -152,7 +154,8 @@ def test_c3_composition_exhaustive_exact():
             traced, index_map = restrict(system, m1)
             a2_traced = Sample(len(a1.support), tuple(index_map[e] for e in a2.support))
             d2 = relative_error(traced, a2_traced, eps).worst_ratio
-            assert composition_check(system, a1, a2, eps, d1, d2)
+            # the composition rule at the exactly measured stage errors
+            assert relative_error(system, a2, eps).passes(d1 + d2 + d1 * d2)
             cases += 1
     assert cases >= 1000
     _report("criterion 3", f"{cases} precondition-satisfying pairs, zero counterexamples")
@@ -171,18 +174,14 @@ def test_c3_composition_exhaustive_exact():
     ids=["intervals", "halfplanes", "random"],
 )
 def test_c4_chain_reconstruction(name, system, eps, delta):
-    from relapprox.chaining import decompose
-
     chain = build_chain(system, eps, delta)
-    for level in range(chain.k + 1):
-        dists = parent_distances(chain, level)
-        assert (dists < chain.levels[level].alpha).all()
     slack_bound = 2 * eps * system.n
     for idx in range(len(system)):
-        record = decompose(chain, idx)
-        assert record.reconstruct() == system.masks[idx]
-        removed = sum(step.b_part.bit_count() for step in record.steps)
-        assert record.base_mask.bit_count() <= system.masks[idx].bit_count() + removed
+        steps = chain_steps(chain, idx)
+        assert all((a | b).bit_count() < chain.levels[i].alpha for i, _, _, a, b in steps)
+        assert reconstruct(steps) == system.masks[idx]
+        removed = sum(b.bit_count() for *_, b in steps)
+        assert steps[-1][2].bit_count() <= system.masks[idx].bit_count() + removed
         assert removed <= slack_bound
     _report(
         "criterion 4",
@@ -220,7 +219,7 @@ def test_c5_claim7_and_audit(chain_1000, calibrated_constants):
         assert summary.sets_audited == len(system)
         audited += 1
     rate = failures / trials
-    assert rate <= params.gamma + 3 * wilson_width(failures, trials)
+    assert rate <= params.gamma + three_widths(failures, trials)
     assert audited + failures == trials
     _report(
         "criterion 5",
@@ -258,7 +257,7 @@ def test_c6_halving_size_stability_across_n():
         successes[n] = ok
         sizes[n] = ts
         fails = trials - ok
-        assert ok / trials >= 1 - params.gamma - 3 * wilson_width(fails, trials)
+        assert ok / trials >= 1 - params.gamma - three_widths(fails, trials)
     all_sizes = [t for ts in sizes.values() for t in ts]
     ratio = max(all_sizes) / min(all_sizes)
     elapsed = time.monotonic() - started
@@ -288,10 +287,8 @@ def test_c7_packing_trace_property_exhaustive():
         packing = greedy_maximal_packing(system, Fraction(alpha))
         valid = 0
         for bits in range(1, 1 << system.n):
-            sample = Sample.from_mask(system.n, bits)
-            try:
-                distinct = packing_trace_property(system, packing, sample)
-            except PreconditionFailed:
+            distinct = member_traces_distinct(system, packing, Sample.from_mask(system.n, bits))
+            if distinct is None:
                 continue
             valid += 1
             assert distinct, (system.masks, alpha, bits)

@@ -16,9 +16,6 @@ from relapprox.chaining import (
     build_chain,
     chain_summary,
     claim7_check,
-    decompose,
-    parent_distances,
-    rescale_and_verify,
     telescoping_audit_all,
     write_chain_summary,
 )
@@ -116,10 +113,11 @@ def test_invalid_parameters_rejected():
 
 
 def test_parent_distances_strict(interval_chain):
+    # a set of P_{i+1} is its own parent at level i, or one of P_{i+1} \ P_i
     system, chain = interval_chain
-    for i in range(chain.k + 1):
-        d = parent_distances(chain, i)
-        assert (d < chain.levels[i].alpha).all()
+    for idx in range(len(system)):
+        for i, _, _, a, b in chain_steps(chain, idx):
+            assert (a | b).bit_count() < chain.levels[i].alpha
 
 
 def test_difference_family_sizes(interval_chain):
@@ -244,13 +242,13 @@ def small_families(draw, max_n=70, max_sets=40):
 )
 def test_chain_packings_equal_the_public_greedy_seeded_level_by_level(system, eps, delta):
     # build_chain hands each level's nearest-member map down to the next;
-    # the public greedy, seeded with the previous Packing, searches afresh
+    # the public greedy, seeded with the previous level's members, searches afresh
     chain = build_chain(system, eps, delta)
     previous = ()
     for level in chain.levels:
         want = greedy_maximal_packing(system, level.alpha, previous)
         assert level.packing == want
-        previous = want
+        previous = want.member_indices
 
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
@@ -264,12 +262,31 @@ def test_finest_scale_at_most_eps_n_delta(interval_chain):
 # --- decomposition ---------------------------------------------------------------
 
 
+def chain_steps(chain, index: int) -> list[tuple]:
+    """The walk from S in F down to its member of P_0 along the cover maps:
+    (i, S_{i+1}, S_i, S_{i+1} minus S_i, S_i minus S_{i+1}) as masks, level k
+    first, S_{k+1} = S and S_i the parent of S_{i+1} in P_i."""
+    path = [index]
+    for level in reversed(chain.levels):
+        path.append(int(level.packing.cover_array[path[-1]]))
+    masks = [chain.system.masks[j] for j in path]
+    return [(i, s, p, s & ~p, p & ~s) for i, s, p in zip(range(chain.k, -1, -1), masks, masks[1:])]
+
+
+def reconstruct(steps) -> int:
+    """Replay the walk upward from S_0: S_{i+1} = (S_i minus b) | a."""
+    mask = steps[-1][2]
+    for _, _, _, a, b in reversed(steps):
+        mask = (mask & ~b) | a
+    return mask
+
+
 def test_base_member_has_trivial_chain(interval_chain):
     system, chain = interval_chain
     base_member = chain.levels[0].packing.member_indices[0]
-    record = decompose(chain, base_member)
-    assert record.base_mask == system.masks[base_member]
-    assert all(st.a_part == 0 and st.b_part == 0 for st in record.steps)
+    steps = chain_steps(chain, base_member)
+    assert steps[-1][2] == system.masks[base_member]
+    assert all(a == 0 and b == 0 for _, _, _, a, b in steps)
 
 
 @pytest.mark.parametrize(
@@ -284,17 +301,11 @@ def test_base_member_has_trivial_chain(interval_chain):
 def test_reconstruction_identity_everywhere(system):
     chain = build_chain(system, 0.25, 0.4)
     for idx in range(len(system)):
-        record = decompose(chain, idx)
-        assert record.reconstruct() == system.masks[idx]
-        size_slack = sum(step.b_part.bit_count() for step in record.steps)
-        assert record.base_mask.bit_count() <= system.masks[idx].bit_count() + size_slack
+        steps = chain_steps(chain, idx)
+        assert reconstruct(steps) == system.masks[idx]
+        size_slack = sum(b.bit_count() for *_, b in steps)
+        assert steps[-1][2].bit_count() <= system.masks[idx].bit_count() + size_slack
         assert size_slack <= 2 * 0.25 * system.n
-
-
-def test_decompose_rejects_bad_index(interval_chain):
-    _, chain = interval_chain
-    with pytest.raises(ConstructionError):
-        decompose(chain, 10**9)
 
 
 # --- claim7 ----------------------------------------------------------------------
@@ -334,7 +345,7 @@ class Ledger(NamedTuple):
 
 
 def oracle_audit(chain, sample, index) -> Ledger:
-    """The chaining argument for one set, in Fractions: walk decompose() from
+    """The chaining argument for one set, in Fractions: walk chain_steps() from
     the set down to its base member and evaluate every inequality that
     telescoping_audit_all checks, in the same order, so position p of a
     failure is the same check for every set."""
@@ -359,12 +370,10 @@ def oracle_audit(chain, sample, index) -> Ledger:
     def err(mask):
         return abs(Fraction(size(mask), n) - Fraction(count(mask), t))
 
-    record = decompose(chain, index)
+    steps = chain_steps(chain, index)
     part_sizes, sum_b = [], 0
-    for step in record.steps:  # level k down to 0
-        i, a, b = step.level, step.a_part, step.b_part
+    for i, before, after, a, b in steps:  # level k down to 0
         scale = eps if i == chain.k else Fraction(chain.level_eps[i])
-        before, after = step.set_before, step.set_after
         check(size(before) == size(after) - size(b) + size(a), f"size identity broken at level {i}")
         check(count(before) == count(after) - count(b) + count(a), f"count identity broken at level {i}")
         check(err(before) <= err(after) + err(a) + err(b), f"triangle step violated at level {i}")
@@ -376,7 +385,7 @@ def oracle_audit(chain, sample, index) -> Ledger:
             check(size(part) < chain.levels[i].alpha, f"{name}-part size >= alpha at level {i}")
             part_sizes.append(size(part))
         sum_b += size(b)
-    whole, base = record.steps[0].set_before, record.base_mask
+    whole, base = steps[0][1], steps[-1][2]
     total_err, base_err = err(whole), err(base)
     check(
         base_err <= delta * max(eps, Fraction(size(base), n)),
@@ -621,19 +630,6 @@ def test_claim7_implies_audit_for_every_set(interval_chain):
         assert summary.sets_audited == len(system)
         assert summary.max_final_slack <= 0
     assert passes > 0
-
-
-# --- rescaling bridge ---------------------------------------------------------------
-
-
-def test_rescale_accepts_full_sample():
-    system = intervals(60)
-    assert rescale_and_verify(system, Sample.full(60), 0.5, 0.4)
-
-
-def test_rescale_rejects_bad_sample():
-    system = intervals(60)
-    assert not rescale_and_verify(system, uniform_sample(60, 2, seed=3), 0.5, 0.4)
 
 
 @settings(max_examples=30, deadline=None)

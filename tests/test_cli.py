@@ -250,6 +250,11 @@ def test_generate_without_a_family_size_exits_2(tmp_path, capsys, argv, missing)
         ('{"n": 3, "sets": [[0, 1]]}', '{"n": 3, "t": 2}'),
         ('{"n": 3, "sets": [[0, 1]]}', '{"members": [0, 2]}'),
         ('{"n": 3, "sets": [[0, 1]]}', '[0, 2]'),
+        # a bool is not an integer: not a mask, not a member, not a size
+        ('{"n": 1, "sets": [[false]]}', '{"n": 1, "members": [0]}'),
+        ('{"n": 2, "sets": [[0, true]]}', '{"n": 2, "members": [0]}'),
+        ('{"n": 3, "sets": [[false, true], [2]]}', '{"n": 3, "members": [0, 2]}'),
+        ('{"n": true, "sets": [[0]]}', '{"n": 1, "members": [0]}'),
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, system_doc, sample_doc):
@@ -318,6 +323,8 @@ def test_montecarlo_spec_missing_a_key_exits_2(tmp_path, interval_file, capsys):
         ("trials", True, "trials must be an integer >= 1, got True"),
         ("master_seed", -1, "master_seed must be an integer >= 0, got -1"),
         ("master_seed", 1.5, "master_seed must be an integer >= 0, got 1.5"),
+        ("t", [5.5], "t must be an integer >= 1, got 5.5"),
+        ("t", [True], "t must be an integer >= 1, got True"),
     ],
 )
 def test_montecarlo_spec_bad_run_integer_exits_2(

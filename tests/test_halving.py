@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relapprox import halving
-from relapprox.errors import ConstructionError, PreconditionFailed, RetriesExhausted
+from relapprox.errors import ConstructionError, RetriesExhausted
 from relapprox.generators import ImplicitIntervals, intervals, random_system
 from relapprox.halving import (
     _subsample_with,
     _subsample_without,
     certified_halving,
     combined_construction,
-    composition_check,
-    expected_depth,
     iterated_halving,
     write_trace_json,
 )
@@ -44,16 +45,16 @@ def test_base_case_returns_ground_set():
     sample, trace = iterated_halving(system, ApproxParams(0.3, 0.5, 0.5), seed=1)
     # delta = 0.5 <= 1/sqrt(4): one base level, no sampling
     assert sample.support == (0, 1, 2, 3)
-    assert trace.depth == 0
     assert len(trace.levels) == 1
 
 
 def test_depth_matches_closed_form():
+    # one level below the output for each factor 3 in delta sqrt(n)
     for n, delta in [(100, 0.5), (10**4, 0.25), (10**4, 0.5), (900, 0.9)]:
         _, trace = iterated_halving(
             ImplicitIntervals(n), ApproxParams(0.4, delta, 0.5), seed=3
         )
-        assert trace.depth == expected_depth(delta, n)
+        assert len(trace.levels) - 1 == math.ceil(math.log(delta * math.sqrt(n), 3))
 
 
 def test_trace_schedule_and_sizes():
@@ -197,35 +198,14 @@ def test_unknown_mode_is_rejected_before_any_level():
 
 
 def test_composition_with_full_first_stage():
+    # the full set has no error, and the trace on it is the family itself
     system = new_set_system(6, [[0, 1, 2], [3], [2, 4, 5], []])
-    a1 = Sample.full(6)
-    a2 = Sample.from_mask(6, 0b011011)
+    a1, a2 = Sample.full(6), Sample.from_mask(6, 0b011011)
     eps = Fraction(1, 4)
-    rep = relative_error(system, a2, eps)
-    delta2 = rep.worst_ratio + Fraction(1, 100)
-    assert composition_check(system, a1, a2, eps, Fraction(0), delta2)
-
-
-def test_composition_rejects_bad_containment():
-    system = new_set_system(4, [[0]])
-    with pytest.raises(PreconditionFailed, match="contained"):
-        composition_check(
-            system, Sample.from_mask(4, 0b0011), Sample.from_mask(4, 0b0100), 0.5, 0.5, 0.5
-        )
-
-
-def test_composition_rejects_unverified_first_stage():
-    system = new_set_system(2, [[0]])
-    a1 = Sample.from_mask(2, 0b10)  # worst ratio 1 at eps=1/2
-    with pytest.raises(PreconditionFailed, match="a1"):
-        composition_check(system, a1, a1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
-
-
-def test_composition_rejects_with_replacement_samples():
-    system = new_set_system(3, [[0]])
-    with_mode = Sample(3, (0,), (2,))
-    with pytest.raises(ConstructionError):
-        composition_check(system, with_mode, with_mode, 0.5, 0.5, 0.5)
+    d1 = relative_error(system, a1, eps).worst_ratio
+    d2 = system.trace_on(a1).error_report(a2, eps).worst_ratio
+    assert d1 == 0
+    assert relative_error(system, a2, eps).passes(d1 + d2 + d1 * d2)
 
 
 def test_paper_style_delta_split_stays_within_budget():
@@ -239,8 +219,6 @@ def test_paper_style_delta_split_stays_within_budget():
 def test_composition_property_randomized(n, seed):
     # sampled pairs with their exact stage errors as the deltas; the
     # preconditions then hold with equality and everything is rational
-    from relapprox.set_system import restrict
-
     rng = make_rng(seed)
     system = SetSystem.from_masks(n, [int(rng.integers(0, 1 << n)) for _ in range(6)])
     eps = Fraction(1, 3)
@@ -256,7 +234,7 @@ def test_composition_property_randomized(n, seed):
         a2t = Sample(len(a1.support), tuple(index_map[e] for e in a2.support))
         d2 = relative_error(traced_sys, a2t, eps).worst_ratio
         found += 1
-        assert composition_check(system, a1, a2, eps, d1, d2)
+        assert relative_error(system, a2, eps).passes(d1 + d2 + d1 * d2)
     assert found > 0
 
 
@@ -377,3 +355,17 @@ def test_combined_construction_matches_the_tuple_oracle(tuple_oracle):
         got = combined_construction(system, p, 2, constants, seed)
         assert got.t < 100
         assert got == tuple_oracle(_tuple_combined_construction, system, p, 2, constants, seed)
+
+
+def test_halving_sweep_script_prints_a_row_per_size_and_mode():
+    script = Path(__file__).parents[1] / "scripts" / "halving_sweep.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--trials", "1", "--sizes", "100", "200"],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    rows = [line.split() for line in out[2:]]
+    assert [(n, mode) for n, mode, *_ in rows] == [
+        (n, mode) for n in ("100", "200") for mode in ("without", "with", "combined")
+    ]
+    # without replacement the construction keeps the whole ground set
+    assert all(row[3] == "1/1" for row in rows) and rows[0][2] == "100"

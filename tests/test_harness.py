@@ -13,14 +13,12 @@ from relapprox.harness import (
     calibrate_constants,
     formula_size,
     load_suite,
-    minimal_sample_size_search,
     monte_carlo_failure,
     monte_carlo_rows,
     run_sweep,
     suite_sha256,
     system_from_descriptor,
     wilson_interval,
-    wilson_width,
     write_constants_json,
     write_sweep_csv,
 )
@@ -29,7 +27,6 @@ from relapprox.sampling import (
     WITHOUT,
     ApproxParams,
     Constants,
-    basic_sample_size,
     formula_sample_size,
     load_constants,
     seed_sequence,
@@ -52,7 +49,8 @@ def test_wilson_zero_failures_starts_at_zero():
 
 
 def test_wilson_shrinks_with_trials():
-    assert wilson_width(5, 400) < wilson_width(5, 100) < wilson_width(5, 25)
+    widths = [hi - lo for lo, hi in (wilson_interval(5, trials) for trials in (400, 100, 25))]
+    assert widths[0] < widths[1] < widths[2]
 
 
 def test_wilson_validation():
@@ -93,8 +91,6 @@ def test_run_loop_rejects_bad_trial_and_worker_counts(trials, workers):
     params = ApproxParams(0.15, 0.3, 0.2)
     with pytest.raises(ConstructionError, match="must be an integer >= 1"):
         monte_carlo_rows(system, params, 5, trials, master_seed=9, workers=workers)
-    with pytest.raises(ConstructionError, match="must be an integer >= 1"):
-        minimal_sample_size_search(system, params, trials, master_seed=9, workers=workers)
 
 
 def test_aggregates_recomputable_from_rows():
@@ -116,22 +112,10 @@ def test_failure_rate_nonincreasing_in_t_with_shared_seeds():
     rates = []
     for t in (10, 30, 60):
         res = monte_carlo_failure(system, params, t, 120, master_seed=4, cell_index=0)
-        rates.append((res.failure_rate, wilson_width(res.failures, res.trials)))
+        lo, hi = res.wilson
+        rates.append((res.failure_rate, hi - lo))
     for (r1, w1), (r2, w2) in zip(rates, rates[1:]):
         assert r2 <= r1 + 3 * (w1 + w2)
-
-
-# --- minimal size search ------------------------------------------------------------
-
-
-def test_minimal_size_search_bracket_and_bound():
-    system = intervals(80)
-    params = ApproxParams(0.2, 0.4, 0.3)
-    t = minimal_sample_size_search(system, params, trials=60, master_seed=7)
-    assert 1 <= t <= system.n
-    assert t <= min(system.n, basic_sample_size(params, len(system)))
-    again = minimal_sample_size_search(system, params, trials=60, master_seed=7)
-    assert t == again
 
 
 # --- sweeps and CSV -----------------------------------------------------------------
@@ -306,13 +290,6 @@ def judged(monkeypatch):
         return out
 
     return fold
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_minimal_size_search_stream_is_pinned(judged, workers):
-    params = ApproxParams(0.2, 0.4, 0.3)
-    assert minimal_sample_size_search(intervals(80), params, 40, 7, workers=workers) == 55
-    assert judged() == {"verify": (280, 15680, 615795)}
 
 
 @pytest.mark.parametrize(

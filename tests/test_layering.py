@@ -1,7 +1,8 @@
 """Each module owns its decisions: the packed-word layout stays in `_bitops`,
 `sampling` never reaches for a concrete family type, families are built as
-packed rows, and the CLI and the harness call the library's own
-certification loop and size formulas."""
+packed rows, the CLI and the harness call the library's own certification
+loop and size formulas, and the library holds no code that only the tests
+call."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,9 @@ from pathlib import Path
 import relapprox
 
 SOURCES = sorted(Path(relapprox.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the library, its scripts and its benchmark: what may call a public definition
+CALLERS = SOURCES + [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
 LAYOUT_NAMES = {"bitwise_count", "_BLOCK_BYTES"}
 
 
@@ -81,6 +85,24 @@ def test_harness_sizes_every_sample_through_formula_size():
     assert formulas & names_used(tree) == set()
 
 
+def test_every_public_definition_is_exported_or_called_outside_the_tests():
+    # a name counts as called when a statement other than its own definition
+    # names it, in the library, a script or the benchmark
+    statements = [
+        (path, node, names_used(node))
+        for path in CALLERS
+        for node in ast.parse(path.read_text()).body
+    ]
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path, node, _ in statements
+        if path in SOURCES
+        and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in relapprox.__all__
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+    assert uncalled == []
 
 
 def test_one_las_vegas_loop():

@@ -9,18 +9,10 @@ from hypothesis import strategies as st
 
 from relapprox import _bitops
 from relapprox.chaining import build_chain
-from relapprox.errors import AuditFailure, ConstructionError, PreconditionFailed
+from relapprox.errors import AuditFailure, ConstructionError
 from relapprox.generators import intervals, random_system
-from relapprox.packing import (
-    Packing,
-    _nearest_member,
-    delta_system,
-    greedy_maximal_packing,
-    packing_size_bound,
-    packing_trace_property,
-    verify_packing,
-)
-from relapprox.sampling import Sample
+from relapprox.packing import Packing, _nearest_member, greedy_maximal_packing, verify_packing
+from relapprox.sampling import Sample, relative_error
 from relapprox.set_system import SetSystem, new_set_system
 
 
@@ -205,32 +197,12 @@ def test_greedy_matches_pure_python_reference(system, alpha, data):
     if alpha > 1:
         # a coarser reference packing, admitted first in an arbitrary order
         coarse_alpha = data.draw(st.sampled_from([alpha, 2 * alpha]))
-        coarse, true_cover = reference_greedy(system.masks, coarse_alpha)
+        coarse, _ = reference_greedy(system.masks, coarse_alpha)
         seeds = data.draw(st.permutations(coarse))
         seeded = greedy_maximal_packing(system, alpha, seed_members=seeds)
         want = reference_greedy(system.masks, alpha, seeds)
         assert (seeded.member_indices, seeded.cover_map) == want
         verify_packing(system, seeded)
-        # the same seeds as a Packing, whose cover map only hints
-        outside = [i for i in range(len(system)) if i not in coarse] + [-1, len(system)]
-        covers = (
-            true_cover,
-            data.draw(st.permutations(true_cover)),
-            data.draw(st.lists(st.sampled_from(outside), min_size=len(system), max_size=len(system))),
-        )
-        for cover in covers:
-            seeded = greedy_maximal_packing(system, alpha, Packing(coarse_alpha, tuple(seeds), cover))
-            assert (seeded.member_indices, seeded.cover_map) == want
-
-
-def test_seed_packing_must_cover_the_family():
-    system = new_set_system(4, [[0], [1], [2, 3]])
-    coarse = greedy_maximal_packing(system, 2.0)
-    for cover in (coarse.cover_map[:-1], coarse.cover_map + (0,)):
-        with pytest.raises(ConstructionError, match="seed packing covers"):
-            greedy_maximal_packing(system, 2.0, Packing(2.0, coarse.member_indices, cover))
-    fine = greedy_maximal_packing(system, 2.0, coarse)
-    assert (fine.member_indices, fine.cover_map) == (coarse.member_indices, coarse.cover_map)
 
 
 def test_seeded_greedy_names_the_first_seed_too_close_to_an_earlier_one():
@@ -440,55 +412,41 @@ def test_verify_rejects_members_closer_than_alpha():
         verify_packing(system, bad)
 
 
-# --- delta system ----------------------------------------------------------------
-
-
-def test_delta_system_of_two_singletons():
-    system = new_set_system(2, [[0], [1]])
-    packing = greedy_maximal_packing(system, 2.0)
-    deltas = delta_system(system, packing)
-    assert deltas.masks == (0b11,)
-
-
-def test_delta_system_of_four_singletons():
-    system = new_set_system(4, [[0], [1], [2], [3]])
-    packing = greedy_maximal_packing(system, 2.0)
-    deltas = delta_system(system, packing)
-    assert len(deltas) == 6
-    assert all(s == 2 for s in deltas.sizes)
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_systems(), st.sampled_from([1.0, 2.0, 3.0]))
-def test_delta_system_size_bound(system, alpha):
-    packing = greedy_maximal_packing(system, alpha)
-    m = packing.size
-    assert len(delta_system(system, packing)) <= m * (m - 1) // 2
-
-
 # --- trace distinctness property ---------------------------------------------------
+
+
+def member_traces_distinct(system, packing, sample) -> bool | None:
+    """Whether the packing's members have distinct traces on the sample; None
+    unless the sample is a relative (alpha/n, 1/2)-approximation of the
+    family of their pairwise differences, which makes the traces distinct."""
+    members = system.packed[list(packing.member_indices)]
+    a, b = np.triu_indices(len(members), 1)
+    differences = SetSystem.from_packed(system.n, members[a] ^ members[b])
+    eps = packing.alpha / system.n
+    if len(differences) and not relative_error(differences, sample, eps).passes(0.5):
+        return None
+    return len(SetSystem.from_packed(system.n, members).trace_on(sample)) == len(members)
 
 
 def test_full_sample_separates_members():
     system = new_set_system(5, [[0, 1], [2, 3], [0, 4]])
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing_trace_property(system, packing, Sample.full(5))
+    assert member_traces_distinct(system, packing, Sample.full(5))
 
 
 def test_invalid_approximation_is_rejected_not_false():
     system = new_set_system(6, [[0, 1], [2, 3]])
     packing = greedy_maximal_packing(system, 4.0)
-    # delta system is {0,1,2,3}; a sample at {4} has density 0 on it
+    # the difference family is {0,1,2,3}; a sample at {4} has density 0 on it
     bad = Sample.from_mask(6, 0b010000)
-    with pytest.raises(PreconditionFailed):
-        packing_trace_property(system, packing, bad)
+    assert member_traces_distinct(system, packing, bad) is None
 
 
 def test_sample_over_another_ground_set_is_rejected():
     system = new_set_system(5, [[0, 1]])
-    packing = greedy_maximal_packing(system, 2.0)  # one member: no delta system
+    packing = greedy_maximal_packing(system, 2.0)  # one member: no differences
     with pytest.raises(ConstructionError, match="sample over"):
-        packing_trace_property(system, packing, Sample.full(200))
+        member_traces_distinct(system, packing, Sample.full(200))
 
 
 @settings(max_examples=25, deadline=None)
@@ -498,10 +456,8 @@ def test_trace_property_holds_for_every_valid_sample(system, alpha):
     packing = greedy_maximal_packing(system, alpha)
     checked = 0
     for bits in range(1, 1 << system.n):
-        sample = Sample.from_mask(system.n, bits)
-        try:
-            ok = packing_trace_property(system, packing, sample)
-        except PreconditionFailed:
+        ok = member_traces_distinct(system, packing, Sample.from_mask(system.n, bits))
+        if ok is None:
             continue
         checked += 1
         assert ok
@@ -511,7 +467,7 @@ def test_trace_property_holds_for_every_valid_sample(system, alpha):
 def test_trace_property_exact_arithmetic():
     system = new_set_system(4, [[0, 1], [2, 3], [0, 2]])
     packing = greedy_maximal_packing(system, Fraction(2))
-    assert packing_trace_property(system, packing, Sample.full(4))
+    assert member_traces_distinct(system, packing, Sample.full(4))
 
 
 # --- size bound -------------------------------------------------------------------
@@ -528,16 +484,7 @@ def test_calibrated_bound_covers_generator_packings(frac, calibrated_constants):
     ]:
         alpha = max(2.0, frac * system.n)
         packing = greedy_maximal_packing(system, alpha)
-        assert packing.size <= packing_size_bound(
-            system.n, alpha, d, c3=calibrated_constants.c3
-        )
-
-
-def test_packing_size_bound_monotonicity():
-    base = packing_size_bound(100, 10.0, 2, c3=2.0)
-    assert packing_size_bound(200, 10.0, 2, c3=2.0) > base
-    assert packing_size_bound(100, 5.0, 2, c3=2.0) > base
-    assert packing_size_bound(100, 10.0, 3, c3=2.0) > base
+        assert packing.size <= (calibrated_constants.c3 * system.n / alpha) ** (2 * d)
 
 
 def test_packing_dataclass_validation():

@@ -99,6 +99,16 @@ def test_determinism_of_sampling():
     assert uniform_sample(50, 12, seed=7) != uniform_sample(50, 12, seed=8)
 
 
+def test_a_spawned_seed_sequence_is_refused():
+    # a path keeps a SeedSequence's entropy but not its spawn key, so both
+    # children of one parent would draw the parent's stream
+    root = np.random.SeedSequence(5)
+    assert uniform_sample(1000, 5, root).support == (22, 468, 668, 802, 807)
+    for child in root.spawn(2):
+        with pytest.raises(ConstructionError, match="spawned SeedSequence"):
+            uniform_sample(1000, 5, child)
+
+
 def test_t_larger_than_n_without_replacement_is_an_error():
     with pytest.raises(ConstructionError):
         uniform_sample(5, 6, seed=0)
@@ -579,7 +589,7 @@ def test_chernoff_argument_validation():
 def test_per_set_failure_dominated_by_specialized_bound():
     # union-bound building block: per-set empirical failure frequency at
     # eta = delta t max(|S|/n, eps)
-    from relapprox.harness import wilson_width
+    from relapprox.harness import wilson_interval
 
     n, t, trials = 60, 30, 2000
     eps, delta = 0.2, 0.4
@@ -594,7 +604,8 @@ def test_per_set_failure_dominated_by_specialized_bound():
             if abs(cnt - size * t / n) > eta:
                 fails[k] += 1
     for k in range(len(system)):
-        assert fails[k] / trials <= bound + 3 * wilson_width(int(fails[k]), trials)
+        lo, hi = wilson_interval(int(fails[k]), trials)
+        assert fails[k] / trials <= bound + 3 * (hi - lo)
 
 
 # --- sample-size formulas --------------------------------------------------------
