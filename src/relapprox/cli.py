@@ -35,7 +35,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    system = read_json(args.system).system
+    system = read_json(args.system)
     sample = read_sample_json(args.sample)
     report = relative_error(system, sample, args.eps)
     doc = report.to_json_dict()
@@ -46,7 +46,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    system = read_json(args.system).system
+    system = read_json(args.system)
     params = ApproxParams(args.eps, args.delta, args.gamma)
     constants = find_constants(args.constants)
     t = harness.formula_size(args.formula, params, args.d, system, constants, args.mode)
@@ -57,7 +57,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_halve(args) -> int:
-    system = read_json(args.system).system
+    system = read_json(args.system)
     params = ApproxParams(args.eps, args.delta, args.gamma)
     try:
         attempts, sample, trace, report = _certify(
@@ -81,7 +81,7 @@ def _cmd_halve(args) -> int:
 
 
 def _cmd_packing(args) -> int:
-    system = read_json(args.system).system
+    system = read_json(args.system)
     packing = greedy_maximal_packing(system, args.alpha)
     with open(args.out, "w") as fh:
         json.dump(packing.to_json_dict(), fh)
@@ -91,7 +91,7 @@ def _cmd_packing(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    system = read_json(args.system).system
+    system = read_json(args.system)
     chain = build_chain(system, args.eps, args.delta)
     write_chain_summary(chain, args.out)
     sizes = [lv.packing.size for lv in chain.levels]
@@ -113,10 +113,7 @@ def _cmd_calibrate(args) -> int:
         cases, trials, master_seed, workers=args.workers
     )
     harness.write_constants_json(constants, provenance, args.out)
-    print(
-        f"calibrated c={constants.c} c1={constants.c1} "
-        f"c2={constants.c2} c3={constants.c3} -> {args.out}"
-    )
+    print(f"calibrated c={constants.c} c1={constants.c1} c2={constants.c2} -> {args.out}")
     return 0
 
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import generators
 from .chaining import build_chain, claim7_check
 from .errors import CalibrationError, ConstructionError
-from .packing import greedy_maximal_packing
 from .sampling import (
     WITHOUT,
     ApproxParams,
@@ -174,7 +173,7 @@ def system_from_descriptor(desc: dict):
     if "path" in desc:
         if not isinstance(desc["path"], str):
             raise ConstructionError(f"'path' must be a string, got {desc['path']!r}")
-        return read_json(desc["path"]).system
+        return read_json(desc["path"])
     family = desc.get("family")
     needed = _FAMILY_KEYS.get(family, ())
     for key in needed:
@@ -226,6 +225,8 @@ class ExperimentSpec:
             _check_count("t", t, 1)
         if bool(self.t_values) == (self.formula is not None):
             raise ConstructionError("give exactly one of t_values or formula")
+        if self.constants_path is not None and not isinstance(self.constants_path, str):
+            raise ConstructionError(f"'constants' must be a path, got {self.constants_path!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -336,7 +337,7 @@ class CalibrationCase:
     system_desc: dict
     params: ApproxParams
     d: int
-    use_for: tuple[str, ...] = ("c", "c1")  # subset of {"c", "c1", "c2", "c3"}
+    use_for: tuple[str, ...] = ("c", "c1")  # subset of {"c", "c1", "c2"}
 
     def __post_init__(self):
         if not isinstance(self.name, str):
@@ -344,7 +345,7 @@ class CalibrationCase:
         if not isinstance(self.system_desc, dict):
             raise ConstructionError(f"case {self.name!r}: 'system' must be a JSON object")
         _check_dim(self.d)
-        if not set(self.use_for) <= {"c", "c1", "c2", "c3"}:
+        if not set(self.use_for) <= {"c", "c1", "c2"}:
             raise ConstructionError(f"case {self.name!r}: unknown kind in {self.use_for!r}")
 
     def descriptor(self) -> dict:
@@ -399,8 +400,8 @@ def calibrate_constants(
 ) -> tuple[Constants, dict]:
     """Smallest grid values making each size formula meet its gamma target
     across the suite (c2 against the simultaneous chain check, the strictest
-    downstream use), and c3 covering every observed greedy packing size.
-    Families are keyed by case name, so the names must be distinct."""
+    downstream use).  Families are keyed by case name, so the names must be
+    distinct."""
     _check_count("trials", trials, 1)
     _check_count("workers", workers, 1)
     _check_count("master_seed", master_seed, 0)
@@ -433,7 +434,7 @@ def calibrate_constants(
             raise CalibrationError(f"no calibration cases for {kind}")
         failures_log = []
         for value in grid:
-            constants = Constants(c=value, c1=value, c2=value, c3=value)
+            constants = Constants(c=value, c1=value, c2=value)
             for position, case in relevant:
                 system = system_of(case.name)
                 t = formula_size(formula, case.params, case.d, system, constants)
@@ -451,47 +452,15 @@ def calibrate_constants(
     c1 = smallest_passing("c1", "halving", fails_delta)
     c2 = smallest_passing("c2", "chaining", fails_claim7)
 
-    # c3: every observed greedy packing must satisfy |P| <= (c3 n / alpha)^(2d)
-    c3_floor = 1.0
-    observed = 0
-    for case in cases:
-        if "c3" not in case.use_for and "c2" not in case.use_for:
-            continue
-        system = system_of(case.name)
-        packings = (
-            [(lv.alpha, lv.packing) for lv in chain_of(case.name).levels]
-            if "c2" in case.use_for
-            else [
-                (a, greedy_maximal_packing(system, a))
-                for a in _c3_alphas(case.params.eps, system.n)
-            ]
-        )
-        for alpha, packing in packings:
-            if packing.size == 0:
-                continue
-            observed += 1
-            needed = alpha * packing.size ** (1.0 / (2 * case.d)) / system.n
-            c3_floor = max(c3_floor, needed)
-    if observed == 0:
-        raise CalibrationError("no packings observed for c3 calibration")
-    c3 = next((v for v in grid if v >= c3_floor), None)
-    if c3 is None:
-        raise CalibrationError(f"no grid value covers c3 floor {c3_floor:.3f}")
-
-    constants = Constants(c=c, c1=c1, c2=c2, c3=c3)
+    constants = Constants(c=c, c1=c1, c2=c2)
     provenance = {
         "suite_sha256": suite_sha256(cases, trials, master_seed),
         "master_seed": master_seed,
         "trials": trials,
         "grid": list(grid),
         "cases": [case.descriptor() for case in cases],
-        "c3_floor": c3_floor,
     }
     return constants, provenance
-
-
-def _c3_alphas(eps: float, n: int) -> list[float]:
-    return [max(2.0, eps * n / 2.0**i) for i in range(4)]
 
 
 def _cell_path(master_seed: int, kind: str, position: int, grid_value) -> tuple[int, ...]:
@@ -508,7 +477,6 @@ def write_constants_json(constants: Constants, provenance: dict, path) -> None:
         "c": constants.c,
         "c1": constants.c1,
         "c2": constants.c2,
-        "c3": constants.c3,
         "calibrated": True,
         "provenance": provenance,
     }

@@ -10,11 +10,11 @@ the maximality certificate.
 Nearest members are found by a pivot search: each set comes with a member
 (its pivot) at a known distance and meets only the members in its own ball
 around the pivot, which the triangle inequality proves holds its nearest
-members, ties included, whatever the pivot (pivot-based exact search).  The
-greedy scan starts from every set's nearest seed and its distance: the
-chain builder hands each level's nearest-member map down as the next
-level's, and seeds given as family indices are searched for once.  The
-admit loop scans only the sets still >= alpha from every member so far,
+members, ties included, whatever the pivot (pivot-based exact search).  A
+finer packing is seeded with the coarser one, and its greedy scan starts
+from every set's nearest seed and its distance: each level's nearest-member
+map is the next level's (`_nested_packings`), so no seed is searched for.
+The admit loop scans only the sets still >= alpha from every member so far,
 and records the distance from each set it takes out of them to the member
 that took it; the cover map is one search pivoted on each set's nearest
 seed or that member, at the recorded distance.  The verifier pivots each
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +44,7 @@ class Packing:
     cover_map: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConstructionError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         cover = np.array(self.cover_map, dtype=np.int64)
         cover.flags.writeable = False
         object.__setattr__(self, "cover_array", cover)
@@ -62,6 +60,11 @@ class Packing:
             "member_indices": list(self.member_indices),
             "cover_map": list(self.cover_map),
         }
+
+
+def _check_alpha(alpha) -> None:
+    if not 0 < alpha < math.inf:
+        raise ConstructionError(f"alpha must be positive and finite, got {alpha}")
 
 
 def _distances(system: SetSystem, rows: np.ndarray) -> np.ndarray:
@@ -206,9 +209,9 @@ def _cover(
 
 
 def _nested_packings(system: SetSystem, alphas) -> list[Packing]:
-    """greedy_maximal_packing at each of the decreasing scales `alphas`,
-    each seeded with the packing before it; each level's nearest-member map
-    is the next level's seed map, so no seeded search is repeated."""
+    """Greedy maximal packings at each of the decreasing scales `alphas`,
+    each seeded with the packing before it (its members admitted first);
+    each level's nearest-member map is the next level's seed map."""
     fam = len(system)
     members, dist, cover = [], np.full(fam, _BIG, dtype=np.int64), np.full(fam, -1)
     packings = []
@@ -218,40 +221,11 @@ def _nested_packings(system: SetSystem, alphas) -> list[Packing]:
     return packings
 
 
-def greedy_maximal_packing(
-    system: SetSystem, alpha, seed_members: Sequence[int] = ()
-) -> Packing:
+def greedy_maximal_packing(system: SetSystem, alpha) -> Packing:
     """Scan in family-index order, admitting every set >= alpha from all
-    admitted members.
-
-    `seed_members` (family indices) are admitted first, in the given order;
-    they must be pairwise >= alpha apart.  Seeding a coarser packing's
-    members yields a maximal finer packing that contains it.
-    """
-    if not alpha > 0:
-        raise ConstructionError(f"alpha must be positive, got {alpha}")
-    fam = len(system)
-    bad = [k for k in seed_members if not 0 <= k < fam]
-    if bad:
-        raise ConstructionError(f"seed member {bad[0]} is outside the family's [0, {fam})")
-    if fam == 0:
-        return Packing(alpha, (), ())
-    if alpha <= 1:
-        seed_members = ()  # every set is admitted, whatever the seeds
-
-    need = math.ceil(alpha)
-    seeds = np.array(seed_members, dtype=np.int64)
-    close = _distances(system, seeds)
-    close[np.triu_indices(len(seeds))] = _BIG  # each seed against the earlier ones
-    early = np.flatnonzero(close.min(axis=1, initial=_BIG) < need)
-    if len(early):
-        i = int(early[0])
-        raise ConstructionError(
-            f"seed member {seed_members[i]} is within {close[i].min()} < alpha of an earlier seed"
-        )
-    seed_dist, seed_arg = _nearest_member(system, seeds, np.full(fam, -1))
-    members, _, cover = _greedy(system, alpha, [int(k) for k in seed_members], seed_dist, seed_arg)
-    return Packing(alpha, tuple(members), cover)
+    admitted members."""
+    _check_alpha(alpha)
+    return _nested_packings(system, [alpha])[0]
 
 
 def verify_packing(system: SetSystem, packing: Packing) -> None:

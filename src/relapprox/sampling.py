@@ -18,7 +18,6 @@ the float ratio rounds.
 The functions here take any family that answers one protocol: its
 ground-set size `n`, its number of sets `len(family)`, and, for a sample
 over [0, n), `error_report(sample, eps)` (the report above),
-`max_additive_numerator(sample)` (the largest |s t - c n|),
 `is_eps_net(sample, eps)` and `trace_on(sample)`: the trace F|_A on the
 sample's support A, over [0, |A|), the j-th support element becoming
 element j.  A trace answers at least `n`, `len` (the number of distinct
@@ -67,15 +66,14 @@ class ApproxParams:
 
 @dataclass(frozen=True)
 class Constants:
-    """Leading constants of the four size bounds; values come from calibration."""
+    """Leading constants of the three size formulas; values come from calibration."""
 
     c: float
     c1: float
     c2: float
-    c3: float
 
     def __post_init__(self):
-        for name in ("c", "c1", "c2", "c3"):
+        for name in ("c", "c1", "c2"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
                 raise ConstructionError(f"constant {name} must be a finite number >= 1, got {v!r}")
@@ -83,7 +81,7 @@ class Constants:
 
 # Placeholders only; `relapprox calibrate --suite calibration_suite.json
 # --out constants.json` writes constants.json, which find_constants prefers.
-DEFAULT_CONSTANTS = Constants(c=8.0, c1=8.0, c2=8.0, c3=4.0 * math.sqrt(8.0))
+DEFAULT_CONSTANTS = Constants(c=8.0, c1=8.0, c2=8.0)
 
 
 def _read_json_object(path, keys) -> dict:
@@ -107,17 +105,21 @@ def _require_keys(doc, keys, where: str) -> None:
 
 
 def load_constants(path) -> Constants:
-    doc = _read_json_object(path, ("c", "c1", "c2", "c3"))
-    return Constants(c=doc["c"], c1=doc["c1"], c2=doc["c2"], c3=doc["c3"])
+    doc = _read_json_object(path, ("c", "c1", "c2"))
+    return Constants(c=doc["c"], c1=doc["c1"], c2=doc["c2"])
 
 
 def find_constants(path=None) -> Constants:
-    """Calibrated constants if available: explicit path, $RELAPPROX_CONSTANTS,
-    ./constants.json, else the uncalibrated defaults."""
-    candidates = [path, os.environ.get("RELAPPROX_CONSTANTS"), "constants.json"]
-    for cand in candidates:
-        if cand and os.path.exists(cand):
-            return load_constants(cand)
+    """The constants at the explicit path, else at $RELAPPROX_CONSTANTS, else
+    at ./constants.json if it exists, else the uncalibrated defaults.  A path
+    the caller names, by argument or by the variable, must exist."""
+    named = path or os.environ.get("RELAPPROX_CONSTANTS")
+    if named:
+        if not os.path.isfile(named):
+            raise ConstructionError(f"no constants file at {named}")
+        return load_constants(named)
+    if os.path.isfile("constants.json"):
+        return load_constants("constants.json")
     return DEFAULT_CONSTANTS
 
 
@@ -435,10 +437,10 @@ def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:
 
 
 def is_eps_approximation(system, sample: Sample, eps) -> bool:
-    """Whether every set's additive error is at most eps, compared exactly:
-    max |s t - c n| <= floor(eps n t) with eps taken as Fraction(eps)."""
-    limit = math.floor(Fraction(eps) * system.n * sample.t)
-    return system.max_additive_numerator(sample) <= limit
+    """Whether every set's additive error |s/n - c/t| is at most eps, compared
+    exactly: the relative error at eps = 1, where every set is small, is the
+    additive error itself."""
+    return relative_error(system, sample, 1).passes(eps)
 
 
 def big_size_limit(n: int, eps) -> int:

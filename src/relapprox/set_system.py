@@ -36,7 +36,6 @@ from .sampling import (
     _read_json_object,
     _read_only,
     big_size_limit,
-    error_numerators,
     make_rng,
     uniform_sample,
     worst_of_counts,
@@ -179,15 +178,6 @@ class SetSystem:
         _check_verifier_inputs(self, sample)
         return worst_of_counts(self.n, sample.t, eps, self.sizes_array, self.counts(sample))
 
-    def max_additive_numerator(self, sample: Sample) -> int:
-        """max over S of |s t - c n|, the largest additive error scaled by
-        n t, exactly (0 for an empty family)."""
-        _check_verifier_inputs(self, sample)
-        if len(self) == 0:
-            return 0
-        counts = self.counts(sample)
-        return int(error_numerators(self.n, sample.t, self.sizes_array, counts).max())
-
     def is_eps_net(self, sample: Sample, eps) -> bool:
         _check_verifier_inputs(self, sample)
         big = self.sizes_array >= big_size_limit(self.n, eps)
@@ -302,6 +292,8 @@ def vc_dimension(system: SetSystem, max_d: int = 10) -> VcResult:
     If some set of size max_d is shattered the result is truncated: the true
     dimension is >= max_d and was not determined.
     """
+    if not _is_int(max_d) or max_d < 0:
+        raise ConstructionError(f"max_d must be an integer >= 0, got {max_d!r}")
     if len(system) == 0:
         return VcResult(-1, False)
     shattered_prev: set[int] = {0}  # the empty set, shattered by any nonempty family
@@ -378,12 +370,7 @@ def write_json(system: SetSystem, path) -> None:
         fh.write("\n")
 
 
-class ReadResult(NamedTuple):
-    system: SetSystem
-    dedup_occurred: bool
-
-
-def read_json(path) -> ReadResult:
+def read_json(path) -> SetSystem:
     """Read the set-system JSON format, applying constructor dedup."""
     doc = _read_json_object(path, ("n", "sets"))
     n, sets = doc["n"], doc["sets"]
@@ -396,5 +383,4 @@ def read_json(path) -> ReadResult:
             raise ConstructionError(f"{path}: set #{k} has a non-integer member")
         if any(a >= b for a, b in zip(s, s[1:])):
             raise ConstructionError(f"{path}: set #{k} is not strictly ascending")
-    system = new_set_system(n, sets)
-    return ReadResult(system, dedup_occurred=len(system) != len(sets))
+    return new_set_system(n, sets)

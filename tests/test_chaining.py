@@ -29,9 +29,10 @@ from relapprox.generators import (
     random_system,
 )
 from relapprox.halving import combined_construction
-from relapprox.packing import greedy_maximal_packing, verify_packing
+from relapprox.packing import verify_packing
 from relapprox.sampling import WITH, ApproxParams, Constants, Sample, relative_error, uniform_sample
 from relapprox.set_system import SetSystem
+from test_packing import reference_greedy
 
 
 @pytest.fixture(scope="module")
@@ -242,13 +243,16 @@ def small_families(draw, max_n=70, max_sets=40):
 )
 def test_chain_packings_equal_the_public_greedy_seeded_level_by_level(system, eps, delta):
     # build_chain hands each level's nearest-member map down to the next;
-    # the public greedy, seeded with the previous level's members, searches afresh
+    # the pure-Python greedy, seeded with the previous level's members,
+    # measures every distance afresh.  At alpha <= 1 every set is admitted,
+    # in index order.
     chain = build_chain(system, eps, delta)
     previous = ()
     for level in chain.levels:
-        want = greedy_maximal_packing(system, level.alpha, previous)
-        assert level.packing == want
-        previous = want.member_indices
+        seeds = previous if level.alpha > 1 else ()
+        want = reference_greedy(system.masks, level.alpha, seeds)
+        assert (level.packing.member_indices, level.packing.cover_map) == want
+        previous = level.packing.member_indices
 
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
@@ -677,5 +681,5 @@ def test_hot_paths_never_derive_masks():
                 telescoping_audit_all(chain, sample, claim7)
             relative_error(system, sample, Fraction(1, 4))
             relative_error(system, sample, 0.25)
-        combined_construction(system, params, 2, Constants(2, 2, 2, 2), seed=8)
+        combined_construction(system, params, 2, Constants(2, 2, 2), seed=8)
         assert "masks" not in vars(system)

@@ -37,7 +37,7 @@ def test_generate_families(tmp_path):
     for argv, expected in cases:
         out = tmp_path / f"{argv[1]}.json"
         assert run("generate", *argv, "--out", out) == 0
-        system = read_json(out).system
+        system = read_json(out)
         if expected is not None:
             assert len(system) == expected
 
@@ -102,7 +102,7 @@ def test_halve_writes_sample_and_trace(tmp_path, interval_file, capsys):
 
 def test_halved_sample_round_trips_through_json_and_cli(tmp_path, interval_file, capsys):
     # with-replacement output, built from arrays: json.dump rejects numpy ints
-    system = read_json(interval_file).system
+    system = read_json(interval_file)
     sample = certified_halving(system, ApproxParams(0.4, 0.5, 0.5), 3, mode=WITH)
     assert sample.t > system.n  # the levels drew with replacement
 
@@ -192,7 +192,7 @@ def test_calibrate_subcommand(tmp_path):
                         "delta": 0.4,
                         "gamma": 0.25,
                         "d": 2,
-                        "use_for": ["c2", "c3"],
+                        "use_for": ["c2"],
                     },
                 ],
             }
@@ -202,7 +202,7 @@ def test_calibrate_subcommand(tmp_path):
     assert run("calibrate", "--suite", suite, "--out", out) == 0
     doc = json.loads(out.read_text())
     assert doc["calibrated"] is True
-    assert {"c", "c1", "c2", "c3"} <= set(doc)
+    assert {"c", "c1", "c2"} <= set(doc)
 
 
 def test_calibrate_rejects_duplicate_case_names(tmp_path, capsys):
@@ -504,3 +504,39 @@ def test_sample_with_a_bool_member_or_count_exits_2(tmp_path, interval_file, cap
     code = run("verify", "--system", interval_file, "--sample", sample,
                "--eps", 0.2, "--delta", 0.3)
     assert_input_error(capsys, code, f"'{key}' must be an integer or a list of them")
+
+
+@pytest.mark.parametrize("named_by", ["option", "variable"])
+def test_sample_with_a_missing_constants_file_exits_2(
+    tmp_path, interval_file, capsys, monkeypatch, named_by
+):
+    # a named path that does not exist is an error, not a fall-back to the defaults
+    missing = tmp_path / "typo.json"
+    option = ["--constants", missing] if named_by == "option" else []
+    if named_by == "variable":
+        monkeypatch.setenv("RELAPPROX_CONSTANTS", str(missing))
+    code = run("sample", "--system", interval_file, "--formula", "main", "--d", 2,
+               "--eps", 0.2, "--delta", 0.4, "--gamma", 0.2, "--seed", 5,
+               *option, "--out", tmp_path / "s.json")
+    assert_input_error(capsys, code, f"no constants file at {missing}")
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_montecarlo_spec_with_non_string_constants_exits_2(tmp_path, interval_file, capsys):
+    # 5 would otherwise be read as a file descriptor
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "system": {"path": str(interval_file)}, "eps": [0.2], "delta": [0.4], "gamma": [0.2],
+        "formula": "main", "d": 2, "trials": 4, "master_seed": 2, "constants": 5,
+    }))
+    out = tmp_path / "mc.csv"
+    code = run("montecarlo", "--spec", spec, "--out", out)
+    assert_input_error(capsys, code, "'constants' must be a path, got 5")
+    assert not out.exists()
+
+
+def test_packing_with_an_infinite_alpha_exits_2(tmp_path, interval_file, capsys):
+    out = tmp_path / "p.json"
+    code = run("packing", "--system", interval_file, "--alpha", "inf", "--out", out)
+    assert_input_error(capsys, code, "alpha must be positive and finite, got inf")
+    assert not out.exists()

@@ -240,7 +240,9 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     assert isinstance(exact.worst_ratio, Fraction)
     assert exact.worst_ratio == exact_generic.worst_ratio
     assert exact.worst_set_index == exact_generic.worst_set_index
-    assert imp.max_additive_numerator(sample) == mat.max_additive_numerator(sample)
+    # at eps = 1 every set is small: the ratio is the additive error
+    additive = relative_error(imp, sample, Fraction(1))
+    assert additive.worst_ratio == relative_error(mat, sample, Fraction(1)).worst_ratio
     net_eps = data.draw(st.floats(0.05, 0.9))
     assert is_eps_net(imp, sample, net_eps) == is_eps_net(mat, sample, net_eps)
 
@@ -273,7 +275,7 @@ def test_eps_approximation_threshold_is_exact():
             for m in mat.masks
         )
         for family in (imp, mat):
-            assert Fraction(family.max_additive_numerator(sample), 10 * 7) == worst
+            assert relative_error(family, sample, Fraction(1)).worst_ratio == worst
             for eps in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7):
                 assert is_eps_approximation(family, sample, eps) == (worst <= Fraction(eps))
 

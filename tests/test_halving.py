@@ -175,7 +175,7 @@ def test_stage_two_retries_exhausted_surfaces_its_best_ratio():
 
     with pytest.raises(RetriesExhausted, match=r"stage-2 .* observed: 0\.7[)]") as err:
         combined_construction(
-            GoodFamilyBadTraces(), ApproxParams(0.3, 0.6, 0.5), 2, Constants(1, 1, 1, 1),
+            GoodFamilyBadTraces(), ApproxParams(0.3, 0.6, 0.5), 2, Constants(1, 1, 1),
             seed=0, max_retries=3,
         )
     assert err.value.best_worst_ratio == 0.7
@@ -244,7 +244,7 @@ def test_composition_property_randomized(n, seed):
 def test_combined_construction_produces_verified_sample():
     system = intervals(150)
     params = ApproxParams(0.25, 0.45, 0.3)
-    constants = Constants(2, 2, 2, 2)
+    constants = Constants(2, 2, 2)
     sample = combined_construction(system, params, d=2, constants=constants, seed=8)
     assert is_relative_approx(system, sample, params)
     assert sample.t <= 150
@@ -347,7 +347,7 @@ def test_array_subsampling_matches_the_tuple_oracle(tuple_oracle, mode, family):
 
 def test_combined_construction_matches_the_tuple_oracle(tuple_oracle):
     system = random_system(3000, 100, 0.3, seed=2)
-    p, constants = ApproxParams(0.9, 0.9, 0.5), Constants(1, 1, 1, 1)
+    p, constants = ApproxParams(0.9, 0.9, 0.5), Constants(1, 1, 1)
     stage = ApproxParams(p.eps, p.delta / 3.0, p.gamma / 2.0)
     for seed in (3, 4):
         # stage 1 subsamples, so the stage-2 mapping is not the identity

@@ -210,7 +210,7 @@ def tiny_suite():
             {"family": "intervals", "n": 90},
             ApproxParams(0.25, 0.4, 0.25),
             d=2,
-            use_for=("c2", "c3"),
+            use_for=("c2",),
         ),
     ]
 
@@ -218,7 +218,7 @@ def tiny_suite():
 @pytest.mark.slow
 def test_calibration_smoke(tmp_path):
     constants, provenance = calibrate_constants(tiny_suite(), trials=60, master_seed=3)
-    assert constants.c >= 1 and constants.c3 >= 1
+    assert constants.c >= 1 and constants.c2 >= 1
     path = tmp_path / "constants.json"
     write_constants_json(constants, provenance, path)
     loaded = load_constants(path)
@@ -318,12 +318,11 @@ def test_calibration_stream_is_pinned(judged, workers):
         CalibrationCase("c", {"family": "intervals", "n": 60}, ApproxParams(0.4, 0.9, 0.2), 1,
                         ("c", "c1")),
         CalibrationCase("chain", {"family": "intervals", "n": 60},
-                        ApproxParams(0.6, 0.95, 0.02), 1, ("c2", "c3")),
+                        ApproxParams(0.6, 0.95, 0.02), 1, ("c2",)),
     ]
     grid = tuple(round(1 + 0.1 * i, 1) for i in range(31))
-    constants, provenance = calibrate_constants(suite, 40, 4, grid=grid, workers=workers)
-    assert constants == Constants(c=1.1, c1=1.0, c2=1.0, c3=1.1)
-    assert provenance["c3_floor"] == 1.0392304845413263
+    constants, _ = calibrate_constants(suite, 40, 4, grid=grid, workers=workers)
+    assert constants == Constants(c=1.1, c1=1.0, c2=1.0)
     assert judged() == {"verify": (120, 1040, 30960), "claim7": (40, 840, 24950)}
 
 
@@ -349,7 +348,7 @@ def test_committed_suite_is_the_one_the_constants_were_calibrated_on():
 
 
 def test_formula_size_caps_at_n_without_replacement_only():
-    system, params, constants = intervals(40), ApproxParams(0.2, 0.4, 0.2), Constants(1, 1, 1, 1)
+    system, params, constants = intervals(40), ApproxParams(0.2, 0.4, 0.2), Constants(1, 1, 1)
     uncapped = formula_sample_size("main", params, 2, len(system), constants)
     assert uncapped > system.n
     assert formula_size("main", params, 2, system, constants) == system.n

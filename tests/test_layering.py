@@ -2,7 +2,7 @@
 `sampling` never reaches for a concrete family type, families are built as
 packed rows, the CLI and the harness call the library's own certification
 loop and size formulas, and the library holds no code that only the tests
-call."""
+call and no calibrated constant that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -115,3 +115,20 @@ def test_one_las_vegas_loop():
         if isinstance(node, ast.For) and "max_retries" in names_used(node.iter)
     ]
     assert loops == ["halving"]
+
+
+def test_every_constant_has_a_reader():
+    # a reader reads the field as an attribute outside the constants' own I/O
+    sampling = ast.parse(Path(relapprox.__file__).with_name("sampling.py").read_text())
+    (cls,) = [n for n in sampling.body if isinstance(n, ast.ClassDef) and n.name == "Constants"]
+    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    own_io = {"Constants", "load_constants", "write_constants_json", "_cmd_calibrate"}
+    read = {
+        node.attr
+        for path in CALLERS
+        for top in ast.parse(path.read_text()).body
+        if getattr(top, "name", None) not in own_io
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(fields - read) == []

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -148,31 +149,9 @@ def test_empty_family():
 def test_alpha_must_be_positive():
     with pytest.raises(ConstructionError):
         greedy_maximal_packing(new_set_system(2, [[0]]), 0.0)
-
-
-def test_seeded_greedy_contains_seeds_and_stays_maximal():
-    system = new_set_system(6, [[0], [0, 1], [2, 3], [4], [4, 5], [1, 2]])
-    coarse = greedy_maximal_packing(system, 3.0)
-    fine = greedy_maximal_packing(system, 2.0, seed_members=coarse.member_indices)
-    assert set(coarse.member_indices) <= set(fine.member_indices)
-    verify_packing(system, fine)
-
-
-def test_seeded_greedy_rejects_invalid_seeds():
-    system = new_set_system(3, [[0], [1]])
-    with pytest.raises(ConstructionError, match="seed member"):
-        greedy_maximal_packing(system, 3.0, seed_members=(0, 1))
-
-
-def test_seeded_greedy_rejects_seeds_outside_the_family():
-    # a negative seed must not alias a row from the end, nor a large one escape as IndexError
-    system = new_set_system(3, [[0], [1]])
-    for seeds, bad in (((-1,), -1), ((0, 7), 7), ((2,), 2)):
-        with pytest.raises(ConstructionError) as err:
-            greedy_maximal_packing(system, 3.0, seed_members=seeds)
-        assert str(err.value) == f"seed member {bad} is outside the family's [0, 2)"
-    with pytest.raises(ConstructionError, match="outside"):
-        greedy_maximal_packing(SetSystem(3, ()), 3.0, seed_members=(0,))
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ConstructionError, match="positive and finite"):
+            greedy_maximal_packing(new_set_system(2, [[0]]), alpha)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,27 +169,10 @@ def test_greedy_is_one_of_the_exhaustive_maximal_packings(system, alpha):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tied_systems(), st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]), st.data())
-def test_greedy_matches_pure_python_reference(system, alpha, data):
+@given(tied_systems(), st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
+def test_greedy_matches_pure_python_reference(system, alpha):
     packing = greedy_maximal_packing(system, alpha)
     assert (packing.member_indices, packing.cover_map) == reference_greedy(system.masks, alpha)
-    if alpha > 1:
-        # a coarser reference packing, admitted first in an arbitrary order
-        coarse_alpha = data.draw(st.sampled_from([alpha, 2 * alpha]))
-        coarse, _ = reference_greedy(system.masks, coarse_alpha)
-        seeds = data.draw(st.permutations(coarse))
-        seeded = greedy_maximal_packing(system, alpha, seed_members=seeds)
-        want = reference_greedy(system.masks, alpha, seeds)
-        assert (seeded.member_indices, seeded.cover_map) == want
-        verify_packing(system, seeded)
-
-
-def test_seeded_greedy_names_the_first_seed_too_close_to_an_earlier_one():
-    system = new_set_system(4, [[0], [1], [0, 1], [2, 3]])
-    # seed 2 is 1 from seed 0 and 4 from seed 3; seed 1 is too close as well
-    with pytest.raises(ConstructionError) as err:
-        greedy_maximal_packing(system, 3.0, seed_members=(3, 0, 2, 1))
-    assert str(err.value) == "seed member 2 is within 1 < alpha of an earlier seed"
 
 
 # SHA-256 of the int64 little-endian member indices, then of the cover maps,
@@ -470,23 +432,9 @@ def test_trace_property_exact_arithmetic():
     assert member_traces_distinct(system, packing, Sample.full(4))
 
 
-# --- size bound -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("frac", [0.5, 0.25, 0.125, 0.0625])
-def test_calibrated_bound_covers_generator_packings(frac, calibrated_constants):
-    from relapprox.generators import axis_rectangles, halfplanes, intervals, random_points
-
-    for system, d in [
-        (intervals(150), 2),
-        (halfplanes(random_points(25, seed=51)), 3),
-        (axis_rectangles(random_points(25, seed=52)), 4),
-    ]:
-        alpha = max(2.0, frac * system.n)
-        packing = greedy_maximal_packing(system, alpha)
-        assert packing.size <= (calibrated_constants.c3 * system.n / alpha) ** (2 * d)
-
-
 def test_packing_dataclass_validation():
     with pytest.raises(ConstructionError):
         Packing(0.0, (), ())
+    # an infinite alpha would overflow the verifier's ceil
+    with pytest.raises(ConstructionError, match="alpha must be positive and finite, got inf"):
+        Packing(math.inf, (), ())

@@ -37,7 +37,7 @@ from relapprox.sampling import (
 from relapprox.sampling import Constants
 from relapprox.set_system import SetSystem, new_set_system
 
-CONST1 = Constants(1.0, 1.0, 1.0, 1.0)
+CONST1 = Constants(1.0, 1.0, 1.0)
 
 
 def oracle_count(mask, sample) -> int:
@@ -79,7 +79,7 @@ def test_params_rejects_out_of_range(bad):
 
 def test_constants_must_be_at_least_one():
     with pytest.raises(ConstructionError):
-        Constants(0.5, 1, 1, 1)
+        Constants(0.5, 1, 1)
 
 
 # --- uniform sampling ----------------------------------------------------------

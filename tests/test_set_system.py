@@ -253,6 +253,15 @@ def test_vc_dimension_truncation():
     assert result.truncated
 
 
+def test_vc_dimension_refuses_a_negative_or_non_integer_max_d():
+    # -1 is the dimension of the empty family, not a truncated search
+    for max_d in (-1, 2.0, True):
+        with pytest.raises(ConstructionError, match="max_d must be an integer >= 0"):
+            vc_dimension(intervals(5), max_d)
+    assert vc_dimension(intervals(5), 0) == (0, True)
+    assert vc_dimension(SetSystem(5, ()), 0) == (-1, False)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_systems(max_n=8, max_sets=24))
 def test_vc_dimension_matches_exhaustive_oracle(system):
@@ -377,17 +386,14 @@ def test_json_roundtrip(tmp_path):
     system = new_set_system(5, [[0, 2], [], [1, 3, 4]])
     path = tmp_path / "sys.json"
     write_json(system, path)
-    loaded = read_json(path)
-    assert loaded.system == system
-    assert not loaded.dedup_occurred
+    assert read_json(path) == system
 
 
 def test_json_reader_dedups_and_flags(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"n": 3, "sets": [[0, 1], [0, 1], [2]]}')
-    loaded = read_json(path)
-    assert len(loaded.system) == 2
-    assert loaded.dedup_occurred
+    # three sets in the file, two distinct
+    assert len(read_json(path)) == 2
 
 
 def test_json_reader_rejects_non_ascending(tmp_path):
