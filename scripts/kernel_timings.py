@@ -123,10 +123,11 @@ def chain_stages(system, eps: float, delta: float, repeats: int) -> dict:
 
     chain = chaining.build_chain(system, eps, delta)
     fam = len(system)
-    members, dist, cover = [], np.full(fam, packing._BIG), np.full(fam, -1)
+    members = np.empty(0, dtype=np.int64)
+    dist, cover = np.full(fam, packing._BIG), np.full(fam, -1)
     levels = []
-    for level in chain.levels:
-        need = math.ceil(level.alpha)
+    for i, level in enumerate(chain.levels):
+        need = math.ceil(level.packing.alpha)
         seeds, seed_dist, seed_arg = members, dist, cover
 
         def admit():
@@ -138,7 +139,7 @@ def chain_stages(system, eps: float, delta: float, repeats: int) -> dict:
         members, hint, reach = admit()
         levels.append(
             {
-                "level": level.index,
+                "level": i,
                 "members": level.packing.size,
                 "admit_ms": ms(admit),
                 "final_search_ms": ms(final),

@@ -47,10 +47,9 @@ import numpy as np
 # numpy 2.4 (medians over random families of 3,000-20,000 sets, t = 50-400;
 # `python scripts/kernel_timings.py` measures them again):
 # a packed word ANDed and popcounted by `intersection_sizes`, 3.3-4.1 ns on
-# rows of 16-128 words (7-9 ns on 7-word rows while their popcounts were
-# summed a row at a time, 3.1-3.5 ns since `_row_sums` sums them a column at
-# a time); an incidence entry gathered and counted by `incidence_counts`,
-# 4-9 ns; and a packed word turned into index entries by `build_incidence`,
+# rows of 16-128 words (3.1-3.5 ns on 7-word rows, whose popcounts
+# `_row_sums` sums a column at a time); an incidence entry gathered and
+# counted by `incidence_counts`, 4-9 ns; and a packed word turned into index entries by `build_incidence`,
 # 250-470 ns.
 NS_PER_WORD = 3.5
 NS_PER_ENTRY = 6.0

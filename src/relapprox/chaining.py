@@ -35,9 +35,7 @@ from .set_system import SetSystem
 
 @dataclass(frozen=True)
 class ChainLevel:
-    index: int
-    alpha: float
-    packing: Packing
+    packing: Packing  # P_i, at the level's scale alpha = packing.alpha
     ab_family: SetSystem  # the distinct parts S \ parent, then parent \ S, over S in P_{i+1} \ P_i
     a_count: int  # distinct parts S \ parent
     b_count: int  # distinct parts parent \ S
@@ -48,8 +46,11 @@ class ChainDecomposition:
     system: SetSystem
     eps: float
     delta: float
-    k: int
     levels: tuple[ChainLevel, ...]  # indices 0..k
+
+    @property
+    def k(self) -> int:
+        return len(self.levels) - 1
 
     @cached_property
     def level_eps(self) -> tuple[float, ...]:
@@ -60,7 +61,7 @@ class ChainDecomposition:
 
     @cached_property
     def base_system(self) -> SetSystem:
-        members = list(self.levels[0].packing.member_indices)
+        members = self.levels[0].packing.member_indices
         return SetSystem.from_packed(self.system.n, self.system.packed[members])
 
 
@@ -73,13 +74,13 @@ def _level_parts(system: SetSystem, packings: list[Packing], i: int):
     their part rows against their parents (`_part_rows`) and the parent
     distances |S Delta parent|; AuditFailure unless P_i <= P_{i+1}."""
     fine = np.zeros(len(system), dtype=bool)
-    fine[list(packings[i + 1].member_indices) if i + 1 < len(packings) else slice(None)] = True
-    coarse = list(packings[i].member_indices)
+    fine[packings[i + 1].member_indices if i + 1 < len(packings) else slice(None)] = True
+    coarse = packings[i].member_indices
     if not fine[coarse].all():
         raise AuditFailure("packings are not nested")
     fine[coarse] = False
     sets = np.flatnonzero(fine)
-    rows = _part_rows(system.packed, sets, packings[i].cover_array[sets])
+    rows = _part_rows(system.packed, sets, packings[i].cover_map[sets])
     return sets, rows, _bitops.row_sizes(rows).reshape(2, -1).sum(axis=0)
 
 
@@ -106,8 +107,7 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
     levels = []
     for i in range(k + 1):
         sets, ab_rows, distances = _level_parts(system, packings, i)
-        alpha = chain_scale(eps, n, i)
-        far = np.flatnonzero(distances >= alpha)
+        far = np.flatnonzero(distances >= packings[i].alpha)
         if len(far):
             raise AuditFailure(f"parent distance at level {i} is >= alpha for set {sets[far[0]]}")
         first, label = _bitops.distinct_rows(ab_rows, labels=True)
@@ -116,8 +116,8 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
             for half in np.split(label, 2)
         )
         ab_family = SetSystem._of_distinct(n, ab_rows[first])
-        levels.append(ChainLevel(i, alpha, packings[i], ab_family, a_count, b_count))
-    return ChainDecomposition(system, eps, delta, k, tuple(levels))
+        levels.append(ChainLevel(packings[i], ab_family, a_count, b_count))
+    return ChainDecomposition(system, eps, delta, tuple(levels))
 
 
 # --- simultaneous approximation check ---------------------------------------
@@ -127,7 +127,6 @@ def build_chain(system: SetSystem, eps: float, delta: float) -> ChainDecompositi
 class Claim7Item:
     condition: str  # "finest-level", "mid-level", "base-packing"
     level: int | None
-    eps_used: float
     report: ApproximationReport
 
     def ok(self, delta: float) -> bool:
@@ -161,7 +160,7 @@ def claim7_check(chain: ChainDecomposition, sample: Sample, gamma: float | None 
     ]
     conditions.append(("base-packing", None, chain.eps, chain.base_system))
     items = tuple(
-        Claim7Item(name, level, e, relative_error(family, sample, Fraction(e)))
+        Claim7Item(name, level, relative_error(family, sample, Fraction(e)))
         for name, level, e, family in conditions
     )
     return Claim7Report(chain.eps, chain.delta, gamma, items)
@@ -238,7 +237,7 @@ def telescoping_audit_all(
     sum_b = np.zeros(fam, dtype=np.int64)
     for i in range(chain.k, -1, -1):
         level = chain.levels[i]
-        parent = level.packing.cover_array[cur]
+        parent = level.packing.cover_map[cur]
         a_sz, b_sz, a_cnt, b_cnt = _parts(system.packed, sample.planes, cur, parent)
         bad = sizes_all[cur] != sizes_all[parent] - b_sz + a_sz
         if bad.any():
@@ -256,7 +255,7 @@ def telescoping_audit_all(
             bad = perr > np.maximum(part_floor[psize], scale_floor)
             if bad.any():
                 fail(f"{name}-part error exceeds its claim bound at level {i}", bad[inverse])
-            bad = psize >= level.alpha
+            bad = psize >= level.packing.alpha
             if bad.any():
                 fail(f"{name}-part size >= alpha at level {i}", bad[inverse])
         sum_b += b_sz[inverse]
@@ -318,14 +317,14 @@ def _parts(packed: np.ndarray, planes: np.ndarray, sets: np.ndarray, parents: np
 def chain_summary(chain: ChainDecomposition) -> dict:
     levels = [
         {
-            "level": lv.index,
-            "alpha": lv.alpha,
+            "level": i,
+            "alpha": lv.packing.alpha,
             "packing_size": lv.packing.size,
             "a_family_size": lv.a_count,
             "b_family_size": lv.b_count,
             "max_part_size": int(lv.ab_family.sizes_array.max(initial=0)),
         }
-        for lv in chain.levels
+        for i, lv in enumerate(chain.levels)
     ]
     return {
         "n": chain.system.n,

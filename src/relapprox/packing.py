@@ -31,24 +31,26 @@ import numpy as np
 
 from . import _bitops
 from .errors import AuditFailure, ConstructionError
+from .sampling import _int64_vector
 from .set_system import SetSystem
 
 _BIG = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Packing:
+    """Members in admission order and the cover map (family index -> covering
+    member), as read-only int64 copies under `Sample`'s integer rules."""
+
     alpha: float
-    member_indices: tuple[int, ...]
-    # family index -> covering member's index; any int sequence, also kept as `cover_array`
-    cover_map: tuple[int, ...]
+    member_indices: np.ndarray
+    cover_map: np.ndarray
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        cover = np.array(self.cover_map, dtype=np.int64)
-        cover.flags.writeable = False
-        object.__setattr__(self, "cover_array", cover)
-        object.__setattr__(self, "cover_map", tuple(cover.tolist()))
+        for name in ("member_indices", "cover_map"):
+            values = _int64_vector(getattr(self, name), name, f"{name} must fit in int64")
+            object.__setattr__(self, name, values)
 
     @property
     def size(self) -> int:
@@ -57,13 +59,13 @@ class Packing:
     def to_json_dict(self) -> dict:
         return {
             "alpha": float(self.alpha),
-            "member_indices": list(self.member_indices),
-            "cover_map": list(self.cover_map),
+            "member_indices": self.member_indices.tolist(),
+            "cover_map": self.cover_map.tolist(),
         }
 
 
 def _check_alpha(alpha) -> None:
-    if not 0 < alpha < math.inf:
+    if isinstance(alpha, bool) or not 0 < alpha < math.inf:
         raise ConstructionError(f"alpha must be positive and finite, got {alpha}")
 
 
@@ -155,8 +157,8 @@ def _search(
 
 
 def _greedy(
-    system: SetSystem, alpha, seeds: list[int], seed_dist: np.ndarray, seed_arg: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+    system: SetSystem, alpha, seeds: np.ndarray, seed_dist: np.ndarray, seed_arg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The greedy scan after its seeds, given every set's distance to its
     nearest seed and that seed (int64 max and -1 without seeds): the
     members, every set's distance to its nearest member and that member."""
@@ -164,7 +166,7 @@ def _greedy(
     need = math.ceil(alpha)  # an integer distance d is >= alpha iff d >= need
     if need <= 1:
         # distinct sets are >= 1 apart, so everything is admitted
-        return list(range(fam)), np.zeros(fam, dtype=np.int64), np.arange(fam)
+        return np.arange(fam), np.zeros(fam, dtype=np.int64), np.arange(fam)
     members, hint, reach = _admit(system, need, seeds, seed_dist, seed_arg)
     if len(members) == len(seeds):
         return members, seed_dist, seed_arg
@@ -172,22 +174,22 @@ def _greedy(
 
 
 def _admit(
-    system: SetSystem, need: int, seeds: list[int], seed_dist: np.ndarray, seed_arg: np.ndarray
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The admit loop: the members, every set's hint and its distance to it.
+    system: SetSystem, need: int, seeds: np.ndarray, seed_dist: np.ndarray, seed_arg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The admit loop: the members, seeds first, every set's hint and its distance to it.
 
     A set's hint is its nearest seed, or else the admitted member that took
     it out of the far set (the sets still >= need from every member so far),
     at the distance that admit measured; each admit scans only what is left
     of the far set.
     """
-    members = list(seeds)
+    admitted = []
     hint, reach = seed_arg.copy(), seed_dist.copy()
     far = np.flatnonzero(seed_dist >= need)
     words = system.words.take(far, axis=1)
     while len(far):
         k = int(far[0])
-        members.append(k)
+        admitted.append(k)
         apart = _bitops.symdiff_sizes(words[:, 1:], words[:, :1])
         keep = apart >= need
         taken = ~keep
@@ -196,11 +198,11 @@ def _admit(
         hint[gone], reach[gone] = k, apart[taken]
         kept = np.flatnonzero(keep)
         far, words = far[1:][kept], words[:, 1:].take(kept, axis=1)
-    return members, hint, reach
+    return np.concatenate((seeds, np.array(admitted, dtype=np.int64))), hint, reach
 
 
 def _cover(
-    system: SetSystem, members: list[int], hint: np.ndarray, reach: np.ndarray
+    system: SetSystem, members: np.ndarray, hint: np.ndarray, reach: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every set's distance to its nearest member and that member, searched
     from its hint at the distance the seed map or the admit loop measured."""
@@ -213,11 +215,12 @@ def _nested_packings(system: SetSystem, alphas) -> list[Packing]:
     each seeded with the packing before it (its members admitted first);
     each level's nearest-member map is the next level's seed map."""
     fam = len(system)
-    members, dist, cover = [], np.full(fam, _BIG, dtype=np.int64), np.full(fam, -1)
+    members = np.empty(0, dtype=np.int64)
+    dist, cover = np.full(fam, _BIG, dtype=np.int64), np.full(fam, -1)
     packings = []
     for alpha in alphas:
         members, dist, cover = _greedy(system, alpha, members, dist, cover)
-        packings.append(Packing(alpha, tuple(members), cover))
+        packings.append(Packing(alpha, members, cover))
     return packings
 
 
@@ -230,37 +233,34 @@ def greedy_maximal_packing(system: SetSystem, alpha) -> Packing:
 
 def verify_packing(system: SetSystem, packing: Packing) -> None:
     """Independent re-check of the packing and maximality certificates."""
-    mem = packing.member_indices
-    alpha = packing.alpha
-    bad = [k for k in mem if not 0 <= k < len(system)]
-    if bad:
-        raise AuditFailure(f"member {bad[0]} is outside the family's [0, {len(system)})")
-    if sorted(set(mem)) != sorted(mem):
+    mem, cover, fam = packing.member_indices, packing.cover_map, len(system)
+    outside = np.flatnonzero((mem < 0) | (mem >= fam))
+    if len(outside):
+        raise AuditFailure(f"member {mem[outside[0]]} is outside the family's [0, {fam})")
+    if len(np.unique(mem)) != len(mem):
         raise AuditFailure("duplicate member indices")
-    mem_arr = np.array(mem, dtype=np.int64)
-    need = math.ceil(alpha)
-    apart = _distances(system, mem_arr)
+    need = math.ceil(packing.alpha)
+    apart = _distances(system, mem)
     np.fill_diagonal(apart, _BIG)
     close = np.flatnonzero(apart.min(axis=1, initial=_BIG) < need)
     if len(close):
         i = int(close[0])
         j = int(apart[i].argmin())
         raise AuditFailure(f"members {mem[i]} and {mem[j]} are {apart[i, j]} apart")
-    if len(packing.cover_map) != len(system):
+    if len(cover) != fam:
         raise AuditFailure("cover map is not total")
     # recompute nearest member (ties to lowest member index) from scratch; a
     # claimed cover that is a member only hints where to look, and a wrong
     # claim widens the search without changing its result
-    cover = packing.cover_array
-    non_member = ~np.isin(cover, mem_arr)
-    best_dist, best_member = _nearest_member(system, mem_arr, np.where(non_member, -1, cover))
+    non_member = ~np.isin(cover, mem)
+    best_dist, best_member = _nearest_member(system, mem, np.where(non_member, -1, cover))
     far = best_dist >= need
     # a member is its own nearest member (the sets are distinct), so a member
     # covered by another fails the nearest-member check
     bad = np.flatnonzero(non_member | far | (cover != best_member))
     if len(bad):
         i = int(bad[0])
-        c = packing.cover_map[i]
+        c = cover[i]
         if non_member[i]:
             raise AuditFailure(f"set {i} covered by non-member {c}")
         if far[i]:

@@ -134,24 +134,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _int64_vector(values, overflow: str) -> np.ndarray:
+def _int64_vector(values, what: str, overflow: str) -> np.ndarray:
     """A read-only int64 copy of a 1-D sequence of integers or array of an
-    integer dtype.  A bool or a float is refused whatever its value, as an
-    element or as an array's dtype; ConstructionError(`overflow`) when a
-    value does not fit in int64."""
+    integer dtype, named `what` in the errors.  A bool or a float is refused
+    whatever its value, as an element or as an array's dtype;
+    ConstructionError(`overflow`) when a value does not fit in int64."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         integers = values.dtype.kind in "iu" or values.size == 0
     else:
         values = np.array(values, dtype=object)
         integers = all(map(_is_int, values.flat))
     if not integers:
-        raise ConstructionError("sample members and multiplicities must be integers")
+        raise ConstructionError(f"{what} must be integers")
     try:
         arr = np.array(values, dtype=np.int64)
     except OverflowError:
         raise ConstructionError(overflow) from None
     if arr.ndim != 1:
-        raise ConstructionError("sample vectors must be one-dimensional")
+        raise ConstructionError(f"{what} must be one-dimensional")
     if values.dtype == np.uint64 and not np.array_equal(arr, values):  # wrapped
         raise ConstructionError(overflow)
     return _read_only(arr)
@@ -171,14 +171,14 @@ class Sample:
     """
 
     def __init__(self, n: int, support, multiplicity=None, seed: int | None = None):
-        sup = _int64_vector(support, "sample members outside the ground set")
+        sup = _int64_vector(support, "sample members", "sample members outside the ground set")
         if (sup[1:] <= sup[:-1]).any():
             raise ConstructionError("sample support must be strictly ascending")
         if len(sup) and not (0 <= sup[0] and sup[-1] < n):
             raise ConstructionError("sample members outside the ground set")
         mult, t = None, len(sup)
         if multiplicity is not None:
-            mult = _int64_vector(multiplicity, "multiplicities must fit in int64")
+            mult = _int64_vector(multiplicity, "multiplicities", "multiplicities must fit in int64")
             if len(mult) != len(sup):
                 raise ConstructionError("multiplicity vector does not match support")
             if len(mult) and mult.min() < 1:

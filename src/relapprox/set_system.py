@@ -129,10 +129,6 @@ class SetSystem:
         return _read_only(_bitops.row_sizes(self.packed))
 
     @cached_property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(self.sizes_array.tolist())
-
-    @cached_property
     def _nnz(self) -> int:
         return int(self.sizes_array.sum())
 

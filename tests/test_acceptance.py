@@ -178,7 +178,7 @@ def test_c4_chain_reconstruction(name, system, eps, delta):
     slack_bound = 2 * eps * system.n
     for idx in range(len(system)):
         steps = chain_steps(chain, idx)
-        assert all((a | b).bit_count() < chain.levels[i].alpha for i, _, _, a, b in steps)
+        assert all((a | b).bit_count() < chain.levels[i].packing.alpha for i, _, _, a, b in steps)
         assert reconstruct(steps) == system.masks[idx]
         removed = sum(b.bit_count() for *_, b in steps)
         assert steps[-1][2].bit_count() <= system.masks[idx].bit_count() + removed
@@ -307,7 +307,7 @@ def test_c7_packing_trace_property_exhaustive():
 def _oracle_relative_ok(system, sample, eps, delta) -> bool:
     n, t = system.n, sample.t
     sample_bits = sum(1 << e for e in sample.support)
-    for mask, size in zip(system.masks, system.sizes):
+    for mask, size in zip(system.masks, system.sizes_array.tolist()):
         cnt = (mask & sample_bits).bit_count()
         if abs(size / n - cnt / t) > delta * max(size / n, eps):
             return False

@@ -32,7 +32,7 @@ from relapprox.halving import combined_construction
 from relapprox.packing import verify_packing
 from relapprox.sampling import WITH, ApproxParams, Constants, Sample, relative_error, uniform_sample
 from relapprox.set_system import SetSystem
-from test_packing import reference_greedy
+from test_packing import as_tuples, reference_greedy
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_level_scales_and_eps_levels():
     system = intervals(40)
     chain = build_chain(system, 0.2, 0.05)  # k = ceil(log2 20) = 5
     assert chain.k == 5
-    assert chain.levels[2].alpha == pytest.approx(0.2 * 40 / 4)
+    assert chain.levels[2].packing.alpha == pytest.approx(0.2 * 40 / 4)
     assert chain.level_eps[0] == pytest.approx(0.2)
     assert chain.level_eps[3] == pytest.approx(0.2 / math.sqrt(2))
 
@@ -118,7 +118,7 @@ def test_parent_distances_strict(interval_chain):
     system, chain = interval_chain
     for idx in range(len(system)):
         for i, _, _, a, b in chain_steps(chain, idx):
-            assert (a | b).bit_count() < chain.levels[i].alpha
+            assert (a | b).bit_count() < chain.levels[i].packing.alpha
 
 
 def test_difference_family_sizes(interval_chain):
@@ -129,7 +129,7 @@ def test_difference_family_sizes(interval_chain):
         assert lv.a_count <= fine_size
         assert lv.b_count <= fine_size
         assert len(lv.ab_family) <= 2 * fine_size
-        assert all(s < lv.alpha for s in lv.ab_family.sizes)
+        assert all(s < lv.packing.alpha for s in lv.ab_family.sizes_array.tolist())
 
 
 def oracle_parts(chain, i: int):
@@ -144,7 +144,7 @@ def oracle_parts(chain, i: int):
         else set(range(len(chain.system)))
     )
     coarse = set(chain.levels[i].packing.member_indices)
-    cover = chain.levels[i].packing.cover_map
+    cover = chain.levels[i].packing.cover_map.tolist()
     a_parts, b_parts = [], []
     for s in sorted(fine - coarse):
         s_mask, p_mask = masks[s], masks[cover[s]]
@@ -249,16 +249,16 @@ def test_chain_packings_equal_the_public_greedy_seeded_level_by_level(system, ep
     chain = build_chain(system, eps, delta)
     previous = ()
     for level in chain.levels:
-        seeds = previous if level.alpha > 1 else ()
-        want = reference_greedy(system.masks, level.alpha, seeds)
-        assert (level.packing.member_indices, level.packing.cover_map) == want
-        previous = level.packing.member_indices
+        seeds = previous if level.packing.alpha > 1 else ()
+        want = reference_greedy(system.masks, level.packing.alpha, seeds)
+        assert as_tuples(level.packing) == want
+        previous = as_tuples(level.packing)[0]
 
 
 def test_finest_scale_at_most_eps_n_delta(interval_chain):
     system, chain = interval_chain
     assert 2**chain.k * Fraction(chain.delta) >= 1
-    assert Fraction(chain.levels[chain.k].alpha) <= (
+    assert Fraction(chain.levels[chain.k].packing.alpha) <= (
         Fraction(chain.eps) * system.n * Fraction(chain.delta)
     )
 
@@ -272,7 +272,7 @@ def chain_steps(chain, index: int) -> list[tuple]:
     first, S_{k+1} = S and S_i the parent of S_{i+1} in P_i."""
     path = [index]
     for level in reversed(chain.levels):
-        path.append(int(level.packing.cover_array[path[-1]]))
+        path.append(int(level.packing.cover_map[path[-1]]))
     masks = [chain.system.masks[j] for j in path]
     return [(i, s, p, s & ~p, p & ~s) for i, s, p in zip(range(chain.k, -1, -1), masks, masks[1:])]
 
@@ -386,7 +386,8 @@ def oracle_audit(chain, sample, index) -> Ledger:
                 err(part) <= delta * max(scale, Fraction(size(part), n)),
                 f"{name}-part error exceeds its claim bound at level {i}",
             )
-            check(size(part) < chain.levels[i].alpha, f"{name}-part size >= alpha at level {i}")
+            alpha = chain.levels[i].packing.alpha
+            check(size(part) < alpha, f"{name}-part size >= alpha at level {i}")
             part_sizes.append(size(part))
         sum_b += size(b)
     whole, base = steps[0][1], steps[-1][2]
@@ -541,9 +542,11 @@ def test_audit_rejects_a_part_of_size_alpha(interval_chain):
     report = claim7_check(chain, sample)
     assert report.ok
     level = chain.levels[1]
-    widest = max(level.ab_family.sizes)
+    widest = int(level.ab_family.sizes_array.max())
     levels = list(chain.levels)
-    levels[1] = dataclasses.replace(level, alpha=float(widest))
+    levels[1] = dataclasses.replace(
+        level, packing=dataclasses.replace(level.packing, alpha=float(widest))
+    )
     forged = dataclasses.replace(chain, levels=tuple(levels))
     outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
     assert "-part size >= alpha at level 1" in outcome
@@ -560,7 +563,7 @@ def test_audit_names_the_lowest_set_under_a_corrupted_ancestor(interval_chain):
     masks = system.masks
     moved = max(set(fine.member_indices) - set(coarse.member_indices))
     farthest = max(coarse.member_indices, key=lambda j: (masks[moved] ^ masks[j]).bit_count())
-    cover = list(coarse.cover_map)
+    cover = coarse.cover_map.tolist()
     cover[moved] = farthest
     levels = list(chain.levels)
     levels[chain.k - 1] = dataclasses.replace(
@@ -568,7 +571,7 @@ def test_audit_names_the_lowest_set_under_a_corrupted_ancestor(interval_chain):
     )
     forged = dataclasses.replace(chain, levels=tuple(levels))
     outcome = assert_oracle_agrees(forged, sample, report, range(len(system)))
-    lowest = fine.cover_map.index(moved)  # the lowest set whose level-k parent moved
+    lowest = fine.cover_map.tolist().index(moved)  # the lowest set whose level-k parent moved
     assert lowest < moved
     assert outcome.endswith(f"at level {chain.k - 1} (first set index {lowest})")
 
@@ -583,7 +586,8 @@ def dyadic_chain():
 
 def test_audit_accepts_bounds_met_with_equality(dyadic_chain):
     system, chain = dyadic_chain
-    assert chain.k == 2 and chain.levels[chain.k].alpha == chain.eps * system.n * chain.delta
+    assert chain.k == 2
+    assert chain.levels[chain.k].packing.alpha == chain.eps * system.n * chain.delta
     sample = Sample(
         128,
         (

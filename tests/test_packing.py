@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -61,6 +62,11 @@ def reference_greedy(masks, alpha, seeds=()) -> tuple[tuple[int, ...], tuple[int
     return tuple(members), cover
 
 
+def as_tuples(packing) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The packing's members and cover map as tuples of ints, as `reference_greedy` gives them."""
+    return tuple(packing.member_indices.tolist()), tuple(packing.cover_map.tolist())
+
+
 def reference_verdict(masks, alpha, members, cover) -> str | None:
     """The first failure a brute-force recheck of a packing certificate
     finds, as its `AuditFailure` message, or None when it holds."""
@@ -114,28 +120,26 @@ def tied_systems(draw):
 def test_four_singletons_all_admitted():
     system = new_set_system(4, [[0], [1], [2], [3]])
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing.member_indices == (0, 1, 2, 3)
+    assert packing.member_indices.tolist() == [0, 1, 2, 3]
     verify_packing(system, packing)
 
 
 def test_cover_map_of_dominated_set():
     system = new_set_system(2, [[], [0]])
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing.member_indices == (0,)
-    assert packing.cover_map == (0, 0)
+    assert as_tuples(packing) == ((0,), (0, 0))
 
 
 def test_alpha_one_admits_every_distinct_set():
     system = new_set_system(4, [[0], [0, 1], [2], [], [1, 2, 3]])
     packing = greedy_maximal_packing(system, 1.0)
-    assert packing.member_indices == tuple(range(5))
-    assert packing.cover_map == tuple(range(5))
+    assert as_tuples(packing) == (tuple(range(5)), tuple(range(5)))
 
 
 def test_cover_tie_breaks_to_lowest_member_index():
     system = new_set_system(2, [[0], [1], [0, 1]])
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing.member_indices == (0, 1)
+    assert packing.member_indices.tolist() == [0, 1]
     # {0,1} is at distance 1 from both members; the tie goes to member 0
     assert packing.cover_map[2] == 0
 
@@ -143,7 +147,7 @@ def test_cover_tie_breaks_to_lowest_member_index():
 def test_empty_family():
     system = SetSystem(3, ())
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing.member_indices == () and packing.cover_map == ()
+    assert as_tuples(packing) == ((), ())
 
 
 def test_alpha_must_be_positive():
@@ -172,7 +176,7 @@ def test_greedy_is_one_of_the_exhaustive_maximal_packings(system, alpha):
 @given(tied_systems(), st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0, 4.0]))
 def test_greedy_matches_pure_python_reference(system, alpha):
     packing = greedy_maximal_packing(system, alpha)
-    assert (packing.member_indices, packing.cover_map) == reference_greedy(system.masks, alpha)
+    assert as_tuples(packing) == reference_greedy(system.masks, alpha)
 
 
 # SHA-256 of the int64 little-endian member indices, then of the cover maps,
@@ -269,8 +273,7 @@ def test_distance_table_in_small_row_blocks(monkeypatch):
 def singletons_packing():
     system = new_set_system(4, [[0], [1], [2], [3], [0, 1]])
     packing = greedy_maximal_packing(system, 2.0)
-    assert packing.member_indices == (0, 1, 2, 3)
-    assert packing.cover_map == (0, 1, 2, 3, 0)
+    assert as_tuples(packing) == ((0, 1, 2, 3), (0, 1, 2, 3, 0))
     verify_packing(system, packing)
     return system, packing
 
@@ -329,7 +332,7 @@ def test_verify_rejects_farthest_member_covers():
         verify_packing(system, Packing(5, members, farthest))
     assert str(err.value) == "set 0: cover 20 is not the nearest member"
     # the right covers up to set 149, every later set sent to its farthest member
-    late = packing.cover_map[:150] + farthest[150:]
+    late = as_tuples(packing)[1][:150] + farthest[150:]
     with pytest.raises(AuditFailure) as err:
         verify_packing(system, Packing(5, members, late))
     assert str(err.value) == "set 150: cover 10 is not the nearest member"
@@ -340,14 +343,14 @@ def test_verify_rejects_farthest_member_covers():
 def test_verify_agrees_with_brute_force_on_corrupted_certificates(system, alpha, data):
     fam, masks = len(system), system.masks
     packing = greedy_maximal_packing(system, alpha)
-    members = list(packing.member_indices)
+    members = packing.member_indices.tolist()
     if data.draw(st.booleans()):
         # a random member list: members dropped, sets admitted too close to others
         members = data.draw(st.lists(st.integers(0, fam - 1), min_size=1, unique=True))
     farthest = farthest_members(masks, members)
     cover = [
         data.draw(st.sampled_from([c, farthest[i], data.draw(st.integers(0, fam - 1))]))
-        for i, c in enumerate(packing.cover_map)
+        for i, c in enumerate(packing.cover_map.tolist())
     ]
     want = reference_verdict(masks, alpha, members, cover)
     if want is None:
@@ -381,7 +384,7 @@ def member_traces_distinct(system, packing, sample) -> bool | None:
     """Whether the packing's members have distinct traces on the sample; None
     unless the sample is a relative (alpha/n, 1/2)-approximation of the
     family of their pairwise differences, which makes the traces distinct."""
-    members = system.packed[list(packing.member_indices)]
+    members = system.packed[packing.member_indices]
     a, b = np.triu_indices(len(members), 1)
     differences = SetSystem.from_packed(system.n, members[a] ^ members[b])
     eps = packing.alpha / system.n
@@ -438,3 +441,38 @@ def test_packing_dataclass_validation():
     # an infinite alpha would overflow the verifier's ceil
     with pytest.raises(ConstructionError, match="alpha must be positive and finite, got inf"):
         Packing(math.inf, (), ())
+    # a float or a bool is refused, not truncated, and a value past int64 is
+    # refused, not left to overflow
+    system = SetSystem.from_masks(4, [1, 3, 12, 14])
+    verify_packing(system, Packing(2.0, (0, 2), (0, 0, 2, 2)))
+    for members, cover, message in [
+        ((0, 2), (0.7, 0.7, 2.7, 2.7), "cover_map must be integers"),
+        ((0.2, 2.0), (0, 0, 2, 2), "member_indices must be integers"),
+        ((0, 2), np.array([0.0, 0.0, 2.0, 2.0]), "cover_map must be integers"),
+        ((0, 2), (0, 0, 2, True), "cover_map must be integers"),
+        ((0, 2), (0, 0, 2, 2**70), "cover_map must fit in int64"),
+        ((0, 2**70), (0, 0, 2, 2), "member_indices must fit in int64"),
+        ((0, 2), np.array([0, 0, 2, 2**63], dtype=np.uint64), "cover_map must fit in int64"),
+        ((0, 2), [[0, 0], [2, 2]], "cover_map must be one-dimensional"),
+    ]:
+        with pytest.raises(ConstructionError, match=message):
+            Packing(2.0, members, cover)
+    with pytest.raises(ConstructionError, match="alpha must be positive and finite, got True"):
+        Packing(True, (0, 2), (0, 0, 2, 2))
+
+
+def test_packings_hold_read_only_int64_arrays():
+    system = intervals(60)
+    chain = build_chain(system, 0.25, 0.4)
+    seeds = ()
+    for level in chain.levels:
+        packing = level.packing
+        for values in (packing.member_indices, packing.cover_map):
+            assert values.dtype == np.int64 and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1
+        doc = json.loads(json.dumps(packing.to_json_dict()))
+        members, cover = reference_greedy(system.masks, packing.alpha, seeds)
+        want = {"alpha": packing.alpha, "member_indices": list(members), "cover_map": list(cover)}
+        assert doc == want
+        seeds = members

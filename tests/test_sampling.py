@@ -49,7 +49,7 @@ def oracle_count(mask, sample) -> int:
 def oracle_definition_holds(system, sample, eps, delta) -> bool:
     """Direct per-set re-evaluation of the defining inequality, in Fractions."""
     n, t, e, d = system.n, sample.t, Fraction(eps), Fraction(delta)
-    for mask, size in zip(system.masks, system.sizes):
+    for mask, size in zip(system.masks, system.sizes_array.tolist()):
         cnt = oracle_count(mask, sample)
         if abs(Fraction(size, n) - Fraction(cnt, t)) > d * max(Fraction(size, n), e):
             return False
@@ -344,7 +344,7 @@ def test_equivalent_displayed_form(sys_sample, eps, delta):
     n, t, e, d = system.n, sample.t, Fraction(eps), Fraction(delta)
     second_form = all(
         abs(cnt - Fraction(size * t, n)) <= d * t * max(Fraction(size, n), e)
-        for cnt, size in zip(system.counts(sample), system.sizes)
+        for cnt, size in zip(system.counts(sample), system.sizes_array.tolist())
     )
     assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == second_form
 
@@ -365,7 +365,7 @@ def fraction_oracle(system, sample, eps):
     """Brute-force worst ratio in Fractions and the lowest index attaining it."""
     n, t, e = system.n, sample.t, Fraction(eps)
     ratios = []
-    for mask, size in zip(system.masks, system.sizes):
+    for mask, size in zip(system.masks, system.sizes_array.tolist()):
         cnt = oracle_count(mask, sample)
         ratios.append(abs(Fraction(size, n) - Fraction(cnt, t)) / max(Fraction(size, n), e))
     worst = max(ratios)
@@ -390,7 +390,7 @@ def test_verifier_matches_fraction_oracle(family_size, mode):
                 assert isinstance(report.worst_ratio, Fraction)
                 assert report.worst_ratio == worst
             else:
-                mask, s = system.masks[index], system.sizes[index]
+                mask, s = system.masks[index], int(system.sizes_array[index])
                 c = oracle_count(mask, sample)
                 assert report.worst_ratio == abs(s / n - c / sample.t) / max(s / n, eps)
 
@@ -599,7 +599,7 @@ def test_per_set_failure_dominated_by_specialized_bound():
     for i in range(trials):
         sample = uniform_sample(n, t, seed=(99, i))
         counts = system.counts(sample)
-        for k, (cnt, size) in enumerate(zip(counts, system.sizes)):
+        for k, (cnt, size) in enumerate(zip(counts, system.sizes_array)):
             eta = delta * t * max(size / n, eps)
             if abs(cnt - size * t / n) > eta:
                 fails[k] += 1

@@ -87,12 +87,12 @@ def test_construction_errors():
 
 def test_duplicate_indices_collapse():
     system = new_set_system(3, [[0, 0, 1]])
-    assert system.sizes == (2,)
+    assert system.sizes_array.tolist() == [2]
 
 
 @given(small_systems())
 def test_cached_sizes_match_popcount(system):
-    assert system.sizes == tuple(m.bit_count() for m in system.masks)
+    assert system.sizes_array.tolist() == [m.bit_count() for m in system.masks]
     assert len(set(system.masks)) == len(system.masks)
 
 
@@ -453,7 +453,7 @@ def test_from_masks_keeps_first_occurrences(n, data):
     masks = data.draw(st.lists(st.sampled_from(pool), min_size=0, max_size=20))
     system = SetSystem.from_masks(n, masks)
     assert system.masks == tuple(dict.fromkeys(masks))
-    assert system.sizes == tuple(m.bit_count() for m in dict.fromkeys(masks))
+    assert system.sizes_array.tolist() == [m.bit_count() for m in dict.fromkeys(masks)]
     assert len(system) == len(set(masks))
 
 
