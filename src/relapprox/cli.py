@@ -18,6 +18,7 @@ from .packing import greedy_maximal_packing
 from .sampling import (
     ApproxParams,
     find_constants,
+    formula_size,
     relative_error,
     uniform_sample,
     write_sample_json,
@@ -49,7 +50,7 @@ def _cmd_sample(args) -> int:
     system = read_json(args.system)
     params = ApproxParams(args.eps, args.delta, args.gamma)
     constants = find_constants(args.constants)
-    t = harness.formula_size(args.formula, params, args.d, system, constants, args.mode)
+    t = formula_size(args.formula, params, args.d, system, constants, args.mode)
     sample = uniform_sample(system.n, t, args.seed, mode=args.mode)
     write_sample_json(sample, args.out)
     print(f"wrote {args.formula}-sized sample: t={sample.t} -> {args.out}")

@@ -27,6 +27,7 @@ from .sampling import (
     ApproximationReport,
     Sample,
     _check_ground_set,
+    _check_int,
     _check_verifier_inputs,
     big_size_limit,
     exact_dtype,
@@ -91,7 +92,7 @@ class ImplicitIntervals:
         return p, x * sample.t - p * self.n
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample)
+        _check_verifier_inputs(self, sample, eps)
         n = self.n
         p, u = self._prefix_and_u(sample)
         small_max = min(n, small_size_limit(n, eps))
@@ -109,7 +110,7 @@ class ImplicitIntervals:
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
         """No empty interval of size >= eps n exists, compared exactly."""
-        _check_verifier_inputs(self, sample)
+        _check_verifier_inputs(self, sample, eps)
         hits = sample.support_array
         longest = int(np.diff(hits, prepend=-1, append=self.n).max()) - 1
         return longest < big_size_limit(self.n, eps)
@@ -255,6 +256,8 @@ def axis_rectangles(pts: PointSet2D) -> SetSystem:
 
 def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
     """m independent Bernoulli(p) subsets of [0, n), deduplicated."""
+    _check_int("n", n, 1)
+    _check_int("m", m, 0)
     if not 0 <= p <= 1:
         raise ConstructionError(f"need 0 <= p <= 1, got {p}")
     rng = make_rng(seed)
@@ -268,6 +271,7 @@ def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
 
 def power_set(n: int) -> SetSystem:
     """All 2^n subsets of [0, n); VC dimension n.  Guarded at n <= 20."""
+    _check_int("n", n, 0)
     if n > 20:
         raise ConstructionError(f"power set of [{n}] is too large (guard: n <= 20)")
     values = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)

@@ -38,7 +38,7 @@ from .sampling import (
     Constants,
     Sample,
     basic_sample_size,
-    chaining_sample_size,
+    formula_size,
     make_rng,
     relative_error,
     seed_sequence,
@@ -199,7 +199,7 @@ def combined_construction(
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
     trace = system.trace_on(a1)
-    t2 = min(trace.n, chaining_sample_size(stage, d, len(trace), constants))
+    t2 = formula_size("chaining", stage, d, trace, constants)
     cand = _las_vegas(
         lambda s: (uniform_sample(trace.n, t2, s), None),
         trace, stage, seed_sequence(seed, 1), max_retries, "stage-2 sample",

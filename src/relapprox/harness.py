@@ -3,9 +3,12 @@
 One trial loop draws every trial's uniform sample from the seed path
 (master_seed, cell, trial index) and hands it to the caller's judgement, so
 results are independent of worker count and execution order; aggregation is
-a deterministic fold over trial indices.  Every formula-sized cell, CLI
-sample and calibration size comes from `formula_size`, and calibration's
-search for the smallest passing grid value is the one size search.
+a deterministic fold over trial indices.  Every formula-sized cell and
+calibration size, like the CLI's samples and the combined construction's
+stage 2, comes from `sampling.formula_size`, and calibration's search for
+the smallest passing grid value is the one size search.  Trial and worker
+counts, master seeds and sizes go through `sampling._check_int`, which
+refuses a bool, a non-integer and a value below the least allowed.
 Failure rates carry Wilson score intervals, which stay honest at zero or
 few failures.
 """
@@ -28,12 +31,12 @@ from .sampling import (
     WITHOUT,
     ApproxParams,
     Constants,
-    _check_dim,
+    _check_int,
     _is_int,
     _read_json_object,
     _require_keys,
     find_constants,
-    formula_sample_size,
+    formula_size,
     relative_error,
     seed_sequence,
     uniform_sample,
@@ -76,19 +79,13 @@ class CellResult:
         return wilson_interval(self.failures, self.trials)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Reject a run-loop integer that is not an int (bools included) >= least."""
-    if not _is_int(value) or value < least:
-        raise ConstructionError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _run_trials(judge, n: int, t: int, mode: str, seed_path, trials: int, workers: int) -> list:
     """judge(sample) for trials 0..trials-1, trial i judging
     uniform_sample(n, t, seed_sequence(seed_path, i), mode).  Results are in
     trial order regardless of scheduling (per-trial seeds are pre-assigned,
     so order cannot matter)."""
-    _check_count("trials", trials, 1)
-    _check_count("workers", workers, 1)
+    _check_int("trials", trials, 1)
+    _check_int("workers", workers, 1)
 
     def one_trial(i: int):
         return judge(uniform_sample(n, t, seed_sequence(seed_path, i), mode=mode))
@@ -218,11 +215,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not (self.eps and self.delta and self.gamma):
             raise ConstructionError("parameter grids must be nonempty")
-        _check_count("trials", self.trials, 1)
-        _check_count("workers", self.workers, 1)
-        _check_count("master_seed", self.master_seed, 0)
+        _check_int("trials", self.trials, 1)
+        _check_int("workers", self.workers, 1)
+        _check_int("master_seed", self.master_seed, 0)
         for t in self.t_values:
-            _check_count("t", t, 1)
+            _check_int("t", t, 1)
         if bool(self.t_values) == (self.formula is not None):
             raise ConstructionError("give exactly one of t_values or formula")
         if self.constants_path is not None and not isinstance(self.constants_path, str):
@@ -247,16 +244,6 @@ class ExperimentSpec:
             workers=doc.get("workers", 1),
             constants_path=doc.get("constants"),
         )
-
-
-def formula_size(
-    formula: str, params: ApproxParams, d: int | None, system, constants: Constants,
-    mode: str = WITHOUT,
-) -> int:
-    """The named formula's sample size for the family, capped at n without
-    replacement (the whole ground set is a zero-error sample)."""
-    t = formula_sample_size(formula, params, d, len(system), constants)
-    return min(t, system.n) if mode == WITHOUT else t
 
 
 def run_sweep(spec: ExperimentSpec) -> list[CellResult]:
@@ -344,7 +331,7 @@ class CalibrationCase:
             raise ConstructionError(f"a calibration case name must be a string, got {self.name!r}")
         if not isinstance(self.system_desc, dict):
             raise ConstructionError(f"case {self.name!r}: 'system' must be a JSON object")
-        _check_dim(self.d)
+        _check_int("dimension parameter d", self.d, 1)
         if not set(self.use_for) <= {"c", "c1", "c2"}:
             raise ConstructionError(f"case {self.name!r}: unknown kind in {self.use_for!r}")
 
@@ -402,9 +389,9 @@ def calibrate_constants(
     across the suite (c2 against the simultaneous chain check, the strictest
     downstream use).  Families are keyed by case name, so the names must be
     distinct."""
-    _check_count("trials", trials, 1)
-    _check_count("workers", workers, 1)
-    _check_count("master_seed", master_seed, 0)
+    _check_int("trials", trials, 1)
+    _check_int("workers", workers, 1)
+    _check_int("master_seed", master_seed, 0)
     names = [c.name for c in cases]
     for k, name in enumerate(names):
         if name in names[:k]:

@@ -29,7 +29,14 @@ whose rows are gathered only by `materialize`, and
 `generators.ImplicitIntervals` from prefix sums and closed forms, its
 trace `ImplicitIntervals(m)`.  No function here counts |A & S| or looks
 at the family's type: they take a family's exact sizes and counts
-(`worst_of_counts`, `error_numerators`) or its reports.
+(`worst_of_counts`, `error_numerators`) or its reports.  Every family's
+verifiers first call `_check_verifier_inputs`, which refuses a sample over
+another ground set, t = 0, and an eps that is not a positive finite number.
+
+`formula_size` is the one place a formula name (basic, main, halving,
+chaining) becomes a sample size; it reads only the family's `len` and `n`.
+`_check_int` is the one integer check for counts, dimensions and seed-path
+entries: a bool is not an integer.
 """
 
 from __future__ import annotations
@@ -126,6 +133,12 @@ def find_constants(path=None) -> Constants:
 def _is_int(value) -> bool:
     """Whether a value is an integer: a bool is not one, whatever its value."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, least: int) -> None:
+    """Refuse a value that is not an integer (a bool is not one) >= least."""
+    if not _is_int(value) or value < least:
+        raise ConstructionError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -268,7 +281,8 @@ class Sample:
 
 
 def seed_sequence(*entropy) -> np.random.SeedSequence:
-    """Deterministic SeedSequence from a path of integers (nesting flattens)."""
+    """Deterministic SeedSequence from a path of integers >= 0 (nesting
+    flattens; an unspawned SeedSequence contributes its entropy)."""
     flat = []
     stack = list(reversed(entropy))
     while stack:
@@ -284,6 +298,7 @@ def seed_sequence(*entropy) -> np.random.SeedSequence:
         elif isinstance(e, (list, tuple)):
             stack.extend(reversed(e))
         else:
+            _check_int("a seed path entry", e, 0)
             flat.append(int(e))
     return np.random.SeedSequence(flat)
 
@@ -347,10 +362,12 @@ def _check_ground_set(system, sample) -> None:
         )
 
 
-def _check_verifier_inputs(system, sample) -> None:
+def _check_verifier_inputs(system, sample, eps) -> None:
     _check_ground_set(system, sample)
     if sample.t < 1:
         raise ConstructionError("sample has t = 0; densities are undefined")
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+        raise ConstructionError(f"eps must be a positive finite number, got {eps!r}")
 
 
 def exact_dtype(n: int, t: int):
@@ -475,14 +492,14 @@ def basic_sample_size(params: ApproxParams, family_size: int) -> int:
 
 def main_sample_size(params: ApproxParams, d: int, constants: Constants) -> int:
     """ceil( c/(eps delta^2) * (d ln(1/eps) + ln(1/gamma)) )."""
-    _check_dim(d)
+    _check_int("dimension parameter d", d, 1)
     e, dl, g = params.eps, params.delta, params.gamma
     return math.ceil(constants.c / (e * dl * dl) * (d * math.log(1 / e) + math.log(1 / g)))
 
 
 def halving_sample_size(params: ApproxParams, d: int, constants: Constants) -> int:
     """ceil( c1/(eps delta^2) * (d ln(1/(eps delta)) + ln(1/gamma)) )."""
-    _check_dim(d)
+    _check_int("dimension parameter d", d, 1)
     e, dl, g = params.eps, params.delta, params.gamma
     return math.ceil(
         constants.c1 / (e * dl * dl) * (d * math.log(1 / (e * dl)) + math.log(1 / g))
@@ -493,7 +510,7 @@ def chaining_sample_size(
     params: ApproxParams, d: int, family_size: int, constants: Constants
 ) -> int:
     """ceil( c2 * max( ln(|F|/gamma)/(eps delta), (d ln(1/eps) + ln(1/gamma))/(eps delta^2) ) )."""
-    _check_dim(d)
+    _check_int("dimension parameter d", d, 1)
     if family_size < 1:
         raise ConstructionError("family_size must be >= 1")
     e, dl, g = params.eps, params.delta, params.gamma
@@ -502,27 +519,27 @@ def chaining_sample_size(
     return math.ceil(constants.c2 * max(first, second))
 
 
-def formula_sample_size(
-    formula: str, params: ApproxParams, d: int | None, family_size: int, constants: Constants
+def formula_size(
+    formula: str, params: ApproxParams, d: int | None, family, constants: Constants,
+    mode: str = WITHOUT,
 ) -> int:
-    """The size given by the named formula: basic, main, halving or chaining.
-    Every formula but basic needs the dimension parameter d."""
+    """The named formula's sample size for the family: basic, main, halving
+    or chaining, capped at n without replacement (the whole ground set is a
+    zero-error sample).  Every formula but basic needs the dimension
+    parameter d."""
     if formula == "basic":
-        return basic_sample_size(params, family_size)
-    if formula not in ("main", "halving", "chaining"):
+        t = basic_sample_size(params, len(family))
+    elif formula not in ("main", "halving", "chaining"):
         raise ConstructionError(f"unknown formula {formula!r}")
-    if d is None:
+    elif d is None:
         raise ConstructionError(f"formula {formula!r} needs the dimension d")
-    if formula == "main":
-        return main_sample_size(params, d, constants)
-    if formula == "halving":
-        return halving_sample_size(params, d, constants)
-    return chaining_sample_size(params, d, family_size, constants)
-
-
-def _check_dim(d: int) -> None:
-    if not _is_int(d) or d < 1:
-        raise ConstructionError(f"dimension parameter d must be an integer >= 1, got {d!r}")
+    elif formula == "main":
+        t = main_sample_size(params, d, constants)
+    elif formula == "halving":
+        t = halving_sample_size(params, d, constants)
+    else:
+        t = chaining_sample_size(params, d, len(family), constants)
+    return min(t, family.n) if mode == WITHOUT else t
 
 
 # --- sample JSON format ------------------------------------------------------

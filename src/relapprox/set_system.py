@@ -31,6 +31,7 @@ from .sampling import (
     ApproximationReport,
     Sample,
     _check_ground_set,
+    _check_int,
     _check_verifier_inputs,
     _is_int,
     _read_json_object,
@@ -62,17 +63,17 @@ class SetSystem:
     maps).  Compares and hashes by n and the packed rows.
     """
 
-    def __init__(self, n: int, masks):
-        """The family of the distinct int `masks`; duplicate sets are rejected."""
-        packed = _pack(n, masks, dedup=False)
-        if len(_bitops.distinct_rows(packed)) != len(packed):
-            raise ConstructionError("family contains duplicate sets")
-        vars(self).update(n=n, packed=packed)
-
     @classmethod
     def from_masks(cls, n: int, masks) -> "SetSystem":
-        """Build from raw bitmasks, collapsing duplicates (first occurrence wins)."""
-        return cls.from_packed(n, _pack(n, masks, dedup=True))
+        """Build from int bitmasks, collapsing duplicates (first occurrence
+        wins); a bad set is numbered among the distinct ones."""
+        if n < 1:
+            raise ConstructionError(f"ground set must be nonempty, got n={n}")
+        masks = list(dict.fromkeys(masks))
+        if masks and (min(masks) < 0 or max(masks) >> n):
+            k = next(k for k, m in enumerate(masks) if m < 0 or m >> n)
+            raise ConstructionError(f"set #{k} has members outside [0, {n})")
+        return cls._of_distinct(n, _bitops.pack_masks(masks, n))
 
     @classmethod
     def from_packed(cls, n: int, rows) -> "SetSystem":
@@ -171,11 +172,11 @@ class SetSystem:
     # -- the family protocol (see `sampling`) --------------------------------
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample)
+        _check_verifier_inputs(self, sample, eps)
         return worst_of_counts(self.n, sample.t, eps, self.sizes_array, self.counts(sample))
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
-        _check_verifier_inputs(self, sample)
+        _check_verifier_inputs(self, sample, eps)
         big = self.sizes_array >= big_size_limit(self.n, eps)
         if not big.any():
             return True
@@ -212,7 +213,7 @@ class Trace:
         return _read_only(self.family.counts(Sample(self.family.n, self.columns))[self.rows])
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample)
+        _check_verifier_inputs(self, sample, eps)
         elements = self.columns[sample.support_array]
         lifted = Sample(self.family.n, elements, sample.multiplicity_array)
         counts = self.family.counts(lifted)[self.rows]
@@ -222,18 +223,6 @@ class Trace:
         """The trace as a SetSystem over [0, |A|): its distinct rows, gathered."""
         gathered = _bitops.gather_columns(self.family.packed[self.rows], self.columns)
         return SetSystem._of_distinct(self.n, gathered)
-
-
-def _pack(n: int, masks, dedup: bool) -> np.ndarray:
-    """The caller's int masks as packed rows; a bad set's index counts after dedup if `dedup`."""
-    if n < 1:
-        raise ConstructionError(f"ground set must be nonempty, got n={n}")
-    masks = list(masks)
-    if masks and (min(masks) < 0 or max(masks) >> n):
-        family = dict.fromkeys(masks) if dedup else masks
-        k = next(k for k, m in enumerate(family) if m < 0 or m >> n)
-        raise ConstructionError(f"set #{k} has members outside [0, {n})")
-    return _bitops.pack_masks(masks, n)
 
 
 def new_set_system(n: int, sets) -> SetSystem:
@@ -288,8 +277,7 @@ def vc_dimension(system: SetSystem, max_d: int = 10) -> VcResult:
     If some set of size max_d is shattered the result is truncated: the true
     dimension is >= max_d and was not determined.
     """
-    if not _is_int(max_d) or max_d < 0:
-        raise ConstructionError(f"max_d must be an integer >= 0, got {max_d!r}")
+    _check_int("max_d", max_d, 0)
     if len(system) == 0:
         return VcResult(-1, False)
     shattered_prev: set[int] = {0}  # the empty set, shattered by any nonempty family
@@ -367,16 +355,19 @@ def write_json(system: SetSystem, path) -> None:
 
 
 def read_json(path) -> SetSystem:
-    """Read the set-system JSON format, applying constructor dedup."""
+    """Read the set-system JSON format, applying constructor dedup.  The
+    members are checked by `new_set_system`, and only then for ascent."""
     doc = _read_json_object(path, ("n", "sets"))
     n, sets = doc["n"], doc["sets"]
     if not _is_int(n):
         raise ConstructionError(f"{path}: 'n' must be an integer")
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise ConstructionError(f"{path}: 'sets' must be a list of lists")
+    try:
+        system = new_set_system(n, sets)
+    except ConstructionError as exc:
+        raise ConstructionError(f"{path}: {exc}") from None
     for k, s in enumerate(sets):
-        if not all(map(_is_int, s)):
-            raise ConstructionError(f"{path}: set #{k} has a non-integer member")
         if any(a >= b for a, b in zip(s, s[1:])):
             raise ConstructionError(f"{path}: set #{k} is not strictly ascending")
-    return new_set_system(n, sets)
+    return system

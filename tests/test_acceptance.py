@@ -281,7 +281,7 @@ def test_c7_packing_trace_property_exhaustive():
         masks = [int(rng.integers(0, 1 << 12)) for _ in range(8)]
         combos.append((SetSystem.from_masks(12, masks), 2))
         combos.append((SetSystem.from_masks(12, masks), 3))
-    combos.append((SetSystem(10, tuple(1 << i for i in range(10))), 2))
+    combos.append((SetSystem.from_masks(10, tuple(1 << i for i in range(10))), 2))
     total_valid = 0
     for system, alpha in combos:
         packing = greedy_maximal_packing(system, Fraction(alpha))

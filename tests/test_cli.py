@@ -242,6 +242,21 @@ def test_generate_without_a_family_size_exits_2(tmp_path, capsys, argv, missing)
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "random", "--n", "0", "--m", "3"], "n must be an integer >= 1, got 0"),
+        (["--family", "random", "--n", "5", "--m", "-1"], "m must be an integer >= 0, got -1"),
+        (["--family", "power_set", "--n", "-1"], "n must be an integer >= 0, got -1"),
+    ],
+)
+def test_generate_refuses_a_size_it_cannot_build_with_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.json"
+    assert run("generate", *argv, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "system_doc, sample_doc",
     [
         ('{"n": 3, "sets": [5]}', '{"n": 3, "members": [0, 2]}'),
@@ -265,6 +280,33 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, system_doc, sample_doc):
                "--eps", 0.2, "--delta", 0.3)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.1", "nan", "inf"])
+def test_verify_refuses_an_unusable_eps_with_exit_2(tmp_path, interval_file, capsys, eps):
+    # exit 1 would say that the verification failed
+    sample_path = tmp_path / "s.json"
+    write_sample_json(Sample.full(40), sample_path)
+    code = run("verify", "--system", interval_file, "--sample", sample_path,
+               "--eps", eps, "--delta", 0.3)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: eps must be a positive finite number, got {float(eps)!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, options, seed",
+    [("sample", ["--formula", "main", "--d", 2], -1), ("halve", [], -2)],
+)
+def test_a_negative_seed_exits_2(tmp_path, interval_file, capsys, command, options, seed):
+    out = tmp_path / "out.json"
+    code = run(command, "--system", interval_file, "--eps", 0.2, "--delta", 0.4,
+               "--gamma", 0.2, "--seed", seed, "--out", out, *options)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: a seed path entry must be an integer >= 0, got {seed}\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("broken", ["system", "sample"])

@@ -515,6 +515,25 @@ def test_power_set_basics():
         power_set(21)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: random_system(0, 3, 0.5, 0), "n must be an integer >= 1, got 0"),
+        (lambda: random_system(5.0, 3, 0.5, 0), "n must be an integer >= 1, got 5.0"),
+        (lambda: random_system(5, -1, 0.5, 0), "m must be an integer >= 0, got -1"),
+        (lambda: random_system(5, True, 0.5, 0), "m must be an integer >= 0, got True"),
+        (lambda: power_set(-1), "n must be an integer >= 0, got -1"),
+        (lambda: power_set(2.0), "n must be an integer >= 0, got 2.0"),
+        (lambda: power_set(0), "ground set must be nonempty, got n=0"),
+    ],
+)
+def test_generators_refuse_sizes_they_cannot_build(make, message):
+    # n = 0 would divide by zero in random_system; m = -1 and n = -1 would reach numpy
+    with pytest.raises(ConstructionError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
 # --- growth-function consistency across generators --------------------------------
 
 

@@ -11,7 +11,6 @@ from relapprox.harness import (
     CalibrationCase,
     ExperimentSpec,
     calibrate_constants,
-    formula_size,
     load_suite,
     monte_carlo_failure,
     monte_carlo_rows,
@@ -27,8 +26,9 @@ from relapprox.sampling import (
     WITHOUT,
     ApproxParams,
     Constants,
-    formula_sample_size,
+    formula_size,
     load_constants,
+    main_sample_size,
     seed_sequence,
 )
 from relapprox.set_system import write_json
@@ -349,11 +349,11 @@ def test_committed_suite_is_the_one_the_constants_were_calibrated_on():
 
 def test_formula_size_caps_at_n_without_replacement_only():
     system, params, constants = intervals(40), ApproxParams(0.2, 0.4, 0.2), Constants(1, 1, 1)
-    uncapped = formula_sample_size("main", params, 2, len(system), constants)
+    uncapped = main_sample_size(params, 2, constants)
     assert uncapped > system.n
     assert formula_size("main", params, 2, system, constants) == system.n
     assert formula_size("main", params, 2, system, constants, WITH) == uncapped
     small = ApproxParams(0.9, 0.9, 0.9)
-    assert formula_size("main", small, 1, system, constants) == formula_sample_size(
-        "main", small, 1, len(system), constants
+    assert formula_size("main", small, 1, system, constants) == main_sample_size(
+        small, 1, constants
     ) < system.n

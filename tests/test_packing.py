@@ -145,7 +145,7 @@ def test_cover_tie_breaks_to_lowest_member_index():
 
 
 def test_empty_family():
-    system = SetSystem(3, ())
+    system = SetSystem.from_masks(3, ())
     packing = greedy_maximal_packing(system, 2.0)
     assert as_tuples(packing) == ((), ())
 

@@ -30,6 +30,7 @@ from relapprox.sampling import (
     make_rng,
     relative_error,
     read_sample_json,
+    seed_sequence,
     uniform_sample,
     worst_of_counts,
     write_sample_json,
@@ -107,6 +108,22 @@ def test_a_spawned_seed_sequence_is_refused():
     for child in root.spawn(2):
         with pytest.raises(ConstructionError, match="spawned SeedSequence"):
             uniform_sample(1000, 5, child)
+
+
+@pytest.mark.parametrize("entry", [1.5, True, -1, np.int64(-1), np.float64(2.0)])
+def test_a_seed_path_entry_that_is_not_an_integer_at_least_0_is_refused(entry):
+    # int() would read 1.5 and True as seed 1, and numpy refuses -1 with a bare ValueError
+    for path in ((entry,), (3, [entry])):
+        with pytest.raises(ConstructionError, match="a seed path entry must be an integer >= 0"):
+            seed_sequence(*path)
+    with pytest.raises(ConstructionError, match="a seed path entry must be an integer >= 0"):
+        uniform_sample(6, 3, entry)
+
+
+def test_numpy_integer_seed_path_entries_keep_their_streams():
+    assert uniform_sample(6, 3, 1).support == (1, 2, 4)
+    for entry in (np.int64(1), np.uint8(1)):
+        assert uniform_sample(6, 3, entry).support == (1, 2, 4)
 
 
 def test_t_larger_than_n_without_replacement_is_an_error():
@@ -411,7 +428,7 @@ def test_ties_break_toward_lowest_index(eps):
 
 
 def test_empty_family_reports_zero_in_the_type_of_eps():
-    system = SetSystem(3, ())
+    system = SetSystem.from_masks(3, ())
     exact = relative_error(system, Sample.full(3), Fraction(1, 4))
     assert isinstance(exact.worst_ratio, Fraction) and exact.worst_ratio == 0
     assert exact.worst_set_index is None
@@ -522,6 +539,25 @@ def test_zero_t_is_rejected():
     system = new_set_system(2, [[0]])
     with pytest.raises(ConstructionError, match="t = 0"):
         relative_error(system, Sample(2, ()), 0.5)
+
+
+@pytest.mark.parametrize("eps", [0, 0.0, -0.1, math.nan, math.inf, True, "0.1", None])
+def test_an_eps_the_verifiers_cannot_use_is_refused(eps):
+    # 0 and -0.1 would divide by zero, nan and inf have no Fraction, and
+    # True is not the number 1
+    system, implicit = intervals(8), ImplicitIntervals(8)
+    sample = uniform_sample(8, 4, 1)
+    trace = system.trace_on(sample)
+    checks = [
+        (relative_error, system, sample),
+        (relative_error, implicit, sample),
+        (relative_error, trace, Sample(trace.n, (0, 1))),
+        (is_eps_net, system, sample),
+        (is_eps_net, implicit, sample),
+    ]
+    for verifier, family, s in checks:
+        with pytest.raises(ConstructionError, match="eps must be a positive finite number"):
+            verifier(family, s, eps)
 
 
 # --- eps-approximations and nets ---------------------------------------------

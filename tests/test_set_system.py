@@ -203,7 +203,7 @@ def test_restrict_rejects_empty_and_outside_sets():
 
 
 def test_power_set_is_shattered():
-    system = SetSystem(3, tuple(range(8)))
+    system = SetSystem.from_masks(3, tuple(range(8)))
     assert is_shattered(system, 0b111)
 
 
@@ -239,7 +239,7 @@ def test_vc_dimension_of_intervals():
 
 
 def test_vc_dimension_of_power_set():
-    assert vc_dimension(SetSystem(3, tuple(range(8)))).dim == 3
+    assert vc_dimension(SetSystem.from_masks(3, tuple(range(8)))).dim == 3
 
 
 def test_vc_dimension_of_single_empty_set():
@@ -247,7 +247,7 @@ def test_vc_dimension_of_single_empty_set():
 
 
 def test_vc_dimension_truncation():
-    system = SetSystem(5, tuple(range(32)))
+    system = SetSystem.from_masks(5, tuple(range(32)))
     result = vc_dimension(system, max_d=3)
     assert result.dim == 3
     assert result.truncated
@@ -259,7 +259,7 @@ def test_vc_dimension_refuses_a_negative_or_non_integer_max_d():
         with pytest.raises(ConstructionError, match="max_d must be an integer >= 0"):
             vc_dimension(intervals(5), max_d)
     assert vc_dimension(intervals(5), 0) == (0, True)
-    assert vc_dimension(SetSystem(5, ()), 0) == (-1, False)
+    assert vc_dimension(SetSystem.from_masks(5, ()), 0) == (-1, False)
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,7 +299,7 @@ def test_growth_bound_intervals():
 
 
 def test_growth_bound_violation_reported():
-    system = SetSystem(5, tuple(range(32)))
+    system = SetSystem.from_masks(5, tuple(range(32)))
     report = growth_bound_check(system, d=1, samples=10, seed=0)
     assert not report.ok
     assert any(v.y_size == 5 and v.trace_size == 32 for v in report.violations)
@@ -377,9 +377,9 @@ def test_trace_on_an_empty_support_has_one_set(mode):
     system = SetSystem.from_masks(70, [0, 0b101, 1 << 69])
     trace = system.trace_on(empty)
     assert (trace.n, len(trace)) == (0, 1)
-    assert len(SetSystem(70, ()).trace_on(empty)) == 0
+    assert len(SetSystem.from_masks(70, ()).trace_on(empty)) == 0
     assert is_shattered(system, 0)
-    assert not is_shattered(SetSystem(70, ()), 0)
+    assert not is_shattered(SetSystem.from_masks(70, ()), 0)
 
 
 def test_json_roundtrip(tmp_path):
@@ -403,20 +403,39 @@ def test_json_reader_rejects_non_ascending(tmp_path):
         read_json(path)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"n": 3, "sets": [[0], [0, 3]]}', "set #1 has index 3, not an integer in [0, 3)"),
+        ('{"n": 3, "sets": [[1, 0], [-1]]}', "set #1 has index -1, not an integer in [0, 3)"),
+        ('{"n": 3, "sets": [[0, true]]}', "set #0 has index True, not an integer in [0, 3)"),
+        ('{"n": 3, "sets": [[0, 1.0]]}', "set #0 has index 1.0, not an integer in [0, 3)"),
+        ('{"n": 3, "sets": [["a"]]}', "set #0 has index 'a', not an integer in [0, 3)"),
+        ('{"n": 0, "sets": []}', "ground set must be nonempty, got n=0"),
+        ('{"n": 3, "sets": [[0], [2, 1]]}', "set #1 is not strictly ascending"),
+    ],
+)
+def test_json_reader_names_the_file_in_every_member_error(tmp_path, doc, message):
+    # the members are checked once, by new_set_system, before their order
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with pytest.raises(ConstructionError) as excinfo:
+        read_json(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 # --- the SetSystem contract -------------------------------------------------------
 
 
 def test_ground_set_must_be_nonempty():
     for n in (0, -3):
         with pytest.raises(ConstructionError, match="ground set must be nonempty"):
-            SetSystem(n, ())
-        with pytest.raises(ConstructionError, match="ground set must be nonempty"):
             SetSystem.from_masks(n, [])
 
 
 def test_negative_mask_rejected():
     with pytest.raises(ConstructionError, match=r"set #1 has members outside \[0, 3\)"):
-        SetSystem(3, (0b101, -1))
+        SetSystem.from_masks(3, (0b101, -1))
     with pytest.raises(ConstructionError, match=r"set #0 has members outside \[0, 3\)"):
         SetSystem.from_masks(3, [-2, 1])
 
@@ -424,26 +443,19 @@ def test_negative_mask_rejected():
 @pytest.mark.parametrize("n", [63, 64, 65, 128])
 def test_member_at_position_n_rejected(n):
     with pytest.raises(ConstructionError, match=rf"set #2 has members outside \[0, {n}\)"):
-        SetSystem(n, (0, 1 << (n - 1), 1 << n))
+        SetSystem.from_masks(n, (0, 1 << (n - 1), 1 << n))
     with pytest.raises(ConstructionError, match=rf"set #1 has members outside \[0, {n}\)"):
         SetSystem.from_masks(n, [1, 1, (1 << n) | 1])
-    assert len(SetSystem(n, (0, 1 << (n - 1), (1 << n) - 1))) == 3
+    assert len(SetSystem.from_masks(n, (0, 1 << (n - 1), (1 << n) - 1))) == 3
 
 
 @pytest.mark.parametrize("n", [1, 64, 100])
 def test_mask_wider_than_last_word_rejected(n):
     wide = 1 << (64 * ((n + 63) // 64) + 5)
     with pytest.raises(ConstructionError, match=rf"set #1 has members outside \[0, {n}\)"):
-        SetSystem(n, (0, wide))
+        SetSystem.from_masks(n, (0, wide))
     with pytest.raises(ConstructionError, match=rf"set #0 has members outside \[0, {n}\)"):
         SetSystem.from_masks(n, [wide | 1, 0])
-
-
-def test_strict_constructor_rejects_duplicates():
-    with pytest.raises(ConstructionError, match="family contains duplicate sets"):
-        SetSystem(4, (0b11, 0b101, 0b11))
-    with pytest.raises(ConstructionError, match="family contains duplicate sets"):
-        SetSystem(200, (1 << 150, 0, 1 << 150))
 
 
 @settings(max_examples=80, deadline=None)
@@ -459,16 +471,16 @@ def test_from_masks_keeps_first_occurrences(n, data):
 
 def test_equal_families_compare_and_hash_equal():
     masks = (0b1, 1 << 70, 0, (1 << 100) - 1)
-    strict = SetSystem(100, masks)
+    once = SetSystem.from_masks(100, masks)
     deduped = SetSystem.from_masks(100, masks + masks[:2])
-    assert strict == deduped and hash(strict) == hash(deduped)
-    assert strict != SetSystem(100, masks[::-1])
-    assert strict != SetSystem(101, masks)
-    assert SetSystem(5, ()) == SetSystem.from_masks(5, []) and SetSystem(5, ()) != SetSystem(6, ())
+    assert once == deduped and hash(once) == hash(deduped)
+    assert once != SetSystem.from_masks(100, masks[::-1])
+    assert once != SetSystem.from_masks(101, masks)
+    assert SetSystem.from_masks(5, ()) != SetSystem.from_masks(6, ())
 
 
 def test_packed_is_read_only():
-    system = SetSystem(70, (1, 1 << 69))
+    system = SetSystem.from_masks(70, (1, 1 << 69))
     assert not system.packed.flags.writeable
     with pytest.raises(ValueError):
         system.packed[0, 0] = 5
@@ -493,7 +505,7 @@ def test_from_packed_matches_the_int_constructors():
     words = [[m >> 64 * j & (2**64 - 1) for j in range(2)] for m in masks + masks[:2]]
     system = SetSystem.from_packed(100, np.array(words, dtype=np.uint64))
     assert system.masks == tuple(masks)
-    for other in (SetSystem(100, tuple(masks)), SetSystem.from_masks(100, masks * 2)):
+    for other in (SetSystem.from_masks(100, tuple(masks)), SetSystem.from_masks(100, masks * 2)):
         assert system == other and hash(system) == hash(other)
     assert not system.packed.flags.writeable
     with pytest.raises(AttributeError):
