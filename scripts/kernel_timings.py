@@ -32,6 +32,14 @@ milliseconds: each level's admit loop and final nearest-member search (a
 level's seed map is the previous level's final search, so there is no
 seeded search to time), `verify_packing` on each level, and the
 telescoping audit on a sample of n / 2 elements that passes claim7_check.
+
+A third section, `implicit_verify`, follows one with-replacement
+`iterated_halving` on `ImplicitIntervals(10**5)` at the `halving-implicit`
+parameters (eps = 0.1, delta = 0.25, gamma = 0.1) and reports the median
+process-CPU milliseconds and minor page faults (`ru_minflt`) of
+`error_report` on `Sample.full(n)`, of `error_report` on the construction's
+output, and of each level's with-replacement draw (`halving._subsample_with`,
+its generator made inside the timing).
 """
 
 import argparse
@@ -40,6 +48,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import sys
 import threading
@@ -49,7 +58,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from relapprox import _bitops, chaining, generators, packing, sampling  # noqa: E402
+from relapprox import _bitops, chaining, generators, halving, packing, sampling  # noqa: E402
 
 WIDTHS = (7, 64, 128)
 MATRIX_BYTES = 4 << 20
@@ -163,6 +172,43 @@ def chain_stages(system, eps: float, delta: float, repeats: int) -> dict:
     }
 
 
+def cpu_ms_and_faults(fn, repeats: int) -> dict:
+    """Median process-CPU milliseconds and minor page faults of fn()."""
+    ms, faults = [], []
+    for _ in range(repeats):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.process_time()
+        fn()
+        ms.append((time.process_time() - t0) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+    return {"cpu_ms": round(statistics.median(ms), 3), "minor_faults": statistics.median(faults)}
+
+
+def implicit_verify(n: int, repeats: int, seed: int = 0) -> dict:
+    """The implicit verifier and the with-replacement level draws of one
+    with-replacement construction on ImplicitIntervals(n)."""
+    family = generators.ImplicitIntervals(n)
+    params = sampling.ApproxParams(0.1, 0.25, 0.1)
+    output, trace = halving.iterated_halving(family, params, seed, mode=sampling.WITH)
+    full = sampling.Sample.full(n)
+    report = {"n": n, "levels": []}
+    for name, sample in (("error_report_full", full), ("error_report_with_output", output)):
+        report[name] = cpu_ms_and_faults(lambda: family.error_report(sample, params.eps), repeats)
+    # level k of the trace after the base draws with make_rng(seed, j), j counting down to 0
+    current = full
+    for k, level in enumerate(trace.levels[1:]):
+        j = len(trace.levels) - 2 - k
+        req = level.sample_size_requested
+
+        def draw():
+            return halving._subsample_with(current, req, sampling.make_rng(seed, j))
+
+        cost = cpu_ms_and_faults(draw, repeats)
+        report["levels"].append({"from_t": current.t, "draws": req, **cost})
+        current = draw()
+    return report
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -180,6 +226,7 @@ def main() -> None:
         },
         "measured": [measure(w, args.repeats, rng) for w in WIDTHS],
         "chain_stages": chain_stages(generators.intervals(400), 0.25, 0.4, args.repeats),
+        "implicit_verify": implicit_verify(10**5, args.repeats, args.seed),
     }
     print(json.dumps(report, indent=2))
 

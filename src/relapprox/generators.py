@@ -81,83 +81,134 @@ class ImplicitIntervals:
     #
     # For the interval [i, j] with boundaries a = i, b = j + 1 and prefix
     # counts p, the signed error is (u_b - u_a) / (n t) with
-    # u_x = x t - p_x n.  Small sets (size <= eps n) maximize |u_b - u_a|
-    # over a bounded window; large sets maximize |u_b - u_a| / (b - a),
+    # u_x = x t - p_x n.  Small sets (size <= eps n) maximize +-(u_b - u_a)
+    # over a bounded window; large sets maximize +-(u_b - u_a) / (b - a),
     # a maximum-slope query answered exactly by Dinkelbach's iteration.
+    #
+    # u is one cumsum, in place, of the per-element terms t - n c_x (c_x the
+    # element's multiplicity), so no prefix counts are kept: a candidate's
+    # count is ((b - a) t - (u_b - u_a)) / n.  The -u side runs the same
+    # searches with maximum- in place of minimum-accumulates and a sign
+    # factor, not on a negated copy.  Besides u, a report allocates one
+    # (3, n + 1) buffer: two scratch rows, which all four searches write
+    # through `out=`, and the positions 0..n for the slope search.  So a
+    # report touches two arrays, not a fresh one per step: fewer page faults.
 
-    def _prefix_and_u(self, sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-        dtype = exact_dtype(self.n, sample.t)
-        p = np.concatenate(([0], np.cumsum(sample.counts_array()))).astype(dtype)
-        x = np.arange(self.n + 1).astype(dtype)
-        return p, x * sample.t - p * self.n
+    def _u(self, sample: Sample) -> np.ndarray:
+        """u_x = x t - p_x n for x = 0..n, at `exact_dtype`."""
+        n, t = self.n, sample.t
+        u = np.empty(n + 1, dtype=exact_dtype(n, t))
+        u[0] = 0
+        terms = u[1:]
+        terms.fill(t)
+        mult = sample.multiplicity_array
+        c = 1 if mult is None else mult.astype(u.dtype, copy=False)
+        terms[sample.support_array] = t - n * c
+        np.cumsum(terms, out=terms)
+        return u
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample, eps)
-        n = self.n
-        p, u = self._prefix_and_u(sample)
+        eps = _check_verifier_inputs(self, sample, eps)
+        n, t = self.n, sample.t
+        u = self._u(sample)
         small_max = min(n, small_size_limit(n, eps))
+        scratch = np.empty((3, n + 1), dtype=u.dtype)
+        scratch[2] = np.arange(n + 1)
         pairs = []
-        for v in (u, -u):
+        for sign in (1, -1):
             if small_max >= 1:
-                pairs.append(_window_max_diff(v, small_max))
+                pairs.append(_window_max_diff(u, small_max, sign, scratch[:2]))
             if small_max < n:
-                pairs.append(_max_slope_at_least(v, small_max + 1))
+                pairs.append(_max_slope_at_least(u, small_max + 1, sign, scratch[2], scratch[:2]))
         # the empty set (family index 0) has ratio 0
         candidates = [(0, 0, 0)] + [
-            (self.index_of(a, b - 1), b - a, int(p[b] - p[a])) for a, b in pairs
+            (self.index_of(a, b - 1), b - a, ((b - a) * t - int(u[b] - u[a])) // n)
+            for a, b in pairs
         ]
-        return worst_report(n, sample.t, eps, candidates)
+        return worst_report(n, t, eps, candidates)
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
         """No empty interval of size >= eps n exists, compared exactly."""
-        _check_verifier_inputs(self, sample, eps)
+        eps = _check_verifier_inputs(self, sample, eps)
         hits = sample.support_array
         longest = int(np.diff(hits, prepend=-1, append=self.n).max()) - 1
         return longest < big_size_limit(self.n, eps)
 
 
-def _trailing_min(arr: np.ndarray, w: int) -> np.ndarray:
-    """out[i] = min(arr[max(0, i-w+1) .. i]), O(len) via the two-block trick."""
+def _trailing_extreme(arr: np.ndarray, w: int, extreme, out: np.ndarray, tmp: np.ndarray):
+    """out[i] = extreme of arr[max(0, i-w+1) .. i] for `extreme` np.minimum or
+    np.maximum, O(len) via the two-block trick: the window ending at i is a
+    suffix of one block of w and a prefix of the next.  `out` and `tmp` are
+    contiguous buffers of len(arr); tmp is overwritten."""
     k = len(arr)
     if w >= k:
-        return np.minimum.accumulate(arr)
-    # padding with the last element leaves every suffix minimum unchanged
-    padded = np.concatenate((arr, np.full((-k) % w, arr[-1], dtype=arr.dtype)))
-    blocks = padded.reshape(-1, w)
-    pre = np.minimum.accumulate(blocks, axis=1).ravel()[:k]
-    suf = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    np.minimum(pre[w - 1 :], suf[: k - w + 1], out=pre[w - 1 :])
-    return pre
+        extreme.accumulate(arr, out=out)
+        return
+    full = k - k % w
+    blocks = arr[:full].reshape(-1, w)
+    extreme.accumulate(blocks, axis=1, out=out[:full].reshape(-1, w))
+    extreme.accumulate(arr[full:], out=out[full:])
+    extreme.accumulate(blocks[:, ::-1], axis=1, out=tmp[:full].reshape(-1, w)[:, ::-1])
+    extreme.accumulate(arr[full:][::-1], out=tmp[full:][::-1])
+    extreme(out[w - 1 :], tmp[: k - w + 1], out=out[w - 1 :])
 
 
-def _window_max_diff(u: np.ndarray, w: int) -> tuple[int, int]:
-    """Lowest (a, b) maximizing u[b] - u[a] over 1 <= b - a <= w; len(u) >= 2.
+def _window_max_diff(u: np.ndarray, w: int, sign: int, scratch: np.ndarray) -> tuple[int, int]:
+    """Lowest (a, b) maximizing sign (u[b] - u[a]) over 1 <= b - a <= w, for
+    sign +-1 and len(u) >= 2; `scratch` is a (2, >= len(u)) buffer of u's dtype.
 
     The smallest maximizing b with its smallest a is the lowest pair: a
     maximizing pair with a smaller a nests around it, so that a reaches b too.
     """
-    b = int(np.argmax(u[1:] - _trailing_min(u[:-1], w))) + 1
+    k = len(u)
+    best, diff = scratch[0, : k - 1], scratch[1, : k - 1]
+    # best[i] = the trailing minimum (sign +1) or maximum (-1) of u[:-1]
+    _trailing_extreme(u[:-1], w, np.minimum if sign > 0 else np.maximum, best, diff)
+    if sign > 0:
+        np.subtract(u[1:], best, out=diff)
+    else:
+        np.subtract(best, u[1:], out=diff)
+    b = int(np.argmax(diff)) + 1
     lo = max(0, b - w)
-    return lo + int(np.argmin(u[lo:b])), b
+    window = u[lo:b]
+    return lo + int(np.argmin(window) if sign > 0 else np.argmax(window)), b
 
 
-def _max_slope_at_least(u: np.ndarray, min_gap: int) -> tuple[int, int]:
-    """Lowest (a, b) maximizing (u[b] - u[a]) / (b - a) over b - a >= min_gap,
-    for min_gap < len(u).  Dinkelbach's iteration: with du / dx the slope of
-    the best pair so far, maximize the integer margin (u[b] - u[a]) dx -
-    (b - a) du and move to the pair attaining it, until the largest margin is
-    exactly 0; the pair then taken is the lowest of those attaining the slope.
+def _max_slope_at_least(
+    u: np.ndarray, min_gap: int, sign: int, x: np.ndarray, scratch: np.ndarray
+) -> tuple[int, int]:
+    """Lowest (a, b) maximizing sign (u[b] - u[a]) / (b - a) over b - a >=
+    min_gap, for sign +-1 and min_gap < len(u); x holds the positions
+    0..len(u)-1 and `scratch` is a (2, >= len(u)) buffer, both of u's dtype.
+
+    Dinkelbach's iteration: with du / dx the slope of the best pair so far,
+    maximize the integer margin sign ((u[b] - u[a]) dx - (b - a) du) and
+    move to the pair attaining it, until the largest margin is exactly 0;
+    the pair then taken is the lowest of those attaining the slope.  With
+    w = u dx - x du the margin is sign (w[b] - w[a]), so -u takes the
+    running minimum of w where +u takes its maximum.
     """
-    x = np.arange(len(u)).astype(u.dtype)
-    a = int(np.argmax(u[min_gap:] - u[:-min_gap]))  # start at the best shortest pair
-    b = a + min_gap
+    k, g = len(u), min_gap
+    w, ahead = scratch[0, :k], scratch[1, :k]
+    pick = np.argmax if sign > 0 else np.argmin
+    np.subtract(u[g:], u[: k - g], out=w[: k - g])
+    a = int(pick(w[: k - g]))  # start at the best shortest pair
+    b = a + g
+    ahead_of = ahead[: k - 1]
     while True:
         dx, du = b - a, int(u[b] - u[a])
-        w = u * dx - x * du
-        ahead = np.maximum.accumulate(w[:0:-1])[::-1]  # ahead[i] = max(w[i+1:])
-        margins = ahead[min_gap - 1 :] - w[:-min_gap]
+        np.multiply(u, dx, out=w)
+        np.multiply(x, du, out=ahead)
+        np.subtract(w, ahead, out=w)
+        # ahead_of[i] = the extreme of w[i+1:], built back to front
+        (np.maximum if sign > 0 else np.minimum).accumulate(w[:0:-1], out=ahead_of[::-1])
+        margins = ahead_of[g - 1 :]
+        if sign > 0:
+            np.subtract(margins, w[: k - g], out=margins)
+        else:
+            np.subtract(w[: k - g], margins, out=margins)
         a = int(np.argmax(margins))
-        b = a + min_gap + int(np.argmax(w[a + min_gap :]))
+        b = a + g + int(pick(w[a + g :]))
         if margins[a] == 0:  # the previous pair's own margin is 0
             return a, b
 

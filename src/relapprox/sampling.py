@@ -31,7 +31,9 @@ trace `ImplicitIntervals(m)`.  No function here counts |A & S| or looks
 at the family's type: they take a family's exact sizes and counts
 (`worst_of_counts`, `error_numerators`) or its reports.  Every family's
 verifiers first call `_check_verifier_inputs`, which refuses a sample over
-another ground set, t = 0, and an eps that is not a positive finite number.
+another ground set, t = 0, and an eps that is not a positive finite number,
+and work with the eps it returns: a real that is neither a float nor a
+Rational (an np.float32, say) becomes the float it equals.
 
 `formula_size` is the one place a formula name (basic, main, halving,
 chaining) becomes a sample size; it reads only the family's `len` and `n`.
@@ -263,12 +265,6 @@ class Sample:
             flags[k, members] = True
         return _read_only(_bitops.pack_flags(flags))
 
-    def counts_array(self) -> np.ndarray:
-        dense = np.zeros(self.n, dtype=np.int64)
-        mult = self.multiplicity_array
-        dense[self.support_array] = 1 if mult is None else mult
-        return dense
-
     @classmethod
     def from_mask(cls, n: int, bits: int) -> "Sample":
         if bits < 0:
@@ -362,12 +358,15 @@ def _check_ground_set(system, sample) -> None:
         )
 
 
-def _check_verifier_inputs(system, sample, eps) -> None:
+def _check_verifier_inputs(system, sample, eps):
+    """Refuse bad inputs; return the eps to verify with: a float or a
+    Rational as given, any other real (an np.float32, say) as float(eps)."""
     _check_ground_set(system, sample)
     if sample.t < 1:
         raise ConstructionError("sample has t = 0; densities are undefined")
     if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
         raise ConstructionError(f"eps must be a positive finite number, got {eps!r}")
+    return eps if isinstance(eps, (float, numbers.Rational)) else float(eps)
 
 
 def exact_dtype(n: int, t: int):

@@ -172,11 +172,11 @@ class SetSystem:
     # -- the family protocol (see `sampling`) --------------------------------
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample, eps)
+        eps = _check_verifier_inputs(self, sample, eps)
         return worst_of_counts(self.n, sample.t, eps, self.sizes_array, self.counts(sample))
 
     def is_eps_net(self, sample: Sample, eps) -> bool:
-        _check_verifier_inputs(self, sample, eps)
+        eps = _check_verifier_inputs(self, sample, eps)
         big = self.sizes_array >= big_size_limit(self.n, eps)
         if not big.any():
             return True
@@ -213,7 +213,7 @@ class Trace:
         return _read_only(self.family.counts(Sample(self.family.n, self.columns))[self.rows])
 
     def error_report(self, sample: Sample, eps) -> ApproximationReport:
-        _check_verifier_inputs(self, sample, eps)
+        eps = _check_verifier_inputs(self, sample, eps)
         elements = self.columns[sample.support_array]
         lifted = Sample(self.family.n, elements, sample.multiplicity_array)
         counts = self.family.counts(lifted)[self.rows]

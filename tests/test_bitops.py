@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from relapprox import _bitops
 from relapprox.chaining import build_chain
-from relapprox.generators import intervals
+from relapprox.generators import ImplicitIntervals, intervals
+from relapprox.halving import iterated_halving
 from relapprox.sampling import (
     WITH,
     WITHOUT,
+    ApproxParams,
     Sample,
     make_rng,
     uniform_sample,
@@ -267,3 +269,11 @@ def test_kernel_timings_script_measures_one_width(monkeypatch):
     times = [stages["build_chain_ms"], stages["audit_ms"]]
     times += [lv[k] for lv in stages["levels"] for k in ("admit_ms", "final_search_ms", "verify_ms")]
     assert all(math.isfinite(x) and x >= 0 for x in times)
+    verify = script.implicit_verify(2000, 1)
+    params = ApproxParams(0.1, 0.25, 0.1)
+    _, trace = iterated_halving(ImplicitIntervals(2000), params, 0, mode=WITH)
+    assert [(lv["from_t"], lv["draws"]) for lv in verify["levels"]] == [
+        (lv.set_size_before, lv.sample_size_requested) for lv in trace.levels[1:]
+    ]
+    costs = [verify["error_report_full"], verify["error_report_with_output"], *verify["levels"]]
+    assert all(c["cpu_ms"] >= 0 and c["minor_faults"] >= 0 for c in costs)

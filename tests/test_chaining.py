@@ -363,7 +363,9 @@ def oracle_audit(chain, sample, index) -> Ledger:
         if not ok:
             failures.append((position, message, names_set))
 
-    counts = sample.counts_array().tolist()
+    counts = [0] * n
+    for e, c in zip(sample.support, sample.multiplicity or [1] * len(sample.support)):
+        counts[e] = c
 
     def count(mask):
         return sum(c for e, c in enumerate(counts) if mask >> e & 1)

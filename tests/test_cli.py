@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from relapprox.cli import main
@@ -10,6 +11,8 @@ from relapprox.sampling import (
     ApproximationReport,
     Sample,
     read_sample_json,
+    relative_error,
+    uniform_sample,
     write_sample_json,
 )
 from relapprox.set_system import SetSystem, read_json
@@ -292,6 +295,19 @@ def test_verify_refuses_an_unusable_eps_with_exit_2(tmp_path, interval_file, cap
     assert code == 2
     err = capsys.readouterr().err
     assert err == f"error: eps must be a positive finite number, got {float(eps)!r}\n"
+
+
+def test_verify_takes_the_float_that_a_float32_eps_equals(tmp_path, interval_file, capsys):
+    eps = np.float32(0.3)
+    sample = uniform_sample(40, 9, 2)
+    sample_path = tmp_path / "s.json"
+    write_sample_json(sample, sample_path)
+    code = run("verify", "--system", interval_file, "--sample", sample_path,
+               "--eps", repr(float(eps)), "--delta", 0.9)
+    report = relative_error(read_json(interval_file), sample, eps)
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if report.passes(0.9) else 1)
+    assert doc == {**report.to_json_dict(), "delta": 0.9, "passes": report.passes(0.9)}
 
 
 @pytest.mark.parametrize(

@@ -348,13 +348,19 @@ def test_implicit_verifier_beyond_int64_products():
     sample = Sample(n, tuple(range(n)), tuple(int(c) for c in mult))
     assert 2 * n * n * sample.t >= 2**63
     imp = ImplicitIntervals(n)
-    assert imp._prefix_and_u(sample)[1].dtype == object
+    assert imp._u(sample).dtype == object
     for eps in (Fraction(1, 50), 0.02, Fraction(1, 2)):
         check_against_oracle(imp, sample, eps)
 
 
 # small values make equal slopes and differences common
 VALUES = st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6), min_size=2, max_size=60)
+
+
+def _scratch(u):
+    """The (2, len(u)) scratch buffer the searches take, filled with junk:
+    a search must not read what it did not write."""
+    return np.full((2, len(u)), 7, dtype=u.dtype)
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,9 +370,11 @@ def test_max_slope_matches_brute_force(values, data):
     k = len(u)
     min_gap = data.draw(st.integers(1, k - 1))
     pairs = [(i, j) for i in range(k) for j in range(i + min_gap, k)]
-    slope = {(i, j): Fraction(int(u[j] - u[i]), j - i) for i, j in pairs}
-    best = max(slope.values())
-    assert _max_slope_at_least(u, min_gap) == min(p for p in pairs if slope[p] == best)
+    for sign in (1, -1):
+        slope = {(i, j): Fraction(sign * int(u[j] - u[i]), j - i) for i, j in pairs}
+        best = max(slope.values())
+        got = _max_slope_at_least(u, min_gap, sign, np.arange(k), _scratch(u))
+        assert got == min(p for p in pairs if slope[p] == best)
 
 
 def _brute_window_max_diff(u, w):
@@ -381,7 +389,8 @@ def _brute_window_max_diff(u, w):
 def test_window_max_diff_matches_brute_force(values, data):
     u = np.array(values, dtype=np.int64)
     w = data.draw(st.integers(1, len(u)))
-    assert _window_max_diff(u, w) == _brute_window_max_diff(u, w)
+    for sign in (1, -1):
+        assert _window_max_diff(u, w, sign, _scratch(u)) == _brute_window_max_diff(sign * u, w)
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 5, 8])
@@ -393,7 +402,9 @@ def test_window_max_diff_at_block_edges(w, extra, blocks):
     # blocks = 1, w is that length minus 1)
     u = make_rng(w, extra, blocks).integers(-20, 20, size=blocks * w + extra + 1)
     for values in (u, u[::-1], np.sort(u), np.sort(u)[::-1]):
-        assert _window_max_diff(values, w) == _brute_window_max_diff(values, w)
+        for sign in (1, -1):
+            got = _window_max_diff(values, w, sign, _scratch(values))
+            assert got == _brute_window_max_diff(sign * values, w)
 
 
 # --- halfplanes ---------------------------------------------------------------

@@ -1,6 +1,9 @@
+import bisect
+import itertools
 import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +92,70 @@ def test_subsample_helpers_nest():
     assert multi.t == 500
     assert set(multi.support) <= set(base.support)
     assert sum(multi.multiplicity) == 500
+
+
+# --- the with-replacement draw ------------------------------------------------
+
+
+def _multinomial_pmf(k, p):
+    return math.factorial(sum(k)) * math.prod(pi**ki / math.factorial(ki) for ki, pi in zip(k, p))
+
+
+@pytest.mark.parametrize("t", [1, 3, 50])
+@pytest.mark.parametrize("mult", [(1, 2, 3, 4), None])
+def test_with_replacement_draw_is_multinomial(t, mult):
+    # the outcome frequencies of a fixed-seed run against Multinomial(t, w / W):
+    # a chi-square statistic over the outcomes expected at least 5 times,
+    # the rest pooled, below the 1 - 3e-5 quantile (Wilson-Hilferty)
+    sample = Sample(50, (10, 20, 30, 40), mult)
+    w = mult or (1, 1, 1, 1)
+    p = [Fraction(wi, sum(w)) for wi in w]
+    draws = 10_000
+    rng = make_rng(7, t)
+    seen = Counter()
+    for _ in range(draws):
+        sub = _subsample_with(sample, t, rng)
+        counts = dict(zip(sub.support, sub.multiplicity))
+        seen[tuple(counts.get(e, 0) for e in sample.support)] += 1
+    outcomes = [k for k in itertools.product(range(t + 1), repeat=4) if sum(k) == t]
+    assert set(seen) <= set(outcomes)
+    expected = {k: draws * float(_multinomial_pmf(k, p)) for k in outcomes}
+    bins = [k for k in outcomes if expected[k] >= 5]
+    rest = [k for k in outcomes if expected[k] < 5]
+    obs = [seen[k] for k in bins] + [sum(seen[k] for k in rest)]
+    exp = [expected[k] for k in bins] + [sum(expected[k] for k in rest)]
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(obs, exp) if e > 0)
+    df = len(bins) - (not rest)
+    z = 4.0
+    assert chi2 < df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("t", [1, 7, 16])
+def test_with_replacement_draw_at_most_16_is_t_slot_draws(t):
+    # lam = max(0, t - 4 sqrt(t)) is 0 up to t = 16: no Poisson count is
+    # drawn above 0 and all t draws are slots, integers over [0, W)
+    sample = Sample(30, (3, 9, 12, 20), (5, 1, 2, 4))
+    ends = list(itertools.accumulate(sample.multiplicity))
+    for seed in range(5):
+        slots = make_rng(seed).integers(0, sample.t, size=t)
+        drawn = Counter(sample.support[bisect.bisect_right(ends, int(s))] for s in slots)
+        sub = _subsample_with(sample, t, make_rng(seed))
+        assert dict(zip(sub.support, sub.multiplicity)) == drawn
+
+
+def test_a_level_that_keeps_its_whole_set_reuses_its_trace(monkeypatch):
+    # without replacement every level here keeps all 400 points, so the one
+    # trace of the full set serves every level
+    system = random_system(400, 200, 0.3, seed=2)
+    traced = []
+    trace_on = SetSystem.trace_on
+    monkeypatch.setattr(
+        SetSystem, "trace_on", lambda self, sample: traced.append(sample) or trace_on(self, sample)
+    )
+    _, trace = iterated_halving(system, ApproxParams(0.5, 0.5, 0.5), seed=3)
+    assert len(trace.levels) > 2
+    assert all(lv.set_size_after == 400 for lv in trace.levels)
+    assert traced == [Sample.full(400)]
 
 
 def test_final_sample_within_ground_set_and_seeded():
@@ -291,15 +358,19 @@ def _tuple_subsample_without(sample, t, rng):
 
 
 def _tuple_subsample_with(sample, t, rng):
-    weights = (
-        np.ones(len(sample.support), dtype=np.float64)
-        if sample.multiplicity is None
-        else np.array(sample.multiplicity, dtype=np.float64)
-    )
-    counts = rng.multinomial(t, weights / weights.sum())
-    keep = counts > 0
-    support = tuple(e for e, k in zip(sample.support, keep) if k)
-    return Sample(sample.n, support, tuple(int(c) for c in counts[keep]))
+    # the Poisson split of `_subsample_with`, one element and one slot at a time
+    weights = sample.multiplicity or (1,) * len(sample.support)
+    total = sum(weights)
+    lam = max(0.0, t - 4.0 * math.sqrt(t))
+    while True:
+        counts = [int(rng.poisson(lam * (w / total))) for w in weights]
+        if sum(counts) <= t:
+            break
+    ends = list(itertools.accumulate(weights))
+    for _ in range(t - sum(counts)):
+        counts[bisect.bisect_right(ends, int(rng.integers(0, total)))] += 1
+    kept = [(e, c) for e, c in zip(sample.support, counts) if c]
+    return Sample(sample.n, tuple(e for e, _ in kept), tuple(c for _, c in kept))
 
 
 def _tuple_combined_construction(system, params, d, constants, seed, max_retries=5):

@@ -560,6 +560,21 @@ def test_an_eps_the_verifiers_cannot_use_is_refused(eps):
             verifier(family, s, eps)
 
 
+def test_a_numpy_float32_eps_is_the_float_it_equals():
+    # numpy registers np.float32 as a Real but not as a float: every family
+    # takes it as float(eps), exactly as a Python float
+    system, implicit = intervals(8), ImplicitIntervals(8)
+    sample = uniform_sample(8, 4, 1)
+    trace = system.trace_on(sample)
+    eps = np.float32(0.3)
+    for family, s in ((system, sample), (implicit, sample), (trace, Sample(trace.n, (0, 1)))):
+        got, want = relative_error(family, s, eps), relative_error(family, s, float(eps))
+        assert got == want and type(got.worst_ratio) is float and type(got.eps) is float
+        assert got.exact_ratio == want.exact_ratio
+    for family in (system, implicit):
+        assert is_eps_net(family, sample, eps) == is_eps_net(family, sample, float(eps))
+
+
 # --- eps-approximations and nets ---------------------------------------------
 
 
