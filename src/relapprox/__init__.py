@@ -12,24 +12,13 @@ from .sampling import (
     Sample,
     basic_sample_size,
     chaining_sample_size,
-    chernoff_bound,
     find_constants,
     halving_sample_size,
-    is_eps_approximation,
-    is_eps_net,
-    is_relative_approx,
     main_sample_size,
     relative_error,
     uniform_sample,
 )
-from .set_system import (
-    SetSystem,
-    growth_bound_check,
-    is_shattered,
-    new_set_system,
-    restrict,
-    vc_dimension,
-)
+from .set_system import SetSystem, new_set_system
 
 __all__ = [
     "ApproxParams",
@@ -39,18 +28,10 @@ __all__ = [
     "SetSystem",
     "basic_sample_size",
     "chaining_sample_size",
-    "chernoff_bound",
     "find_constants",
-    "growth_bound_check",
     "halving_sample_size",
-    "is_eps_approximation",
-    "is_eps_net",
-    "is_relative_approx",
-    "is_shattered",
     "main_sample_size",
     "new_set_system",
     "relative_error",
-    "restrict",
     "uniform_sample",
-    "vc_dimension",
 ]

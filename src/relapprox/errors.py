@@ -9,10 +9,6 @@ class ConstructionError(RelApproxError, ValueError):
     """Invalid inputs when building a set system, sample, or parameter object."""
 
 
-class GuardExceeded(RelApproxError, ValueError):
-    """An exponential-cost search was refused; raise the guard to proceed."""
-
-
 class PreconditionFailed(RelApproxError, RuntimeError):
     """A checked precondition of a conditional operation does not hold.
 

@@ -5,9 +5,9 @@ return materialized SetSystems, each built from packed flag rows.
 `ImplicitIntervals` is the same interval family without materialization: the
 family of all intervals on n points has n(n+1)/2 + 1 sets, so at n = 10^5 it
 can only be handled through its structure.  It answers the same family
-protocol as SetSystem (see `sampling`): its verifiers work from prefix sums,
-exactly in integer arithmetic, accept float or Fraction eps like the
-materialized ones and agree with them; and since intervals on any m points
+protocol as SetSystem (see `sampling`): its verifier works from prefix sums,
+exactly in integer arithmetic, accepts float or Fraction eps like the
+materialized one and agrees with it; and since intervals on any m points
 trace to all intervals on m points, its trace on a sample is
 `ImplicitIntervals(m)`, whose length is the closed form m(m+1)/2 + 1.  So
 every construction, the two-stage one included, runs on it unmaterialized.
@@ -29,7 +29,6 @@ from .sampling import (
     _check_ground_set,
     _check_int,
     _check_verifier_inputs,
-    big_size_limit,
     exact_dtype,
     make_rng,
     small_size_limit,
@@ -126,13 +125,6 @@ class ImplicitIntervals:
             for a, b in pairs
         ]
         return worst_report(n, t, eps, candidates)
-
-    def is_eps_net(self, sample: Sample, eps) -> bool:
-        """No empty interval of size >= eps n exists, compared exactly."""
-        eps = _check_verifier_inputs(self, sample, eps)
-        hits = sample.support_array
-        longest = int(np.diff(hits, prepend=-1, append=self.n).max()) - 1
-        return longest < big_size_limit(self.n, eps)
 
 
 def _trailing_extreme(arr: np.ndarray, w: int, extreme, out: np.ndarray, tmp: np.ndarray):

@@ -15,14 +15,14 @@ at the worst set.  `passes(delta)` compares the exact ratio to delta, taken
 as Fraction(delta), so a sample that meets the bound exactly passes however
 the float ratio rounds.
 
-The functions here take any family that answers one protocol: its
-ground-set size `n`, its number of sets `len(family)`, and, for a sample
-over [0, n), `error_report(sample, eps)` (the report above),
-`is_eps_net(sample, eps)` and `trace_on(sample)`: the trace F|_A on the
-sample's support A, over [0, |A|), the j-th support element becoming
-element j.  A trace answers at least `n`, `len` (the number of distinct
-traces), `error_report`, the worst set indexed in the trace's order, and
-`materialize()`, the trace as a `SetSystem` over [0, |A|) in that order.
+The functions here take any family that answers one protocol of four
+members: its ground-set size `n`, its number of sets `len(family)`, and,
+for a sample over [0, n), `error_report(sample, eps)` (the report above)
+and `trace_on(sample)`: the trace F|_A on the sample's support A, over
+[0, |A|), the j-th support element becoming element j.  A trace answers
+at least `n`, `len` (the number of distinct traces), `error_report`, the
+worst set indexed in the trace's order, and `materialize()`, the trace as
+a `SetSystem` over [0, |A|) in that order.
 `set_system.SetSystem` answers the protocol from its packed rows and its
 own count policy (`SetSystem.counts`), its trace a `set_system.Trace`
 whose rows are gathered only by `materialize`, and
@@ -32,8 +32,9 @@ at the family's type: they take a family's exact sizes and counts
 (`worst_of_counts`, `error_numerators`) or its reports.  Every family's
 verifiers first call `_check_verifier_inputs`, which refuses a sample over
 another ground set, t = 0, and an eps that is not a positive finite number,
-and work with the eps it returns: a real that is neither a float nor a
-Rational (an np.float32, say) becomes the float it equals.
+and work with the eps it returns.  It and `ApproxParams` share one rule,
+`_plain_real`: a real that is neither a float nor a Rational (an
+np.float32, say) becomes the float it equals.
 
 `formula_size` is the one place a formula name (basic, main, halving,
 chaining) becomes a sample size; it reads only the family's `len` and `n`.
@@ -71,6 +72,7 @@ class ApproxParams:
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or not 0 < v < 1:
                 raise ConstructionError(f"{name} must lie strictly in (0, 1), got {v!r}")
+            object.__setattr__(self, name, _plain_real(v))
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,13 @@ def _check_int(name: str, value, least: int) -> None:
     """Refuse a value that is not an integer (a bool is not one) >= least."""
     if not _is_int(value) or value < least:
         raise ConstructionError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _plain_real(value):
+    """A float or a Rational as given, any other real (an np.float32, say)
+    as the Python float it equals: the size formulas and the verifiers then
+    compute in Python floats or exactly, never in a numpy precision."""
+    return value if isinstance(value, (float, numbers.Rational)) else float(value)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -266,12 +275,6 @@ class Sample:
         return _read_only(_bitops.pack_flags(flags))
 
     @classmethod
-    def from_mask(cls, n: int, bits: int) -> "Sample":
-        if bits < 0:
-            raise ConstructionError("sample members outside the ground set")
-        return cls(n, _bitops.indices_from_mask(bits))
-
-    @classmethod
     def full(cls, n: int) -> "Sample":
         return cls(n, np.arange(n))
 
@@ -359,14 +362,13 @@ def _check_ground_set(system, sample) -> None:
 
 
 def _check_verifier_inputs(system, sample, eps):
-    """Refuse bad inputs; return the eps to verify with: a float or a
-    Rational as given, any other real (an np.float32, say) as float(eps)."""
+    """Refuse bad inputs; return the eps to verify with (`_plain_real`)."""
     _check_ground_set(system, sample)
     if sample.t < 1:
         raise ConstructionError("sample has t = 0; densities are undefined")
     if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
         raise ConstructionError(f"eps must be a positive finite number, got {eps!r}")
-    return eps if isinstance(eps, (float, numbers.Rational)) else float(eps)
+    return _plain_real(eps)
 
 
 def exact_dtype(n: int, t: int):
@@ -448,37 +450,7 @@ def relative_error(system, sample: Sample, eps) -> ApproximationReport:
     return system.error_report(sample, eps)
 
 
-def is_relative_approx(system, sample: Sample, params: ApproxParams) -> bool:
-    return relative_error(system, sample, params.eps).passes(params.delta)
-
-
-def is_eps_approximation(system, sample: Sample, eps) -> bool:
-    """Whether every set's additive error |s/n - c/t| is at most eps, compared
-    exactly: the relative error at eps = 1, where every set is small, is the
-    additive error itself."""
-    return relative_error(system, sample, 1).passes(eps)
-
-
-def big_size_limit(n: int, eps) -> int:
-    """The smallest s with s >= eps n, exactly."""
-    return math.ceil(Fraction(eps) * n)
-
-
-def is_eps_net(system, sample: Sample, eps) -> bool:
-    """Whether the sample hits every set of size >= eps * n, compared exactly."""
-    return system.is_eps_net(sample, eps)
-
-
-# --- tail bound and sample-size formulas ------------------------------------
-
-
-def chernoff_bound(n: int, s: int, t: int, eta: float) -> float:
-    """Raw tail expression 2 exp(-eta^2 n / (2 s t + eta n)); may exceed 1."""
-    if eta <= 0:
-        raise ConstructionError(f"eta must be positive, got {eta}")
-    if n < 1 or t < 1 or not 0 <= s <= n:
-        raise ConstructionError(f"need n, t >= 1 and 0 <= s <= n, got {(n, s, t)}")
-    return 2.0 * math.exp(-(eta * eta * n) / (2.0 * s * t + eta * n))
+# --- sample-size formulas ----------------------------------------------------
 
 
 def basic_sample_size(params: ApproxParams, family_size: int) -> int:

