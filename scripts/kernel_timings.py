@@ -40,6 +40,13 @@ process-CPU milliseconds and minor page faults (`ru_minflt`) of
 `error_report` on `Sample.full(n)`, of `error_report` on the construction's
 output, and of each level's with-replacement draw (`halving._subsample_with`,
 its generator made inside the timing).
+
+A fourth section, `families`, reports the median process-CPU milliseconds
+and the tracemalloc peak (MB, the built family included) of building:
+`random_system` at the two shapes of the benchmark's Bernoulli families,
+(n, m, p) = (4096, 20000, 0.05) and (8192, 4000, 0.05); `intervals(400)`;
+and `new_set_system` on the index lists of a (4096, 5000, 0.05) Bernoulli
+family, about 1.02 M members.
 """
 
 import argparse
@@ -53,12 +60,13 @@ import statistics
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from relapprox import _bitops, chaining, generators, halving, packing, sampling  # noqa: E402
+from relapprox import _bitops, chaining, generators, halving, packing, sampling, set_system  # noqa: E402
 
 WIDTHS = (7, 64, 128)
 MATRIX_BYTES = 4 << 20
@@ -209,6 +217,36 @@ def implicit_verify(n: int, repeats: int, seed: int = 0) -> dict:
     return report
 
 
+def families(repeats: int, seed: int = 0) -> dict:
+    """Median process-CPU milliseconds and tracemalloc peak of each build."""
+    lists = [
+        _bitops.indices_from_mask(mask).tolist()
+        for mask in generators.random_system(4096, 5000, 0.05, seed).masks
+    ]
+    builds = {
+        f"random_system{shape}": functools.partial(generators.random_system, *shape, seed)
+        for shape in ((4096, 20000, 0.05), (8192, 4000, 0.05))
+    }
+    builds["intervals(400)"] = functools.partial(generators.intervals, 400)
+    members = sum(map(len, lists))
+    builds[f"new_set_system({members} members)"] = functools.partial(
+        set_system.new_set_system, 4096, lists
+    )
+    report = {}
+    for name, build in builds.items():
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report[name] = {
+            "cpu_ms": round(cpu_seconds(build, repeats) * 1e3, 2),
+            "peak_mb": round(peak / 2**20, 2),
+        }
+    return report
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -227,6 +265,7 @@ def main() -> None:
         "measured": [measure(w, args.repeats, rng) for w in WIDTHS],
         "chain_stages": chain_stages(generators.intervals(400), 0.25, 0.4, args.repeats),
         "implicit_verify": implicit_verify(10**5, args.repeats, args.seed),
+        "families": families(args.repeats, args.seed),
     }
     print(json.dumps(report, indent=2))
 

@@ -3,8 +3,9 @@
 A family of m subsets is a packed matrix, (m, words) uint64 little-endian
 words with bit i of a row set iff element i is a member.  It is the only
 store of a `SetSystem`, and only this module knows its layout: rows are built
-from flag arrays (`pack_flags`) or a caller's Python-int masks (`pack_masks`)
-and turned into ints only on request (`unpack_masks`).  Every popcount of
+from flag arrays (`pack_flags`), positions in the row-major grid of their
+bits (`set_grid_bits`) or a caller's Python-int masks (`pack_masks`) and
+turned into ints only on request (`unpack_masks`).  Every popcount of
 packed words is made here (`row_sizes`, `symdiff_sizes`,
 `intersection_sizes`), and every loop over row blocks, here or in a caller,
 sizes its blocks with `block_rows` so that they stay in L2.  Counts against
@@ -97,6 +98,28 @@ def pack_flags(flags: np.ndarray) -> np.ndarray:
         padded[:, :n] = flags
         flags = padded
     return np.packbits(flags, bitorder="little").view("<u8").reshape(rows, width // 64)
+
+
+def set_grid_bits(packed: np.ndarray, n: int, positions: np.ndarray) -> None:
+    """Set, in place, the bits at ascending int64 positions of the row-major
+    (rows, 64 words) grid of a C-contiguous packed matrix over [0, n):
+    position q is column q % (64 words) of row q // (64 words), and so bit
+    q % 64 of flat word q // 64.  Positions in the padding columns >= n are
+    dropped.  The words from the first position's to the last's are ORed
+    with one packed span of flags, a byte per grid cell, so the positions
+    should be dense in that span (`generators.random_system` passes a few
+    hundred thousand cells' worth at a time)."""
+    width = 64 * packed.shape[1]
+    if n < width:
+        positions = positions[positions % width < n]
+    if not len(positions):
+        return
+    lo, hi = positions[0] >> 6, (positions[-1] >> 6) + 1
+    # uint8 flags: numpy scatters a Python int into them about twice as fast
+    # as True into bools
+    flags = np.zeros(64 * (hi - lo), dtype=np.uint8)
+    flags[positions - 64 * lo] = 1
+    packed.reshape(-1)[lo:hi] |= np.packbits(flags, bitorder="little").view("<u8")
 
 
 def unpack_masks(packed: np.ndarray) -> tuple[int, ...]:

@@ -1,7 +1,11 @@
 """Range spaces of known VC dimension, used as ground truth everywhere.
 
 `intervals`, `halfplanes`, `axis_rectangles`, `random_system`, `power_set`
-return materialized SetSystems, each built from packed flag rows.
+return materialized SetSystems, each built from packed rows.  `random_system`
+draws only the members of its Bernoulli(p) sets (for p > 1/2, the
+non-members): the gaps between them, which are i.i.d. Geometric(p), as
+floor(E / -ln(1 - p)) + 1 for standard exponentials E, in time proportional
+to their number, not to m n.
 `ImplicitIntervals` is the same interval family without materialization: the
 family of all intervals on n points has n(n+1)/2 + 1 sets, so at n = 10^5 it
 can only be handled through its structure.  It answers the same family
@@ -74,7 +78,7 @@ class ImplicitIntervals:
         below = _bitops.pack_flags(np.tri(self.n + 1, self.n, -1, dtype=bool))
         starts, ends = np.triu_indices(self.n)
         rows = below[np.append(0, ends + 1)] & ~below[np.append(0, starts)]
-        return SetSystem.from_packed(self.n, rows)
+        return SetSystem._of_distinct(self.n, rows)  # distinct intervals: no dedup sort
 
     # -- exact verification without materializing ---------------------------
     #
@@ -297,19 +301,57 @@ def axis_rectangles(pts: PointSet2D) -> SetSystem:
 # --- random and exhaustive families ------------------------------------------
 
 
+# A step of `random_system` draws the gaps of about `_CHUNK_CELLS` grid cells
+# (a 256 KB span of flags), and at most `_CHUNK_GAPS` gaps (128 KB of doubles).
+_CHUNK_CELLS = 1 << 18
+_CHUNK_GAPS = 1 << 14
+
+
 def random_system(n: int, m: int, p: float, seed: int) -> SetSystem:
-    """m independent Bernoulli(p) subsets of [0, n), deduplicated."""
+    """m independent Bernoulli(p) subsets of [0, n), deduplicated.
+
+    Only the members are drawn: the row-major (m, 64 words) grid of the
+    packed rows is one Bernoulli(q) process, q = p, or for p > 1/2 the
+    non-members at q = 1 - p (exact in floats), then complemented.  Its
+    gaps, from one member to the next and the first from just before the
+    grid, are i.i.d. Geometric(q), and so is floor(E / lam) + 1 for E
+    standard exponential and lam = -ln(1 - q), as P(floor(E / lam) + 1 > k)
+    = P(E >= k lam) = (1 - q)^k.  So the time is in proportion to
+    m n min(p, 1 - p), not to m n, and the family is a function of the
+    generator's exponential stream alone, whatever the chunk size.
+    """
     _check_int("n", n, 1)
     _check_int("m", m, 0)
     if not 0 <= p <= 1:
         raise ConstructionError(f"need 0 <= p <= 1, got {p}")
-    rng = make_rng(seed)
-    rows = np.empty((m, _bitops.words_needed(n)), dtype=np.uint64)
-    # one rng.random(n) per row, in row order, drawn about 4 MB at a time
-    step = max(1, (1 << 19) // n)
-    for s in range(0, m, step):
-        rows[s : s + step] = _bitops.pack_flags(rng.random((min(step, m - s), n)) < p)
+    rows = np.zeros((m, _bitops.words_needed(n)), dtype=np.uint64)
+    q = min(p, 1 - p)
+    if q > 0:
+        _set_bernoulli_cells(rows, n, q, make_rng(seed))
+    if p > 0.5:
+        rows ^= _bitops.pack_flags(np.ones((1, n), dtype=bool))
     return SetSystem.from_packed(n, rows)
+
+
+def _set_bernoulli_cells(rows: np.ndarray, n: int, q: float, rng) -> None:
+    """Set each cell of the packed rows' grid with probability 0 < q <= 1/2:
+    draw the Geometric(q) gaps a chunk at a time, sum them into grid
+    positions until one passes the grid, and set those below it
+    (`_bitops.set_grid_bits`, which drops the padding columns >= n)."""
+    cells = 64 * rows.size
+    lam = -math.log1p(-q)
+    chunk = max(1, min(_CHUNK_GAPS, round(q * _CHUNK_CELLS)))
+    last = -1  # the grid position of the latest draw
+    while last < cells:
+        gaps = rng.standard_exponential(chunk)
+        gaps /= lam
+        np.minimum(gaps, cells, out=gaps)  # a gap past the grid ends it: keep it in int64
+        positions = gaps.astype(np.int64)
+        positions += 1
+        np.cumsum(positions, out=positions)
+        positions += last
+        last = int(positions[-1])
+        _bitops.set_grid_bits(rows, n, positions[: np.searchsorted(positions, cells)])
 
 
 def power_set(n: int) -> SetSystem:

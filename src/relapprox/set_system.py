@@ -17,6 +17,7 @@ are immutable and safe to share.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from dataclasses import dataclass
@@ -217,27 +218,43 @@ class Trace:
 def new_set_system(n: int, sets) -> SetSystem:
     """Build a SetSystem from index lists; duplicate sets and indices collapse.
 
-    The flags are filled and packed one `_bitops.block_rows` block of rows
-    at a time, so the dense (sets, n) flag matrix is never held whole.
+    The sets are read, checked and packed one `_bitops.block_rows` block of
+    rows at a time, so the dense (sets, n) flag matrix is never held whole.
     """
     if n < 1:
         raise ConstructionError(f"ground set must be nonempty, got n={n}")
     width = 64 * _bitops.words_needed(n)
-    flags = np.zeros((_bitops.block_rows(width), width), dtype=bool)
-    blocks, row = [], 0
-    for k, s in enumerate(sets):
-        s = list(s)
+    sets, step = iter(sets), _bitops.block_rows(width)
+    blocks, first = [np.zeros((0, width // 64), dtype=np.uint64)], 0
+    while block := [list(s) for s in itertools.islice(sets, step)]:
+        blocks.append(_bitops.pack_flags(_member_flags(n, width, block, first)))
+        first += len(block)
+    return SetSystem.from_packed(n, np.concatenate(blocks))
+
+
+def _member_flags(n: int, width: int, block: list, first: int) -> np.ndarray:
+    """The (sets, width) flags of a block of index lists, set #first the
+    first.  A block of exact ints (not bools) is range-checked and filled by
+    a few array operations; any other is checked member by member, and
+    refused at its first bad index."""
+    flags = np.zeros((len(block), width), dtype=bool)
+    members = list(itertools.chain.from_iterable(block))
+    if set(map(type, members)) <= {int}:
+        try:
+            columns = np.array(members, dtype=np.int64)
+        except OverflowError:  # beyond int64, so out of range: refused below
+            columns = None
+        if columns is not None and (not len(columns) or 0 <= columns.min() <= columns.max() < n):
+            flags[np.repeat(np.arange(len(block)), [len(s) for s in block]), columns] = True
+            return flags
+    for k, s in enumerate(block):
         bad = [i for i in s if not (_is_int(i) and 0 <= i < n)]
         if bad:
-            raise ConstructionError(f"set #{k} has index {bad[0]!r}, not an integer in [0, {n})")
-        flags[row, s] = True
-        row += 1
-        if row == len(flags):
-            blocks.append(_bitops.pack_flags(flags))
-            flags.fill(False)
-            row = 0
-    blocks.append(_bitops.pack_flags(flags[:row]))
-    return SetSystem.from_packed(n, np.concatenate(blocks))
+            raise ConstructionError(
+                f"set #{first + k} has index {bad[0]!r}, not an integer in [0, {n})"
+            )
+        flags[k, s] = True
+    return flags
 
 
 # --- JSON file format (stable contract) ------------------------------------

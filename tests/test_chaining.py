@@ -167,8 +167,8 @@ ORACLE_CHAINS = {
     ),
     "bernoulli-30": (
         lambda: random_system(30, 400, 0.15, 12), 0.6, 0.25,
-        "3d9ded95f77e6bc7615afd54115fcd047dc79fbb770f20f3df9fa8fc328b2770",
-        "e4a1eb54e864297b9428a58b02e8b69febdd8a130fee02eabb35c991bba9cc8f",
+        "fa5ebeee3a2057008a062f074ccf56f76baf84123ef471599e55b67dbdc828d5",
+        "3f534ee041368f0cf1a0468daae8bca50d97d1457da6f1e20e97b3b62320e287",
     ),
 }
 
@@ -192,10 +192,10 @@ def test_difference_families_match_the_per_set_loop(name, tmp_path):
 # and the per-level part sort computed them
 PINNED_CHAINS = {
     "bernoulli-128": (
-        lambda: random_system(128, 2000, 0.08, 5), 0.25, 0.3, [4, 495, 1826],
-        "552fb08af1f5108aa7a7f7d9efa7c3b0ad036baae6ff48e181093c0d5e7e1c28",
-        "1433ffebdd81ed0d9369534af1f4334d1240741404cea0b690c1522ef33742d1",
-        "2a16ce11971e5820d9fb8924a2c69e65a9dae90f49e91a5a16de80638144fc31",
+        lambda: random_system(128, 2000, 0.08, 5), 0.25, 0.3, [1, 546, 1852],
+        "05f43cef9934a285c914f9adfa6fa370fef9e6a4097321ed0a7fa386ba6eafd3",
+        "0257716170b9b80b754052021e1ad5c28ad3099debb9c84d08124cbda7787d71",
+        "eaa0bfa655473e05f70610bc6bc1c765370020ab759a66ebd725a1d577ef33cc",
     ),
     "rectangles-18": (
         lambda: axis_rectangles(random_points(18, 7)), 0.25, 0.3, [28, 116, 348],

@@ -162,6 +162,14 @@ def test_implicit_trace_on_an_empty_support_is_the_empty_family_of_one_set(mode)
     assert len(trace) == len(intervals(9).trace_on(empty)) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 400])
+def test_materialized_intervals_are_distinct_as_built(n):
+    # materialize skips the dedup sort, so its rows must already be distinct
+    family = ImplicitIntervals(n).materialize()
+    assert family == SetSystem.from_packed(n, family.packed)
+    assert len(family) == len(ImplicitIntervals(n))
+
+
 def test_implicit_intervals_on_no_points():
     # the family {empty set} over [0, 0): one set, nothing to sample or build
     family = ImplicitIntervals(0)
@@ -490,17 +498,71 @@ def test_rectangles_match_oracle(m, seed, box):
 # --- random systems and power sets ------------------------------------------------
 
 
+def per_gap_masks(n, m, p, seed):
+    """random_system's family drawn one gap at a time, in pure Python: the
+    row-major (m, 64 words) grid is a Bernoulli(q) process, q = min(p, 1 - p),
+    whose Geometric(q) gaps are floor(E / -ln(1 - q)) + 1 for the generator's
+    standard exponentials E; for p > 1/2 its points are the non-members."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    width = 64 * max(1, -(-n // 64))
+    q = min(p, 1 - p)
+    lam = -math.log1p(-q)
+    masks = [0] * m
+    position = -1
+    while q > 0:
+        position += math.floor(rng.standard_exponential() / lam) + 1
+        if position >= m * width:
+            break
+        row, column = divmod(position, width)
+        if column < n:
+            masks[row] |= 1 << column
+    if p > 0.5:
+        masks = [mask ^ ((1 << n) - 1) for mask in masks]
+    return masks
+
+
 @pytest.mark.parametrize("n", [1, 64, 301])
 def test_random_system_matches_per_bit_construction(n):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12)))
-    masks = []
-    for _ in range(40):
-        mask = 0
-        for k, hit in enumerate(rng.random(n) < 0.3):
-            if hit:
-                mask |= 1 << k
-        masks.append(mask)
-    assert random_system(n, 40, 0.3, 12) == SetSystem.from_masks(n, masks)
+    # the bits, gap by gap, of the draws of members (p = 0.3) and of non-members (p = 0.7)
+    for p in (0.3, 0.7):
+        expected = SetSystem.from_masks(n, per_gap_masks(n, 40, p, 12))
+        assert random_system(n, 40, p, 12) == expected
+
+
+def test_random_system_has_the_bernoulli_law():
+    # The tolerances are set so that a generator of the right law fails with
+    # probability below 1e-5 all told, by the bounds asserted beside them: the
+    # seed is not picked to pass.
+    n, m, p = 300, 5000, 0.1
+    system = random_system(n, m, p, 29)
+    # two equal rows: probability below m^2 (p^2 + (1 - p)^2)^n, about 1e-19
+    assert len(system) == m
+    sizes = system.sizes_array
+    flags = np.unpackbits(system.packed.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    columns = flags.sum(axis=0, dtype=np.int64)
+
+    def chernoff(mu, d):
+        """P(|X - mu| >= d mu) for X a sum of independent Bernoullis, d <= 1."""
+        return 2 * math.exp(-d * d * mu / 3)
+
+    # all members, Binomial(n m, p), and every column, Binomial(m, p)
+    mu = n * m * p
+    assert chernoff(mu, 0.02) < 1e-7 and abs(sizes.sum() - mu) < 0.02 * mu
+    assert n * chernoff(m * p, 0.35) < 1e-6 and np.all(np.abs(columns - m * p) < 0.35 * m * p)
+    # the row sizes' spread about n p: the m terms Y = (s - n p)^2 are independent,
+    # nonnegative, of mean var = n p (1 - p) and second moment mu4 (a binomial's
+    # fourth central moment)
+    var = n * p * (1 - p)
+    mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+    spread, d = float(((sizes - n * p) ** 2).sum()), 0.25
+    # below: P(sum Y <= (1 - d) m var) <= exp(-d^2 m var^2 / (2 mu4))
+    assert math.exp(-d * d * m * var**2 / (2 * mu4)) < 1e-7 and spread > (1 - d) * m * var
+    # above: Chernoff puts every |s - n p| below h but with probability
+    # m exp(-r^2 n p / (2 + r)), r = h / (n p); then Bernstein with Y <= h^2
+    h, t = 50, d * m * var
+    r = h / (n * p)
+    assert m * math.exp(-r * r * n * p / (2 + r)) < 1e-6
+    assert math.exp(-t * t / 2 / (m * mu4 + h * h * t / 3)) < 1e-6 and spread < (1 + d) * m * var
 
 
 def test_random_system_degenerate_p():

@@ -87,6 +87,30 @@ def test_construction_errors():
         new_set_system(0, [])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (2**70, "set #300 has index 1180591620717411303424, not an integer in [0, 4096)"),
+        (-1, "set #300 has index -1, not an integer in [0, 4096)"),
+        (4096, "set #300 has index 4096, not an integer in [0, 4096)"),
+        (False, "set #300 has index False, not an integer in [0, 4096)"),
+    ],
+)
+def test_a_bad_index_past_the_first_block_is_numbered_among_all_sets(bad, message):
+    # 128 sets over n = 4,096 make a block; set #300 is in the third
+    with pytest.raises(ConstructionError) as excinfo:
+        new_set_system(4096, [[k % 4096] for k in range(300)] + [[5, bad]])
+    assert str(excinfo.value) == message
+
+
+def test_numpy_integer_members_build_the_same_family_as_ints():
+    # numpy integers take the member-by-member check, Python ints the array one
+    sets = [[0, 5], [], [4095, 64, 63]]
+    numpy_sets = [list(np.array(s, dtype=np.int32)) for s in sets]
+    assert new_set_system(4096, numpy_sets) == new_set_system(4096, sets)
+    assert new_set_system(4096, sets).sizes_array.tolist() == [2, 0, 3]
+
+
 def test_new_set_system_never_holds_the_dense_flags():
     # the flags are filled and packed one row block at a time: 5,000 sets
     # over n = 4,096 peak below the m n = 20.5 MB of their dense bool flags
